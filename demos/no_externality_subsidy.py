@@ -11,11 +11,12 @@ import numpy as np
 
 from netadopt import (
     ConstantLevelSubsidy,
+    ModelParams,
     UniformAffinity,
-    noext_cls_trajectory,
     noext_cost_at_target,
     noext_cost_decreasing_condition,
     noext_required_duration,
+    subsidized_trajectory,
 )
 
 dist = UniformAffinity(1.0, 6.0)
@@ -33,8 +34,9 @@ for level in (0.0, 0.5, 1.0, 1.5, 2.0):
 
 print()
 print("a half-cost subsidy for one time unit, then back to full price:")
+market = ModelParams(u_min=0.0, u_max=1.0, cost=0.5, externality=0.0, gamma=1.0)
 cls = ConstantLevelSubsidy(0.5, 1.0)
-traj = noext_cls_trajectory(UniformAffinity(0.0, 1.0), 0.5, 1.0, cls, 0.0, 0.0)
+traj = subsidized_trajectory(market, cls, 0.0, 0.0)
 for t in np.linspace(0.0, 5.0, 11):
     marker = "subsidized" if t <= 1.0 else "full price"
     print(f"  t={t:>4.1f}  y={traj.value(float(t)):.4f}  ({marker})")

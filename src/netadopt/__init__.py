@@ -14,12 +14,9 @@ from .closed_form import (
     LinearDriftSegment,
     LinearODE,
     PiecewiseTrajectory,
-    band_exit_times,
     band_hit_time,
-    band_level,
     band_ode,
     hit_time,
-    noext_trajectory,
     solve_linear,
     unsubsidized_trajectory,
 )
@@ -64,7 +61,6 @@ from .subsidy import (
     min_duration_cost,
     min_duration_trajectory,
     min_subsidy,
-    noext_cls_trajectory,
     noext_cost_at_target,
     noext_cost_decreasing_condition,
     noext_required_duration,
@@ -101,9 +97,7 @@ __all__ = [
     "SubsidySweepRow",
     "UNSTABLE",
     "UniformAffinity",
-    "band_exit_times",
     "band_hit_time",
-    "band_level",
     "band_ode",
     "brute_force_equilibria",
     "classify_equilibria",
@@ -119,12 +113,10 @@ __all__ = [
     "min_duration_cost",
     "min_duration_trajectory",
     "min_subsidy",
-    "noext_cls_trajectory",
     "noext_cost_at_target",
     "noext_cost_decreasing_condition",
     "noext_required_duration",
     "noext_subsidy_cost",
-    "noext_trajectory",
     "pareto_frontier",
     "solve_linear",
     "stability_of",

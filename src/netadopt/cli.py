@@ -91,24 +91,15 @@ def _scenario_trajectory(config: ScenarioConfig, params: ModelParams) -> Piecewi
     t0, x0 = config.t0, config.x0
     if not 0.0 <= x0 <= 1.0:
         raise InvalidParameterError(f"x0 must lie in [0, 1], got {x0}")
-    if params.externality == 0.0:
-        dist = params.affinity
-        if config.kind == "none":
-            return closed_form.noext_trajectory(dist.ccdf(params.cost), params.gamma, t0, x0)
-        if config.kind in ("cls", "full"):
-            level = params.cost if config.kind == "full" else config.s
-            cls = subsidy.ConstantLevelSubsidy(level, config.T, start=t0)
-            return subsidy.noext_cls_trajectory(dist, params.cost, params.gamma, cls, t0, x0)
-        raise AssumptionViolationError(
-            "externality > 0", "min_duration planning needs network effects"
-        )
     if config.kind == "none":
         return closed_form.unsubsidized_trajectory(params, t0, x0)
-    if config.kind == "cls":
-        cls = subsidy.ConstantLevelSubsidy(config.s, config.T, start=t0)
-        return subsidy.subsidized_trajectory(params, cls, t0, x0)
-    if config.kind == "full":
+    if config.kind == "full" and params.externality > 0:
+        # The full-subsidy analysis checks the bistable regime it needs.
         return subsidy.full_subsidy_analysis(params, t0, x0, config.T).trajectory
+    if config.kind in ("cls", "full"):
+        level = params.cost if config.kind == "full" else config.s
+        cls = subsidy.ConstantLevelSubsidy(level, config.T, start=t0)
+        return subsidy.subsidized_trajectory(params, cls, t0, x0)
     if config.t0 != 0.0:
         raise InvalidParameterError("min_duration scenarios start at t0 = 0")
     return subsidy.min_duration_trajectory(params, x0, config.s)
@@ -186,7 +177,7 @@ def cmd_sweep(config: ScenarioConfig) -> int:
     if config.kind != "min_duration":
         raise InvalidParameterError("sweep requires kind = min_duration")
     params = config.params()
-    rows, frontier = subsidy.sweep(params, config.x0, grid_points=config.sweep_points)
+    rows, frontier = subsidy.sweep(params, config.x0, grid_points=config.run_sweep_points())
     on_frontier = {id(r) for r in frontier.frontier}
     path = _resolve_output(config.output, "sweep.csv")
     _write_csv(
@@ -340,7 +331,7 @@ def cmd_validate(config: ScenarioConfig) -> int:
                COST_TOL, failures)
 
     if config.kind == "min_duration":
-        rows, _ = subsidy.sweep(params, config.x0, grid_points=config.sweep_points)
+        rows, _ = subsidy.sweep(params, config.x0, grid_points=config.run_sweep_points())
         durations = [r.duration for r in rows if r.duration is not None]
         drift = max(
             (b - a for a, b in zip(durations, durations[1:])), default=0.0
@@ -394,14 +385,13 @@ def _trajectory_rows(traj: PiecewiseTrajectory, t0: float, t_end: float, step: f
 def _reproduce_1(out_dir: Path) -> list[Path]:
     # Flat-affinity service: adoption under a half-cost subsidy for a few
     # window lengths, then the duration/outlay tradeoff toward a target.
-    dist = UniformAffinity(0.0, 1.0)
-    cost, gamma = 0.5, 1.0
+    params = ModelParams(0.0, 1.0, 0.5, 0.0, 1.0)
     rows = []
     for label, duration in (("0", 0.0), ("1", 1.0), ("2", 2.0)):
-        cls = subsidy.ConstantLevelSubsidy(cost, duration)
-        traj = subsidy.noext_cls_trajectory(dist, cost, gamma, cls, 0.0, 0.0)
+        cls = subsidy.ConstantLevelSubsidy(params.cost, duration)
+        traj = subsidy.subsidized_trajectory(params, cls, 0.0, 0.0)
         rows += [(label, t, y) for t, y in _trajectory_rows(traj, 0.0, 8.0, 0.05)]
-    always = closed_form.noext_trajectory(dist.ccdf(0.0), gamma, 0.0, 0.0)
+    always = closed_form.unsubsidized_trajectory(params, 0.0, 0.0, effective_cost=0.0)
     rows += [("inf", t, y) for t, y in _trajectory_rows(always, 0.0, 8.0, 0.05)]
     p1 = out_dir / "example1_adoption.csv"
     _write_csv(p1, ["T", "t", "y"], rows)

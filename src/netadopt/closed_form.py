@@ -5,7 +5,8 @@ x: below the band [band_low, band_high] the level decays exponentially
 toward 0, above it it rises exponentially toward 1, and inside it follows
 a linear ODE whose fixed point is the interior equilibrium.  A trajectory
 is therefore an ordered list of exponential (or, in one degenerate case,
-linear-drift) segments glued at the exact band-crossing times.
+linear-drift) segments glued at the exact band-crossing times.  Without
+network effects the band is empty and the path is a single exponential.
 """
 
 from __future__ import annotations
@@ -170,41 +171,11 @@ def band_ode(params: ModelParams, effective_cost: float | None = None) -> Linear
     )
 
 
-def band_level(
-    t: float, t0: float, x0: float, effective_cost: float, params: ModelParams
-) -> float:
-    """In-band closed form at time t, starting from (t0, x0).
-
-    Valid while the path stays inside [band_low, band_high]; enforcing
-    that is the trajectory builder's job.
-    """
-    return solve_linear(band_ode(params, effective_cost), params.gamma, t0, x0, t)
-
-
 def band_hit_time(
     x: float, t0: float, x0: float, effective_cost: float, params: ModelParams
 ) -> float | None:
     """Time for the in-band closed form to reach level x, or None."""
     return hit_time(band_ode(params, effective_cost), params.gamma, t0, x0, x)
-
-
-def band_exit_times(
-    x0: float, effective_cost: float, params: ModelParams
-) -> tuple[float | None, float | None]:
-    """Durations for the in-band path from x0 to reach each band edge.
-
-    Returns (time to band_low, time to band_high), each None when that
-    edge is never reached.
-    """
-    if params.externality <= 0:
-        raise InvalidParameterError("band edges require externality > 0")
-    to_low = band_hit_time(
-        params.band_low(effective_cost), 0.0, x0, effective_cost, params
-    )
-    to_high = band_hit_time(
-        params.band_high(effective_cost), 0.0, x0, effective_cost, params
-    )
-    return to_low, to_high
 
 
 def unsubsidized_trajectory(
@@ -217,17 +188,14 @@ def unsubsidized_trajectory(
 
     Walks the state through the at most three linear regions (below the
     band, inside it, above it), gluing segments at the exact crossing
-    times.  ``effective_cost`` substitutes the cost without touching the
-    other parameters, which is how subsidized phases are built.
+    times.  Without network effects the band is empty and the path is one
+    exponential toward ccdf(effective_cost).  ``effective_cost``
+    substitutes the cost without touching the other parameters, which is
+    how subsidized phases are built.
 
     Raises:
-        InvalidParameterError: when externality is zero (use
-            ``noext_trajectory``) or x0 is outside [0, 1].
+        InvalidParameterError: when x0 is outside [0, 1].
     """
-    if params.externality <= 0:
-        raise InvalidParameterError(
-            "externality must be > 0; use noext_trajectory for e == 0"
-        )
     if x0 < -1e-9 or x0 > 1 + 1e-9:
         raise InvalidParameterError(f"x0 must lie in [0, 1], got {x0}")
     x0 = min(1.0, max(0.0, x0))
@@ -236,6 +204,10 @@ def unsubsidized_trajectory(
     gamma = params.gamma
     e = params.externality
     dist = params.affinity
+    if e == 0.0:
+        return PiecewiseTrajectory(
+            (ExponentialSegment(t0, x0, limit=dist.ccdf(ceff), rate=-gamma),)
+        )
     low = params.band_low(ceff)
     high = params.band_high(ceff)
     ode = band_ode(params, ceff)
@@ -291,13 +263,3 @@ def unsubsidized_trajectory(
         t, x = t_exit, target
     return PiecewiseTrajectory(tuple(segments))
 
-
-def noext_trajectory(
-    ccdf_at_cost: float, gamma: float, t0: float, x0: float
-) -> PiecewiseTrajectory:
-    """Path without network effects: one exponential toward ccdf_at_cost."""
-    if not 0.0 <= ccdf_at_cost <= 1.0:
-        raise InvalidParameterError("ccdf_at_cost must lie in [0, 1]")
-    return PiecewiseTrajectory(
-        (ExponentialSegment(t0, x0, limit=ccdf_at_cost, rate=-gamma),)
-    )

@@ -8,7 +8,7 @@ the file.  The shipped ``config_reference.txt`` documents every key.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import InvalidParameterError
@@ -53,8 +53,22 @@ class ScenarioConfig:
             gamma=self.gamma,
         )
 
+    # The run controls are checked where a verb reads them, so that a
+    # verb which ignores a key also ignores a bad value for it.
+
     def run_dt(self) -> float:
-        return self.dt if self.dt is not None else 1e-3 / self.params().gamma
+        if self.dt is None:
+            return 1e-3 / self.params().gamma
+        if self.dt <= 0:
+            raise InvalidParameterError(f"dt must be > 0, got {self.dt!r}")
+        return self.dt
+
+    def run_sweep_points(self) -> int:
+        if self.sweep_points < 0:
+            raise InvalidParameterError(
+                f"sweep_points must be >= 0, got {self.sweep_points}"
+            )
+        return self.sweep_points
 
     def run_t_end(self) -> float:
         return (
@@ -130,10 +144,6 @@ def load_config(
     if config.T < 0:
         raise InvalidParameterError("T must be >= 0")
     return config
-
-
-def with_overrides(config: ScenarioConfig, **changes) -> ScenarioConfig:
-    return replace(config, **changes)
 
 
 REFERENCE_PATH = Path(__file__).with_name("config_reference.txt")

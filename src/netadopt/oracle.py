@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -26,8 +26,6 @@ from .model import (
 DEFAULT_STEP_SCALE = 1e-3  # dt * gamma for default integrations
 MAX_STEP_SCALE = 1e-2
 DEFAULT_HORIZON_SCALE = 60.0  # (t_end - t0) * gamma for limit checks
-
-Schedule = Callable[[float], float]
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,18 +49,6 @@ class SampledTrajectory:
         return self.start_time + self.dt * (len(self.levels) - 1)
 
 
-def _rk4_span(
-    f: Callable[[float, float], float], t: float, x: float, t_next: float
-) -> float:
-    """One RK4 step over [t, t_next] for a field smooth on that span."""
-    h = t_next - t
-    k1 = f(t, x)
-    k2 = f(t + 0.5 * h, x + 0.5 * h * k1)
-    k3 = f(t + 0.5 * h, x + 0.5 * h * k2)
-    k4 = f(t_next, x + h * k3)
-    return x + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-
-
 def _rk4_const_cost(ccdf, ceff: float, e: float, gamma: float, x: float, h: float) -> float:
     """One RK4 step of xdot = gamma*(ccdf(ceff - e*x) - x), autonomous."""
     if h == 0.0:
@@ -80,28 +66,26 @@ def _rk4_const_cost(ccdf, ceff: float, e: float, gamma: float, x: float, h: floa
 def integrate_ode(
     params: ModelParams,
     dist: AffinityDistribution | None = None,
-    subsidy_schedule: Schedule | None = None,
+    subsidy_schedule=None,
     t0: float = 0.0,
     x0: float = 0.0,
     t_end: float | None = None,
     dt: float | None = None,
-    breakpoints: Sequence[float] = (),
 ) -> SampledTrajectory:
     """Fixed-step RK4 samples of xdot = gamma*(ccdf(c - s(t) - e*x) - x).
 
-    With no schedule this integrates the plain dynamics.  Steps that
-    straddle a schedule breakpoint (a subsidy switching on or off) are
-    split there, so each RK4 evaluation sees a smooth field; the sample
-    grid itself stays uniform.
+    The effective cost is constant before, during and after the subsidy
+    window, so the integration runs phase by phase.  Steps that straddle
+    the window's start or end are split there, so each RK4 evaluation
+    sees a smooth field; the sample grid itself stays uniform.
 
     Args:
         params: Market parameters (supply cost, externality, gamma).
         dist: Affinity distribution; defaults to the uniform one implied
             by params.
-        subsidy_schedule: Cost reduction s(t), or None for no subsidy.
-            Objects with ``level``/``start``/``end`` attributes (constant
-            level subsidies) contribute their switch times automatically.
-        breakpoints: Extra known discontinuity times of the schedule.
+        subsidy_schedule: A ``ConstantLevelSubsidy``, or None for the
+            plain dynamics.  Only its ``level``, ``start`` and ``end``
+            attributes are read, so the oracle needs no planner import.
 
     Raises:
         InvalidStepError: when dt*gamma exceeds 1e-2 or t_end <= t0.
@@ -118,66 +102,35 @@ def integrate_ode(
 
     ccdf = (dist or params.affinity).ccdf
     cost, e = params.cost, params.externality
-
-    breaks = set(float(b) for b in breakpoints)
-    piecewise_constant = False
-    if subsidy_schedule is None:
-        schedule: Schedule = lambda t: 0.0
-    else:
-        schedule = _as_callable(subsidy_schedule)
-        start = getattr(subsidy_schedule, "start", None)
-        end = getattr(subsidy_schedule, "end", None)
-        piecewise_constant = start is not None and end is not None
-        if start is not None:
-            breaks.add(float(start))
-        if end is not None:
-            breaks.add(float(end))
     n = max(1, round((t_end - t0) / dt))
     t_end = t0 + n * dt  # snap to a whole number of steps
-    cuts = sorted(b for b in breaks if t0 < b < t_end)
+    if subsidy_schedule is None:
+        level, start, end = 0.0, t0, t0
+    else:
+        level = subsidy_schedule.level
+        start, end = float(subsidy_schedule.start), float(subsidy_schedule.end)
+    cuts = sorted({b for b in (start, end) if t0 < b < t_end})
     levels = np.empty(n + 1)
     levels[0] = x0
 
-    if subsidy_schedule is None or piecewise_constant:
-        # Constant effective cost per phase: integrate phase by phase with
-        # a tight loop, splitting the straddling steps at the exact switch
-        # times so every RK4 stage sees a smooth field.
-        edges = [t0, *cuts, t_end]
-        x, t, i = x0, t0, 1
-        for a, b in zip(edges, edges[1:]):
-            ceff = cost - schedule(0.5 * (a + b))
-            while i <= n:
-                t_next = t0 + i * dt
-                if t_next > b:
-                    break
-                x = _rk4_const_cost(ccdf, ceff, e, gamma, x, t_next - t)
-                t = t_next
-                levels[i] = x
-                i += 1
-            if t < b:
-                x = _rk4_const_cost(ccdf, ceff, e, gamma, x, b - t)
-                t = b
-        return SampledTrajectory(start_time=t0, dt=dt, levels=levels)
-
-    def field(t: float, x: float) -> float:
-        return gamma * (ccdf(cost - schedule(t) - e * x) - x)
-
-    x, t = x0, t0
-    for i in range(1, n + 1):
-        t_next = t0 + i * dt
-        for b in [b for b in cuts if t < b < t_next]:
-            x = _rk4_span(field, t, x, b)
+    # Integrate phase by phase with a tight loop, splitting the straddling
+    # steps at the exact switch times.
+    edges = [t0, *cuts, t_end]
+    x, t, i = x0, t0, 1
+    for a, b in zip(edges, edges[1:]):
+        ceff = cost - (level if start <= 0.5 * (a + b) <= end else 0.0)
+        while i <= n:
+            t_next = t0 + i * dt
+            if t_next > b:
+                break
+            x = _rk4_const_cost(ccdf, ceff, e, gamma, x, t_next - t)
+            t = t_next
+            levels[i] = x
+            i += 1
+        if t < b:
+            x = _rk4_const_cost(ccdf, ceff, e, gamma, x, b - t)
             t = b
-        x = _rk4_span(field, t, x, t_next)
-        t = t_next
-        levels[i] = x
     return SampledTrajectory(start_time=t0, dt=dt, levels=levels)
-
-
-def _as_callable(schedule) -> Schedule:
-    if callable(schedule):
-        return schedule
-    return schedule.value_at
 
 
 def _composite_simpson(y: np.ndarray, dx: float) -> float:
@@ -200,39 +153,30 @@ def _composite_simpson(y: np.ndarray, dx: float) -> float:
 
 
 def integrate_cost(sampled: SampledTrajectory, subsidy_schedule) -> float:
-    """Total provider outlay: integral of s(t) * x(t) over the samples.
+    """Total provider outlay: level times the integral of x(t) over the window.
 
-    For a constant level subsidy the integral is split at the window end;
-    a window end falling between samples is closed with a trapezoid on
-    the interpolated remainder.
+    ``subsidy_schedule`` is a constant level subsidy or None.  The
+    integral is split at the window end; a window end falling between
+    samples is closed with a trapezoid on the interpolated remainder.
     """
-    if subsidy_schedule is None:
+    if subsidy_schedule is None or subsidy_schedule.level == 0.0:
         return 0.0
     times = sampled.times
     levels = sampled.levels
-    start = getattr(subsidy_schedule, "start", None)
-    end = getattr(subsidy_schedule, "end", None)
-    level = getattr(subsidy_schedule, "level", None)
-    if start is not None and end is not None and level is not None:
-        if level == 0.0:
-            return 0.0
-        hi = min(end, sampled.end_time)
-        lo = max(start, sampled.start_time)
-        if hi <= lo:
-            return 0.0
-        i_lo = int(math.ceil((lo - sampled.start_time) / sampled.dt - 1e-9))
-        i_hi = int(math.floor((hi - sampled.start_time) / sampled.dt + 1e-9))
-        total = _composite_simpson(levels[i_lo : i_hi + 1], sampled.dt)
-        if times[i_hi] < hi:  # partial trailing interval
-            x_hi = np.interp(hi, times, levels)
-            total += 0.5 * (levels[i_hi] + x_hi) * (hi - times[i_hi])
-        if times[i_lo] > lo:  # partial leading interval
-            x_lo = np.interp(lo, times, levels)
-            total += 0.5 * (x_lo + levels[i_lo]) * (times[i_lo] - lo)
-        return float(level * total)
-    schedule = _as_callable(subsidy_schedule)
-    f = np.array([schedule(t) * x for t, x in zip(times, levels)])
-    return _composite_simpson(f, sampled.dt)
+    hi = min(subsidy_schedule.end, sampled.end_time)
+    lo = max(subsidy_schedule.start, sampled.start_time)
+    if hi <= lo:
+        return 0.0
+    i_lo = int(math.ceil((lo - sampled.start_time) / sampled.dt - 1e-9))
+    i_hi = int(math.floor((hi - sampled.start_time) / sampled.dt + 1e-9))
+    total = _composite_simpson(levels[i_lo : i_hi + 1], sampled.dt)
+    if times[i_hi] < hi:  # partial trailing interval
+        x_hi = np.interp(hi, times, levels)
+        total += 0.5 * (levels[i_hi] + x_hi) * (hi - times[i_hi])
+    if times[i_lo] > lo:  # partial leading interval
+        x_lo = np.interp(lo, times, levels)
+        total += 0.5 * (x_lo + levels[i_lo]) * (times[i_lo] - lo)
+    return float(subsidy_schedule.level * total)
 
 
 def brute_force_equilibria(

@@ -13,15 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .closed_form import (
-    ExponentialSegment,
     PiecewiseTrajectory,
     band_hit_time,
-    noext_trajectory,
     unsubsidized_trajectory,
 )
 from .errors import (
@@ -36,9 +34,7 @@ from .model import (
     interior_equilibrium,
 )
 
-QUADRATURE_TOL = 1e-9
 CLOSED_FORM = "closed_form"
-QUADRATURE = "quadrature"
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,9 +58,6 @@ class ConstantLevelSubsidy:
     @property
     def end(self) -> float:
         return self.start + self.duration
-
-    def value_at(self, t: float) -> float:
-        return self.level if self.start <= t <= self.end else 0.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,7 +91,6 @@ class CostResult:
     value: float | None
     method: str
     row: int
-    quadrature_error: float | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,7 +104,6 @@ class SubsidySweepRow:
     duration: float | None
     cost: float | None
     method: str
-    quadrature_error: float | None
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,29 +117,6 @@ class ParetoFrontier:
 # ---------------------------------------------------------------------------
 # No-externality analytics (general affinity distribution)
 # ---------------------------------------------------------------------------
-
-
-def noext_cls_trajectory(
-    dist: AffinityDistribution,
-    cost: float,
-    gamma: float,
-    cls: ConstantLevelSubsidy,
-    t0: float,
-    y0: float,
-) -> PiecewiseTrajectory:
-    """Two-phase exponential path under a constant level subsidy, e == 0.
-
-    During the window the level relaxes toward ccdf(cost - level), then
-    toward ccdf(cost).
-    """
-    subsidized_limit = dist.ccdf(cost - cls.level)
-    plain_limit = dist.ccdf(cost)
-    if cls.duration == 0.0:
-        return noext_trajectory(plain_limit, gamma, t0, y0)
-    first = ExponentialSegment(t0, y0, limit=subsidized_limit, rate=-gamma)
-    switch = t0 + cls.duration
-    second = ExponentialSegment(switch, first.value(switch), limit=plain_limit, rate=-gamma)
-    return PiecewiseTrajectory((first, second), subsidy_end=switch)
 
 
 def noext_required_duration(
@@ -232,12 +200,12 @@ def subsidized_trajectory(
     """Exact path under a constant level subsidy: run the plain dynamics
     at cost - level over the window, then at the full cost from wherever
     the window left the state.
+
+    With network effects the level may not exceed the cost.  Without them
+    any level is accepted, as in the no-externality planners: the window
+    relaxes the level toward ccdf(cost - level), then toward ccdf(cost).
     """
-    if params.externality <= 0:
-        raise InvalidParameterError(
-            "externality must be > 0; use noext_cls_trajectory for e == 0"
-        )
-    if cls.level > params.cost:
+    if params.externality > 0 and cls.level > params.cost:
         raise InvalidParameterError("subsidy level must not exceed the cost")
     if abs(cls.start - t0) > 1e-12:
         raise InvalidParameterError("subsidy window must start at t0")
@@ -347,8 +315,9 @@ def min_duration(params: ModelParams, y0: float, level: float) -> float | None:
 
     The window ends exactly when the subsidized path reaches the interior
     equilibrium of the unsubsidized dynamics.  Returns None when the
-    level cannot get there (level <= min_subsidy).  Constant in the level
-    once the whole climb happens above the subsidized band.
+    level cannot get there: level <= min_subsidy, or, within rounding of
+    it, a subsidized path that rests on its own fixed point.  Constant in
+    the level once the whole climb happens above the subsidized band.
     """
     x_int = _require_planner_regime(params, y0)
     _check_level(params, level)
@@ -362,11 +331,13 @@ def min_duration(params: ModelParams, y0: float, level: float) -> float | None:
         return band_hit_time(x_int, 0.0, y0, params.cost - level, params)
     if s_norm <= to_start:
         exit_time = _subsidized_band_exit(params, y0, level)
-        if exit_time is None:
-            # Rounding put the start a hair above the subsidized band
-            # edge; the climb is then entirely out of band.
-            return math.log((1.0 - y0) / (1.0 - x_int)) / gamma
         top = params.band_high(params.cost - level)
+        if exit_time is None:
+            if y0 >= top:
+                # Rounding put the start above the subsidized band edge;
+                # the climb is then entirely out of band.
+                return math.log((1.0 - y0) / (1.0 - x_int)) / gamma
+            return None  # the subsidized path sits on its own fixed point
         return exit_time + math.log((1.0 - top) / (1.0 - x_int)) / gamma
     return math.log((1.0 - y0) / (1.0 - x_int)) / gamma
 
@@ -382,14 +353,15 @@ def min_duration_trajectory(
     equilibrium of the unsubsidized dynamics.
 
     Raises:
-        InfeasibleSubsidyError: when the level is at or below min_subsidy.
+        InfeasibleSubsidyError: when min_duration finds no window.
     """
     _require_planner_regime(params, y0)
     _check_level(params, level)
     duration = min_duration(params, y0, level)
     if duration is None:
         raise InfeasibleSubsidyError(
-            f"level {level} <= min_subsidy {min_subsidy(params, y0)}"
+            f"level {level} cannot reach the tipping level "
+            f"(min_subsidy {min_subsidy(params, y0)})"
         )
     path = unsubsidized_trajectory(
         params, 0.0, y0, effective_cost=params.cost - level
@@ -409,55 +381,33 @@ def subsidy_interval_bounds(params: ModelParams, y0: float) -> tuple[float, floa
 
     Returns (below which the start never enters the subsidized band,
     min_subsidy, above which the climb exits the subsidized band before
-    tipping, above which the whole climb is out of band).
+    tipping, above which the whole climb is out of band).  The first
+    bound is min_subsidy - y0 * (u_max - u_min) in exact arithmetic; it
+    is clamped to min_subsidy so that rounding at y0 = 0 cannot order
+    them the other way.
     """
     x_int = _require_planner_regime(params, y0)
     c = params.cost
     e = params.externality
+    s_hat = min_subsidy(params, y0)
     return (
-        c - params.u_max - e * y0,
-        min_subsidy(params, y0),
+        min(c - params.u_max - e * y0, s_hat),
+        s_hat,
         c - params.u_min - e * x_int,
         c - params.u_min - e * y0,
     )
 
 
-def _adaptive_simpson(
-    f: Callable[[float], float], a: float, b: float, tol: float
-) -> tuple[float, float]:
-    """Adaptive Simpson quadrature; returns (integral, error bound)."""
-    if b <= a:
-        return 0.0, 0.0
-
-    def recurse(lo, hi, flo, fmid, fhi, whole, tol, depth):
-        mid = 0.5 * (lo + hi)
-        lmid, rmid = 0.5 * (lo + mid), 0.5 * (mid + hi)
-        flm, frm = f(lmid), f(rmid)
-        left = (mid - lo) / 6.0 * (flo + 4.0 * flm + fmid)
-        right = (hi - mid) / 6.0 * (fmid + 4.0 * frm + fhi)
-        err = (left + right - whole) / 15.0
-        if depth >= 50 or abs(err) < tol:
-            return left + right + err, abs(err)
-        lv, le = recurse(lo, mid, flo, flm, fmid, left, tol / 2.0, depth + 1)
-        rv, re = recurse(mid, hi, fmid, frm, fhi, right, tol / 2.0, depth + 1)
-        return lv + rv, le + re
-
-    fa, fb = f(a), f(b)
-    fm = f(0.5 * (a + b))
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return recurse(a, b, fa, fm, fb, whole, tol, 0)
-
-
 def min_duration_cost(params: ModelParams, y0: float, level: float) -> CostResult:
     """Provider outlay of the minimum-duration subsidy at the given level.
 
-    Closed forms cover four of the five level ranges; on the range where
-    the climb exits the subsidized band partway the outlay is integrated
-    by adaptive Simpson over the exact path (split at the band exit),
-    with the reported error bound at most 1e-9.  Levels at or below
-    min_subsidy pay for an unbounded window while the state settles back
-    down; their outlay is still finite except exactly at min_subsidy with
-    y0 > 0, reported as value None.
+    Each of the five level ranges has a closed form.  On the fourth the
+    climb exits the subsidized band partway, so its outlay joins the
+    in-band climb of the third range to the out-of-band climb of the
+    fifth at the band edge.  Levels at or below min_subsidy pay for an
+    unbounded window while the state settles back down; their outlay is
+    still finite except exactly at min_subsidy with y0 > 0, reported as
+    value None.
     """
     x_int = _require_planner_regime(params, y0)
     _check_level(params, level)
@@ -487,16 +437,16 @@ def min_duration_cost(params: ModelParams, y0: float, level: float) -> CostResul
         return CostResult(level / gamma * inv_a * inner, CLOSED_FORM, row=3)
 
     if level <= b4:
-        duration = min_duration(params, y0, level)
-        assert duration is not None
-        path = min_duration_trajectory(params, y0, level)
-        split = _subsidized_band_exit(params, y0, level)
-        cut = duration if split is None else min(split, duration)
-        v1, e1 = _adaptive_simpson(path.value, 0.0, cut, QUADRATURE_TOL / 2)
-        v2, e2 = _adaptive_simpson(path.value, cut, duration, QUADRATURE_TOL / 2)
-        return CostResult(
-            level * (v1 + v2), QUADRATURE, row=4, quadrature_error=level * (e1 + e2)
-        )
+        sub_int = interior_equilibrium(ceff, params)
+        if y0 - sub_int <= 0.0:
+            return CostResult(None if y0 > 0 else 0.0, CLOSED_FORM, row=4)
+        # In-band climb from y0 to the subsidized band edge, then the
+        # climb toward 1 up to x_int.  log1p keeps the in-band term
+        # accurate when externality is close to u_max - u_min.
+        top = min(max(params.band_high(ceff), y0), x_int)
+        in_band = sub_int * math.log1p((top - y0) / (y0 - sub_int)) + top - y0
+        above = math.log1p((x_int - top) / (1.0 - x_int)) - (x_int - top)
+        return CostResult(level / gamma * (inv_a * in_band + above), CLOSED_FORM, row=4)
 
     inner = math.log((1.0 - y0) / (1.0 - x_int)) - (x_int - y0)
     return CostResult(level / gamma * inner, CLOSED_FORM, row=5)
@@ -515,7 +465,6 @@ def sweep(
     rows not dominated in (duration, cost).
     """
     _require_planner_regime(params, y0)
-    s_hat = min_subsidy(params, y0)
     if s_grid is None:
         bounds = [b for b in subsidy_interval_bounds(params, y0) if 0.0 <= b <= params.cost]
         grid = np.unique(np.concatenate([np.linspace(0.0, params.cost, grid_points), bounds]))
@@ -528,16 +477,16 @@ def sweep(
     for s in grid:
         s = float(s)
         cost_result = min_duration_cost(params, y0, s)
+        duration = min_duration(params, y0, s)
         rows.append(
             SubsidySweepRow(
                 level=s,
                 normalized=s / params.externality,
-                feasible=s > s_hat,
+                feasible=duration is not None,
                 regime=cost_result.row,
-                duration=min_duration(params, y0, s),
+                duration=duration,
                 cost=cost_result.value,
                 method=cost_result.method,
-                quadrature_error=cost_result.quadrature_error,
             )
         )
     return rows, pareto_frontier(rows)

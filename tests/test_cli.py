@@ -389,3 +389,60 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert (tmp_path / "eq.csv").exists()
+
+
+def test_zero_or_negative_dt_is_invalid_input(tmp_path, capsys):
+    for verb in ("simulate", "validate"):
+        for dt in ("0", "-1"):
+            code, _, stderr = run(
+                capsys, verb, *sets(*TIPPING_KEYS, "x0=0.25", "t_end=2", f"dt={dt}"),
+                "--output", str(tmp_path / "out.csv"),
+            )
+            assert code == 2
+            assert stderr == f"error: dt must be > 0, got {float(dt)!r}\n"
+    # A verb that never reads dt keeps ignoring it.
+    code, _, _ = run(
+        capsys, "sweep", *sets(*PLANNER_KEYS, "x0=0", "kind=min_duration",
+                               "sweep_points=8", "dt=0"),
+        "--output", str(tmp_path / "sweep.csv"),
+    )
+    assert code == 0
+
+
+def test_negative_sweep_points_is_invalid_input(tmp_path, capsys):
+    for verb in ("sweep", "validate"):
+        code, _, stderr = run(
+            capsys, verb, *sets(*PLANNER_KEYS, "x0=0", "kind=min_duration", "s=1",
+                                "sweep_points=-3"),
+            "--output", str(tmp_path / "sweep.csv"),
+        )
+        assert code == 2
+        assert stderr == "error: sweep_points must be >= 0, got -3\n"
+
+
+def test_validate_zero_start_boundary_market(tmp_path, capsys):
+    # At y0 = 0 this market's first outlay bound, cost - u_max, rounds one
+    # ulp above min_subsidy; no sweep row may fall between the two.
+    code, stdout, _ = run(
+        capsys, "validate",
+        *sets("u_min=0.935609791532341", "u_max=1.685870423705207",
+              "cost=1.8797231588513614", "externality=1.346491514237461",
+              "gamma=1.099522908476864", "x0=0.0", "kind=min_duration",
+              "s=0.474293317145366"),
+    )
+    assert code == 0
+    assert "cost slope sign pattern: PASS" in stdout
+
+
+def test_simulate_zero_externality_edges(tmp_path, capsys):
+    out = tmp_path / "traj.csv"
+    base = ("u_min=0", "u_max=1", "cost=0.5", "externality=0", "gamma=1",
+            "x0=0", "kind=cls", "T=1", "t_end=2", "dt=0.5")
+    # A zero level is no window: every row is unsubsidized.
+    code, _, _ = run(capsys, "simulate", *sets(*base, "s=0"), "--output", str(out))
+    assert code == 0
+    _, rows = read_csv(out)
+    assert {r[2] for r in rows} == {"unsubsidized"}
+    # A level above the cost is accepted without network effects.
+    code, _, _ = run(capsys, "simulate", *sets(*base, "s=0.7"), "--output", str(out))
+    assert code == 0

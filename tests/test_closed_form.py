@@ -10,17 +10,20 @@ from netadopt import (
     LinearODE,
     ModelParams,
     PiecewiseTrajectory,
-    band_exit_times,
     band_hit_time,
-    band_level,
     band_ode,
     hit_time,
-    noext_trajectory,
     solve_linear,
     unsubsidized_trajectory,
 )
 
 TIPPING = ModelParams(1.0, 2.0, 3.0, 3.0, 1.0 / 3.0)  # bistable, interior 0.5
+TIPPING_BAND = band_ode(TIPPING, 3.0)
+
+
+def band_level(t, x0):
+    """In-band closed form for TIPPING from (0, x0)."""
+    return solve_linear(TIPPING_BAND, TIPPING.gamma, 0.0, x0, t)
 
 
 def bisect_hit_time(ode, gamma, t0, x0, x, hi=200.0):
@@ -82,12 +85,12 @@ def test_band_ode_coefficients():
 
 
 def test_band_level_examples():
-    assert band_level(0.0, 0.0, 0.4, 3.0, TIPPING) == pytest.approx(0.4, abs=1e-15)
+    assert band_level(0.0, 0.4) == pytest.approx(0.4, abs=1e-15)
     t_exit = 1.5 * math.log(5.0 / 3.0)
-    assert band_level(t_exit, 0.0, 0.4, 3.0, TIPPING) == pytest.approx(1 / 3, abs=1e-6)
+    assert band_level(t_exit, 0.4) == pytest.approx(1 / 3, abs=1e-6)
     # The interior fixed point stays put.
     for t in (0.0, 1.0, 7.0):
-        assert band_level(t, 0.0, 0.5, 3.0, TIPPING) == pytest.approx(0.5, abs=1e-12)
+        assert band_level(t, 0.5) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_band_hit_time_examples():
@@ -105,17 +108,22 @@ def test_band_hit_round_trip():
             t = band_hit_time(target, 0.0, x0, 3.0, TIPPING)
             if t is None:
                 continue
-            assert band_level(t, 0.0, x0, 3.0, TIPPING) == pytest.approx(target, abs=1e-9)
+            assert band_level(t, x0) == pytest.approx(target, abs=1e-9)
 
 
 def test_band_exit_times_examples():
-    down, up = band_exit_times(0.4, 3.0, TIPPING)
+    def exit_times(x0):
+        low, high = TIPPING.band_low(), TIPPING.band_high()
+        return (hit_time(TIPPING_BAND, TIPPING.gamma, 0.0, x0, low),
+                hit_time(TIPPING_BAND, TIPPING.gamma, 0.0, x0, high))
+
+    down, up = exit_times(0.4)
     assert down == pytest.approx(0.7662384356489861, abs=1e-9)
     assert up is None
-    down, up = band_exit_times(0.6, 3.0, TIPPING)
+    down, up = exit_times(0.6)
     assert down is None
     assert up == pytest.approx(0.7662384356489861, abs=1e-9)
-    down, _ = band_exit_times(1 / 3, 3.0, TIPPING)
+    down, _ = exit_times(1 / 3)
     assert down == 0.0
 
 
@@ -203,25 +211,30 @@ def test_trajectory_degenerate_band_drift():
 
 
 def test_trajectory_rejects_bad_inputs():
-    with pytest.raises(InvalidParameterError):
-        unsubsidized_trajectory(ModelParams(1, 2, 1.5, 0.0, 1.0), 0.0, 0.2)
+    # Without network effects the path is one exponential toward ccdf(cost).
+    traj = unsubsidized_trajectory(ModelParams(1, 2, 1.5, 0.0, 1.0), 0.0, 0.2)
+    assert len(traj.segments) == 1
+    assert traj.final_level == 0.5
     with pytest.raises(InvalidParameterError):
         unsubsidized_trajectory(TIPPING, 0.0, 1.5)
     with pytest.raises(InvalidParameterError):
-        band_exit_times(0.4, 1.5, ModelParams(1, 2, 1.5, 0.0, 1.0))
+        unsubsidized_trajectory(ModelParams(1, 2, 1.5, 0.0, 1.0), 0.0, -0.1)
 
 
 def test_noext_trajectory():
-    traj = noext_trajectory(0.5, 1.0, 0.0, 0.0)
+    unit = ModelParams(0.0, 1.0, 0.5, 0.0, 1.0)  # ccdf(0.5) = 0.5
+    traj = unsubsidized_trajectory(unit, 0.0, 0.0)
     for t in (0.1, 1.0, 4.0):
         assert traj.value(t) == pytest.approx(0.5 * (1 - math.exp(-t)), abs=1e-15)
     assert traj.final_level == 0.5
-    const = noext_trajectory(0.5, 1.0, 0.0, 0.5)
+    assert traj.breakpoints == ()
+    const = unsubsidized_trajectory(unit, 0.0, 0.5)
     assert const.value(2.0) == 0.5
-    climb = noext_trajectory(0.6, 1.0, 0.0, 0.0)
+    climb = unsubsidized_trajectory(unit, 0.0, 0.0, effective_cost=0.4)
     assert climb.value(math.log(6.0)) == pytest.approx(0.5, abs=1e-12)
-    with pytest.raises(InvalidParameterError):
-        noext_trajectory(1.2, 1.0, 0.0, 0.0)
+    # Effective costs outside the affinity range saturate the ccdf.
+    assert unsubsidized_trajectory(unit, 0.0, 0.3, effective_cost=-1.0).final_level == 1.0
+    assert unsubsidized_trajectory(unit, 0.0, 0.3, effective_cost=2.0).final_level == 0.0
 
 
 def test_trajectory_eval_contract():

@@ -12,20 +12,21 @@ from netadopt import (
     finite_diff,
     integrate_cost,
     integrate_ode,
-    noext_cls_trajectory,
     noext_cost_at_target,
     noext_cost_decreasing_condition,
     noext_required_duration,
     noext_subsidy_cost,
+    subsidized_trajectory,
 )
 
 WIDE = UniformAffinity(1.0, 6.0)  # ccdf(3) = 0.6
 UNIT = UniformAffinity(0.0, 1.0)
+UNIT_MARKET = ModelParams(0.0, 1.0, 0.5, 0.0, 1.0)  # UNIT affinities, cost 0.5
 
 
 def test_cls_trajectory_phases():
     cls = ConstantLevelSubsidy(0.5, 1.0)
-    traj = noext_cls_trajectory(UNIT, 0.5, 1.0, cls, 0.0, 0.0)
+    traj = subsidized_trajectory(UNIT_MARKET, cls, 0.0, 0.0)
     # Fully subsidized phase climbs toward 1, then falls back toward 1/2.
     assert traj.value(1.0) == pytest.approx(1 - math.exp(-1), abs=1e-12)
     assert traj.value(0.4) == pytest.approx(1 - math.exp(-0.4), abs=1e-12)
@@ -36,9 +37,21 @@ def test_cls_trajectory_phases():
 
 
 def test_cls_trajectory_zero_window():
-    traj = noext_cls_trajectory(UNIT, 0.5, 1.0, ConstantLevelSubsidy(0.5, 0.0), 0.0, 0.0)
+    traj = subsidized_trajectory(UNIT_MARKET, ConstantLevelSubsidy(0.5, 0.0), 0.0, 0.0)
     assert len(traj.segments) == 1
     assert traj.final_level == 0.5
+    # A zero level is no window either, as with network effects.
+    free = subsidized_trajectory(UNIT_MARKET, ConstantLevelSubsidy(0.0, 2.0), 0.0, 0.0)
+    assert len(free.segments) == 1 and free.subsidy_end is None
+
+
+def test_cls_trajectory_level_above_cost():
+    # Without network effects a level above the cost is allowed: everyone
+    # adopts during the window, exactly as at level == cost.
+    over = subsidized_trajectory(UNIT_MARKET, ConstantLevelSubsidy(0.8, 1.0), 0.0, 0.0)
+    full = subsidized_trajectory(UNIT_MARKET, ConstantLevelSubsidy(0.5, 1.0), 0.0, 0.0)
+    for t in (0.5, 1.0, 3.0):
+        assert over.value(t) == full.value(t)
 
 
 def test_required_duration_values():

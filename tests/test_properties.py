@@ -12,7 +12,7 @@ from netadopt import (
     ModelParams,
     brute_force_equilibria,
     band_hit_time,
-    band_level,
+    band_ode,
     classify_equilibria,
     finite_diff,
     full_subsidy_analysis,
@@ -25,6 +25,7 @@ from netadopt import (
     min_subsidy,
     noext_cost_at_target,
     noext_required_duration,
+    solve_linear,
     subsidized_trajectory,
     subsidy_interval_bounds,
     unsubsidized_trajectory,
@@ -101,14 +102,15 @@ def test_band_time_level_round_trip():
         low, high = params.band_low(), params.band_high()
         x0 = float(rng.uniform(low, high))
         target = float(rng.uniform(low, high))
+        ode = band_ode(params)
         t = band_hit_time(target, 0.0, x0, params.cost, params)
         if t is not None:
-            assert band_level(t, 0.0, x0, params.cost, params) == pytest.approx(
+            assert solve_linear(ode, params.gamma, 0.0, x0, t) == pytest.approx(
                 target, abs=1e-9
             )
         # And in the time direction: hit the level reached at a given time.
         t_probe = float(rng.uniform(0.0, 2.0 / params.gamma))
-        level = band_level(t_probe, 0.0, x0, params.cost, params)
+        level = solve_linear(ode, params.gamma, 0.0, x0, t_probe)
         back = band_hit_time(level, 0.0, x0, params.cost, params)
         if t_probe == 0.0 or level != x0:
             assert back == pytest.approx(t_probe, abs=1e-9)

@@ -43,8 +43,6 @@ def test_cls_validation():
         ConstantLevelSubsidy(1.0, -1.0)
     cls = ConstantLevelSubsidy(1.0, 2.0, start=3.0)
     assert cls.end == 5.0
-    assert cls.value_at(3.0) == 1.0 and cls.value_at(5.0) == 1.0
-    assert cls.value_at(5.1) == 0.0
 
 
 def test_subsidized_trajectory_zero_level_identity():
@@ -245,7 +243,7 @@ def test_cost_rows_and_methods():
     rows = {
         0.3: (1, "closed_form"),
         0.6: (3, "closed_form"),
-        1.0: (4, "quadrature"),
+        1.0: (4, "closed_form"),
         2.0: (5, "closed_form"),
     }
     for s, (row, method) in rows.items():
@@ -274,9 +272,70 @@ def test_cost_knife_edge():
     assert min_duration_cost(PLANNER, 0.0, 0.5).value == 0.0
 
 
-def test_cost_quadrature_error_bound():
-    res = min_duration_cost(PLANNER, 0.0, 1.0)
-    assert res.quadrature_error is not None and res.quadrature_error <= 1e-9
+def test_cost_row4_matches_high_precision_reference():
+    # Frozen row-4 outlays, computed once with mpmath at 50 digits from
+    # the exact binary values of the inputs.  With spread = u_max - u_min,
+    # a = (e - spread)/spread, ceff = cost - s, the subsidized interior
+    # sub = (u_max - ceff)/(spread - e), its band edge top = (ceff - u_min)/e
+    # and the tipping level x_int = (u_max - cost)/(spread - e), the path
+    # climbs in band x = sub + (y0 - sub) exp(a gamma t) until
+    # t1 = log((top - sub)/(y0 - sub))/(a gamma), then above the band
+    # x = 1 - (1 - top) exp(-gamma (t - t1)) for t2 = log((1 - top)/(1 - x_int))/gamma.
+    # The outlay is s times the integral of x:
+    #   s * (sub t1 + (top - y0)/(a gamma) + t2 - (x_int - top)/gamma).
+    # The last two markets have externality/spread of 1.005 and 1.00032,
+    # where the in-band term cancels heavily in double precision.
+    cases = [
+        (PLANNER, 0.0, 1.0, 0.041507312687077465827),
+        (PLANNER, 0.125, 1.0, 0.029690451200598013574),
+        (ModelParams(1.0, 2.0, 2.003, 1.005, 0.7), 0.2, 0.6, 0.26203457720777668571),
+        (ModelParams(0.5, 1.75, 1.7502, 1.2504, 2.5), 0.0, 0.9, 0.071674251251955546303),
+        (ModelParams(0.5, 1.75, 1.7502, 1.2504, 2.5), 0.3, 0.8, 0.044096062291787175761),
+    ]
+    for params, y0, s, expected in cases:
+        res = min_duration_cost(params, y0, s)
+        assert (res.row, res.method) == (4, "closed_form")
+        assert res.value == pytest.approx(expected, abs=1e-12)
+
+
+def test_min_duration_knife_edge_is_infeasible():
+    # Just above min_subsidy the subsidized interior level rounds onto y0:
+    # the path rests there, so no window reaches the tipping level.
+    params = ModelParams(
+        0.681422225356519, 1.3677228018445504, 2.4477802459972486,
+        1.8913485043702145, 4.024480697946498,
+    )
+    y0 = 0.5106237380143381
+    level = math.nextafter(min_subsidy(params, y0), math.inf)
+    assert level == 0.46473136673106535
+    assert min_duration(params, y0, level) is None
+    assert min_duration_cost(params, y0, level).value is None
+    with pytest.raises(InfeasibleSubsidyError):
+        min_duration_trajectory(params, y0, level)
+    rows, _ = sweep(params, y0, s_grid=[level])
+    assert (rows[0].feasible, rows[0].duration, rows[0].cost) == (False, None, None)
+
+
+def test_interval_bounds_ordered_at_zero_start():
+    # At y0 = 0, cost - u_max equals min_subsidy in exact arithmetic, but
+    # rounding can put it one ulp above.  The bound is clamped, so no level
+    # above min_subsidy falls in the first two outlay ranges.
+    params = ModelParams(
+        0.935609791532341, 1.685870423705207, 1.8797231588513614,
+        1.346491514237461, 1.099522908476864,
+    )
+    raw_b1 = params.cost - params.u_max
+    b1, s_hat, _, _ = subsidy_interval_bounds(params, 0.0)
+    assert raw_b1 > s_hat
+    assert b1 == s_hat
+    rows, _ = sweep(params, 0.0)
+    rows += sweep(params, 0.0, s_grid=[raw_b1])[0]
+    assert rows[-1].level == raw_b1
+    for row in rows:
+        assert row.feasible == (row.duration is not None)
+        if row.level > s_hat:
+            assert row.regime >= 3
+    assert cost_sign_pattern(rows[:-1], params, 0.0).all_ok
 
 
 def test_cost_matches_oracle_all_rows():
@@ -415,6 +474,4 @@ def test_subsidized_trajectory_validation():
         # Window must open when the path starts.
         subsidized_trajectory(TIPPING, ConstantLevelSubsidy(1.0, 1.0, start=2.0), 0.0, 0.25)
     with pytest.raises(InvalidParameterError):
-        subsidized_trajectory(
-            ModelParams(1, 2, 1.5, 0.0, 1.0), ConstantLevelSubsidy(1.0, 1.0), 0.0, 0.2
-        )
+        subsidized_trajectory(TIPPING, ConstantLevelSubsidy(1.0, 1.0), 0.0, 1.5)
