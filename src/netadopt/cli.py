@@ -58,11 +58,30 @@ def _fmt(value) -> str:
     return format(v, ".17g")
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> int:
+    """Write the rows under the header; returns the number of rows."""
+    count = 0
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
+        for count, row in enumerate(rows, start=1):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
+    return count
+
+
+def _write_sweep(
+    path: Path, rows: Sequence[subsidy.SubsidySweepRow], frontier: subsidy.ParetoFrontier
+) -> None:
+    # Every outlay is a closed form; the method column keeps the layout.
+    on_frontier = {id(r) for r in frontier.frontier}
+    _write_csv(
+        path,
+        ["s", "s_over_e", "feasible", "T_hat", "S", "regime", "method", "frontier"],
+        (
+            (r.level, r.normalized, r.feasible, r.duration, r.cost, r.regime,
+             "closed_form", id(r) in on_frontier)
+            for r in rows
+        ),
+    )
 
 
 def _resolve_output(name: str | None, default_name: str) -> Path:
@@ -87,38 +106,31 @@ def _output_dir(name: str | None) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def _scenario_trajectory(config: ScenarioConfig, params: ModelParams) -> PiecewiseTrajectory:
+def _resolve_scenario(config: ScenarioConfig, params: ModelParams):
+    """The scenario's path, its subsidy window (None without one), and the
+    window's analytic outlay (None where no closed form prices it)."""
     t0, x0 = config.t0, config.x0
     if not 0.0 <= x0 <= 1.0:
         raise InvalidParameterError(f"x0 must lie in [0, 1], got {x0}")
     if config.kind == "none":
-        return closed_form.unsubsidized_trajectory(params, t0, x0)
+        return closed_form.unsubsidized_trajectory(params, t0, x0), None, None
+    if config.kind == "min_duration":
+        if t0 != 0.0:
+            raise InvalidParameterError("min_duration scenarios start at t0 = 0")
+        traj = subsidy.min_duration_trajectory(params, x0, config.s)
+        window = subsidy.ConstantLevelSubsidy(config.s, traj.subsidy_end)
+        return traj, window, subsidy.min_duration_cost(params, x0, config.s).value
+    level = params.cost if config.kind == "full" else config.s
+    window = subsidy.ConstantLevelSubsidy(level, config.T, start=t0)
     if config.kind == "full" and params.externality > 0:
         # The full-subsidy analysis checks the bistable regime it needs.
-        return subsidy.full_subsidy_analysis(params, t0, x0, config.T).trajectory
-    if config.kind in ("cls", "full"):
-        level = params.cost if config.kind == "full" else config.s
-        cls = subsidy.ConstantLevelSubsidy(level, config.T, start=t0)
-        return subsidy.subsidized_trajectory(params, cls, t0, x0)
-    if config.t0 != 0.0:
-        raise InvalidParameterError("min_duration scenarios start at t0 = 0")
-    return subsidy.min_duration_trajectory(params, x0, config.s)
-
-
-def _scenario_schedule(config: ScenarioConfig, params: ModelParams):
-    """The subsidy window the scenario runs under, or None."""
-    if config.kind == "none":
-        return None
-    if config.kind == "cls":
-        return subsidy.ConstantLevelSubsidy(config.s, config.T, start=config.t0)
-    if config.kind == "full":
-        return subsidy.ConstantLevelSubsidy(params.cost, config.T, start=config.t0)
-    duration = subsidy.min_duration(params, config.x0, config.s)
-    if duration is None:
-        raise InfeasibleSubsidyError(
-            f"level {config.s} cannot reach the tipping level"
-        )
-    return subsidy.ConstantLevelSubsidy(config.s, duration, start=0.0)
+        report = subsidy.full_subsidy_analysis(params, t0, x0, config.T)
+        return report.trajectory, window, report.cost
+    traj = subsidy.subsidized_trajectory(params, window, t0, x0)
+    if params.externality > 0:
+        return traj, window, None
+    outlay = subsidy.noext_subsidy_cost(params.affinity, params.cost, params.gamma, window, x0)
+    return traj, window, outlay
 
 
 def _sample_times(traj: PiecewiseTrajectory, t0: float, t_end: float, step: float) -> list[float]:
@@ -131,6 +143,14 @@ def _sample_times(traj: PiecewiseTrajectory, t0: float, t_end: float, step: floa
     if traj.subsidy_end is not None and t0 < traj.subsidy_end <= t_end:
         times.add(traj.subsidy_end)
     return sorted(times)
+
+
+def _trajectory_rows(traj: PiecewiseTrajectory, t0: float, t_end: float, step: float):
+    """(t, x, phase) samples of the path on [t0, t_end], junctions included."""
+    sub_end = traj.subsidy_end
+    for t in _sample_times(traj, t0, t_end, step):
+        phase = "subsidized" if sub_end is not None and t <= sub_end else "unsubsidized"
+        yield t, traj.value(t), phase
 
 
 # ---------------------------------------------------------------------------
@@ -154,21 +174,16 @@ def cmd_equilibria(config: ScenarioConfig) -> int:
 
 def cmd_simulate(config: ScenarioConfig) -> int:
     params = config.params()
-    traj = _scenario_trajectory(config, params)
+    traj, _, _ = _resolve_scenario(config, params)
     t_end = config.run_t_end()
     if t_end <= config.t0:
         raise InvalidParameterError("t_end must exceed t0")
     if config.kind == "min_duration" and traj.subsidy_end is not None:
         t_end = min(t_end, traj.subsidy_end)
-    times = _sample_times(traj, config.t0, t_end, config.run_dt())
-    sub_end = traj.subsidy_end
-
-    def phase(t: float) -> str:
-        return "subsidized" if sub_end is not None and t <= sub_end else "unsubsidized"
-
+    rows = _trajectory_rows(traj, config.t0, t_end, config.run_dt())
     path = _resolve_output(config.output, "trajectory.csv")
-    _write_csv(path, ["t", "x", "phase"], ((t, traj.value(t), phase(t)) for t in times))
-    print(f"{len(times)} rows on [{_fmt(config.t0)}, {_fmt(t_end)}]")
+    count = _write_csv(path, ["t", "x", "phase"], rows)
+    print(f"{count} rows on [{_fmt(config.t0)}, {_fmt(t_end)}]")
     print(f"wrote {path}")
     return 0
 
@@ -178,17 +193,8 @@ def cmd_sweep(config: ScenarioConfig) -> int:
         raise InvalidParameterError("sweep requires kind = min_duration")
     params = config.params()
     rows, frontier = subsidy.sweep(params, config.x0, grid_points=config.run_sweep_points())
-    on_frontier = {id(r) for r in frontier.frontier}
     path = _resolve_output(config.output, "sweep.csv")
-    _write_csv(
-        path,
-        ["s", "s_over_e", "feasible", "T_hat", "S", "regime", "method", "frontier"],
-        (
-            (r.level, r.normalized, r.feasible, r.duration, r.cost, r.regime,
-             r.method, id(r) in on_frontier)
-            for r in rows
-        ),
-    )
+    _write_sweep(path, rows, frontier)
     s_hat = subsidy.min_subsidy(params, config.x0)
     pattern = subsidy.cost_sign_pattern(rows, params, config.x0)
     print(f"min feasible level: {_fmt(s_hat)} (normalized {_fmt(s_hat / params.externality)})")
@@ -233,7 +239,7 @@ def cmd_noext(config: ScenarioConfig) -> int:
     params = config.params()
     if params.externality != 0.0:
         raise InvalidParameterError("the noext verb requires externality = 0")
-    dist = UniformAffinity(params.u_min, params.u_max)
+    dist = params.affinity
     cls = subsidy.ConstantLevelSubsidy(config.s, config.T, start=config.t0)
     rows: list[tuple] = [
         ("ccdf_at_cost", dist.ccdf(params.cost)),
@@ -279,8 +285,7 @@ def _verdict(label: str, ok: bool, failures: list[str]) -> None:
 def cmd_validate(config: ScenarioConfig) -> int:
     params = config.params()
     failures: list[str] = []
-    traj = _scenario_trajectory(config, params)
-    schedule = _scenario_schedule(config, params)
+    traj, schedule, analytic_cost = _resolve_scenario(config, params)
     t0 = config.t0
     dt = config.run_dt()
     t_end = config.run_t_end()
@@ -318,8 +323,7 @@ def cmd_validate(config: ScenarioConfig) -> int:
         ok = d1 < 1e-12 or d2 < 1e-15 or d1 / d2 >= 8.0
         _verdict(f"rk4 self-convergence (factor {d1 / max(d2, 1e-300):.1f})", ok, failures)
 
-    analytic_cost = _analytic_cost(config, params)
-    if analytic_cost is not None and schedule is not None:
+    if analytic_cost is not None:
         n_cost = max(1000, math.ceil(schedule.duration / dt))
         cost_dt = schedule.duration / n_cost
         window = oracle.integrate_ode(
@@ -348,21 +352,6 @@ def cmd_validate(config: ScenarioConfig) -> int:
     return 0
 
 
-def _analytic_cost(config: ScenarioConfig, params: ModelParams) -> float | None:
-    if config.kind == "full":
-        return subsidy.full_subsidy_analysis(
-            params, config.t0, config.x0, config.T
-        ).cost
-    if config.kind == "min_duration":
-        return subsidy.min_duration_cost(params, config.x0, config.s).value
-    if config.kind == "cls" and params.externality == 0.0:
-        cls = subsidy.ConstantLevelSubsidy(config.s, config.T, start=config.t0)
-        return subsidy.noext_subsidy_cost(
-            params.affinity, params.cost, params.gamma, cls, config.x0
-        )
-    return None
-
-
 # ---------------------------------------------------------------------------
 # reproduce
 # ---------------------------------------------------------------------------
@@ -377,11 +366,6 @@ def cmd_reproduce(example_id: int, out: str | None) -> int:
     return 0
 
 
-def _trajectory_rows(traj: PiecewiseTrajectory, t0: float, t_end: float, step: float):
-    for t in _sample_times(traj, t0, t_end, step):
-        yield t, traj.value(t)
-
-
 def _reproduce_1(out_dir: Path) -> list[Path]:
     # Flat-affinity service: adoption under a half-cost subsidy for a few
     # window lengths, then the duration/outlay tradeoff toward a target.
@@ -390,9 +374,9 @@ def _reproduce_1(out_dir: Path) -> list[Path]:
     for label, duration in (("0", 0.0), ("1", 1.0), ("2", 2.0)):
         cls = subsidy.ConstantLevelSubsidy(params.cost, duration)
         traj = subsidy.subsidized_trajectory(params, cls, 0.0, 0.0)
-        rows += [(label, t, y) for t, y in _trajectory_rows(traj, 0.0, 8.0, 0.05)]
+        rows += [(label, t, y) for t, y, _ in _trajectory_rows(traj, 0.0, 8.0, 0.05)]
     always = closed_form.unsubsidized_trajectory(params, 0.0, 0.0, effective_cost=0.0)
-    rows += [("inf", t, y) for t, y in _trajectory_rows(always, 0.0, 8.0, 0.05)]
+    rows += [("inf", t, y) for t, y, _ in _trajectory_rows(always, 0.0, 8.0, 0.05)]
     p1 = out_dir / "example1_adoption.csv"
     _write_csv(p1, ["T", "t", "y"], rows)
 
@@ -431,7 +415,7 @@ def _reproduce_2(out_dir: Path) -> list[Path]:
             traj = closed_form.unsubsidized_trajectory(params, 0.0, x0)
             paths_rows += [
                 (report.case_id, x0, t, x)
-                for t, x in _trajectory_rows(traj, 0.0, 10.0, 0.05)
+                for t, x, _ in _trajectory_rows(traj, 0.0, 10.0, 0.05)
             ]
     p1 = out_dir / "example2_cases.csv"
     _write_csv(
@@ -471,12 +455,8 @@ def _reproduce_3(out_dir: Path) -> list[Path]:
         rows.append((f"duration_{i}", duration))
         rows.append((f"final_equilibrium_{i}", report.final_equilibrium))
         rows.append((f"cost_{i}", report.cost))
-        traj = report.trajectory
         traj_rows += [
-            (f"T{i}", t, traj.value(t),
-             "subsidized" if traj.subsidy_end is not None and t <= traj.subsidy_end
-             else "unsubsidized")
-            for t in _sample_times(traj, 0.0, 12.0, 0.06)
+            (f"T{i}", *row) for row in _trajectory_rows(report.trajectory, 0.0, 12.0, 0.06)
         ]
     p1 = out_dir / "example3_thresholds.csv"
     _write_csv(p1, ["quantity", "value"], rows)
@@ -495,17 +475,8 @@ def _reproduce_4(out_dir: Path) -> list[Path]:
     summary = []
     for y0, tag in ((0.0, "0"), (0.125, "0.125")):
         rows, frontier = subsidy.sweep(params, y0)
-        on_frontier = {id(r) for r in frontier.frontier}
         p = out_dir / f"example4_sweep_y0_{tag}.csv"
-        _write_csv(
-            p,
-            ["s", "s_over_e", "feasible", "T_hat", "S", "regime", "method", "frontier"],
-            (
-                (r.level, r.normalized, r.feasible, r.duration, r.cost,
-                 r.regime, r.method, id(r) in on_frontier)
-                for r in rows
-            ),
-        )
+        _write_sweep(p, rows, frontier)
         paths.append(p)
         s_hat = subsidy.min_subsidy(params, y0)
         b1, b2, b3, b4 = subsidy.subsidy_interval_bounds(params, y0)

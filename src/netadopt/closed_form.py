@@ -222,14 +222,15 @@ def unsubsidized_trajectory(
         if x > high or (x == high and f > 0):
             segments.append(ExponentialSegment(t, x, limit=1.0, rate=-gamma))
             break
-        if f == 0.0:
+        if f == 0.0 or (ode.a == 0.0 and ode.b == 0.0):
             # Fixed point (possibly the unstable interior one): stays put.
+            # On the singular line every in-band level is one, even where
+            # rounding leaves f != 0.
             segments.append(ExponentialSegment(t, x, limit=x, rate=-gamma))
             break
         if ode.a == 0.0:
             target = high if ode.b > 0 else low
             t_exit = hit_time(ode, gamma, t, x, target)
-            assert t_exit is not None
             if t_exit <= t:
                 x = target
                 continue

@@ -34,8 +34,6 @@ from .model import (
     interior_equilibrium,
 )
 
-CLOSED_FORM = "closed_form"
-
 
 @dataclass(frozen=True, slots=True)
 class ConstantLevelSubsidy:
@@ -82,14 +80,13 @@ class FullSubsidyReport:
 
 @dataclass(frozen=True, slots=True)
 class CostResult:
-    """Subsidy outlay with its evaluation route.
+    """Subsidy outlay with the level range (1..5) whose closed form gave it.
 
     ``value`` is None only on the knife edge where the subsidized level
     balances forever and the outlay grows without bound.
     """
 
     value: float | None
-    method: str
     row: int
 
 
@@ -103,7 +100,6 @@ class SubsidySweepRow:
     regime: int
     duration: float | None
     cost: float | None
-    method: str
 
 
 @dataclass(frozen=True, slots=True)
@@ -300,14 +296,7 @@ def min_subsidy(params: ModelParams, y0: float) -> float:
                 "u_max <= cost <= u_min + externality", f"cost={c}"
             )
         return 0.0
-    x_int = _require_planner_regime(params, y0)
-    return (params.externality + params.u_min - params.u_max) * (x_int - y0)
-
-
-def _subsidized_band_exit(params: ModelParams, y0: float, level: float) -> float | None:
-    """Time for the subsidized in-band path to reach its upper band edge."""
-    ceff = params.cost - level
-    return band_hit_time(params.band_high(ceff), 0.0, y0, ceff, params)
+    return subsidy_interval_bounds(params, y0)[1]
 
 
 def min_duration(params: ModelParams, y0: float, level: float) -> float | None:
@@ -319,27 +308,7 @@ def min_duration(params: ModelParams, y0: float, level: float) -> float | None:
     it, a subsidized path that rests on its own fixed point.  Constant in
     the level once the whole climb happens above the subsidized band.
     """
-    x_int = _require_planner_regime(params, y0)
-    _check_level(params, level)
-    if level <= min_subsidy(params, y0):
-        return None
-    e, gamma = params.externality, params.gamma
-    s_norm = level / e
-    to_interior = params.band_high() - x_int  # (c - u_min)/e - x_int
-    to_start = params.band_high() - y0
-    if s_norm <= to_interior:
-        return band_hit_time(x_int, 0.0, y0, params.cost - level, params)
-    if s_norm <= to_start:
-        exit_time = _subsidized_band_exit(params, y0, level)
-        top = params.band_high(params.cost - level)
-        if exit_time is None:
-            if y0 >= top:
-                # Rounding put the start above the subsidized band edge;
-                # the climb is then entirely out of band.
-                return math.log((1.0 - y0) / (1.0 - x_int)) / gamma
-            return None  # the subsidized path sits on its own fixed point
-        return exit_time + math.log((1.0 - top) / (1.0 - x_int)) / gamma
-    return math.log((1.0 - y0) / (1.0 - x_int)) / gamma
+    return _plan_level(params, y0, level)[1]
 
 
 def min_duration_trajectory(
@@ -355,8 +324,6 @@ def min_duration_trajectory(
     Raises:
         InfeasibleSubsidyError: when min_duration finds no window.
     """
-    _require_planner_regime(params, y0)
-    _check_level(params, level)
     duration = min_duration(params, y0, level)
     if duration is None:
         raise InfeasibleSubsidyError(
@@ -369,13 +336,6 @@ def min_duration_trajectory(
     return PiecewiseTrajectory(path.segments, subsidy_end=duration)
 
 
-def _check_level(params: ModelParams, level: float) -> None:
-    if not 0.0 <= level <= params.cost:
-        raise InvalidParameterError(
-            f"level must lie in [0, cost], got {level} with cost {params.cost}"
-        )
-
-
 def subsidy_interval_bounds(params: ModelParams, y0: float) -> tuple[float, float, float, float]:
     """Levels separating the five outlay formulas, in subsidy units.
 
@@ -386,11 +346,19 @@ def subsidy_interval_bounds(params: ModelParams, y0: float) -> tuple[float, floa
     is clamped to min_subsidy so that rounding at y0 = 0 cannot order
     them the other way.
     """
+    return _planner_bounds(params, y0)[1]
+
+
+def _planner_bounds(
+    params: ModelParams, y0: float
+) -> tuple[float, tuple[float, float, float, float]]:
+    """Check the planner regime; returns x_interior and the four bounds."""
     x_int = _require_planner_regime(params, y0)
     c = params.cost
     e = params.externality
-    s_hat = min_subsidy(params, y0)
-    return (
+    # min_subsidy past its degenerate band, which the regime check excludes.
+    s_hat = (e + params.u_min - params.u_max) * (x_int - y0)
+    return x_int, (
         min(c - params.u_max - e * y0, s_hat),
         s_hat,
         c - params.u_min - e * x_int,
@@ -409,47 +377,83 @@ def min_duration_cost(params: ModelParams, y0: float, level: float) -> CostResul
     still finite except exactly at min_subsidy with y0 > 0, reported as
     value None.
     """
-    x_int = _require_planner_regime(params, y0)
-    _check_level(params, level)
+    row, _, outlay = _plan_level(params, y0, level)
+    return CostResult(outlay, row=row)
+
+
+def _plan_level(
+    params: ModelParams, y0: float, level: float
+) -> tuple[int, float | None, float | None]:
+    x_int, bounds = _planner_bounds(params, y0)
+    if not 0.0 <= level <= params.cost:
+        raise InvalidParameterError(
+            f"level must lie in [0, cost], got {level} with cost {params.cost}"
+        )
+    return _plan(params, y0, level, x_int, bounds)
+
+
+def _plan(
+    params: ModelParams,
+    y0: float,
+    level: float,
+    x_int: float,
+    bounds: tuple[float, float, float, float],
+) -> tuple[int, float | None, float | None]:
+    """(range, minimum duration, outlay) of the planner at one level.
+
+    The range is decided once, against ``bounds``, and both numbers come
+    from that range's closed forms.  On rows 1-2 (at or below
+    min_subsidy) no window tips the market.
+    """
     c, e, gamma = params.cost, params.externality, params.gamma
     spread = params.u_max - params.u_min
     inv_a = spread / (e - spread)  # 1/a of the in-band dynamics
-    b1, s_hat, b3, b4 = subsidy_interval_bounds(params, y0)
+    b1, s_hat, b3, b4 = bounds
 
     if level <= b1:
-        return CostResult(level * y0 / gamma, CLOSED_FORM, row=1)
+        return 1, None, level * y0 / gamma
 
     ceff = c - level
+    sub_int = interior_equilibrium(ceff, params)
+    knife_edge = None if y0 > 0 else 0.0
     if level <= s_hat:
-        sub_int = interior_equilibrium(ceff, params)
         if sub_int - y0 <= 0.0:
             # Knife edge (up to rounding): the level balances forever.
-            return CostResult(None if y0 > 0 else 0.0, CLOSED_FORM, row=2)
+            return 2, None, knife_edge
         low = params.band_low(ceff)
         inner = sub_int * math.log((sub_int - low) / (sub_int - y0)) - (y0 - low)
-        return CostResult(level / gamma * (inv_a * inner + low), CLOSED_FORM, row=2)
+        return 2, None, level / gamma * (inv_a * inner + low)
 
     if level <= b3:
-        sub_int = interior_equilibrium(ceff, params)
+        duration = band_hit_time(x_int, 0.0, y0, ceff, params)
         if y0 - sub_int <= 0.0:
-            return CostResult(None if y0 > 0 else 0.0, CLOSED_FORM, row=3)
+            return 3, duration, knife_edge
         inner = sub_int * math.log((x_int - sub_int) / (y0 - sub_int)) + x_int - y0
-        return CostResult(level / gamma * inv_a * inner, CLOSED_FORM, row=3)
+        return 3, duration, level / gamma * inv_a * inner
 
     if level <= b4:
-        sub_int = interior_equilibrium(ceff, params)
+        edge = params.band_high(ceff)
+        exit_time = band_hit_time(edge, 0.0, y0, ceff, params)
+        if exit_time is not None:
+            duration = exit_time + math.log((1.0 - edge) / (1.0 - x_int)) / gamma
+        elif y0 >= edge:
+            # Rounding put the start above the subsidized band edge; the
+            # climb is then entirely out of band.
+            duration = math.log((1.0 - y0) / (1.0 - x_int)) / gamma
+        else:
+            duration = None  # the subsidized path sits on its own fixed point
         if y0 - sub_int <= 0.0:
-            return CostResult(None if y0 > 0 else 0.0, CLOSED_FORM, row=4)
+            return 4, duration, knife_edge
         # In-band climb from y0 to the subsidized band edge, then the
         # climb toward 1 up to x_int.  log1p keeps the in-band term
         # accurate when externality is close to u_max - u_min.
-        top = min(max(params.band_high(ceff), y0), x_int)
+        top = min(max(edge, y0), x_int)
         in_band = sub_int * math.log1p((top - y0) / (y0 - sub_int)) + top - y0
         above = math.log1p((x_int - top) / (1.0 - x_int)) - (x_int - top)
-        return CostResult(level / gamma * (inv_a * in_band + above), CLOSED_FORM, row=4)
+        return 4, duration, level / gamma * (inv_a * in_band + above)
 
-    inner = math.log((1.0 - y0) / (1.0 - x_int)) - (x_int - y0)
-    return CostResult(level / gamma * inner, CLOSED_FORM, row=5)
+    climb = math.log((1.0 - y0) / (1.0 - x_int))
+    return 5, climb / gamma, level / gamma * (climb - (x_int - y0))
 
 
 def sweep(
@@ -464,29 +468,27 @@ def sweep(
     inserted exactly.  Rows keep the grid order; the frontier keeps the
     rows not dominated in (duration, cost).
     """
-    _require_planner_regime(params, y0)
+    x_int, bounds = _planner_bounds(params, y0)
     if s_grid is None:
-        bounds = [b for b in subsidy_interval_bounds(params, y0) if 0.0 <= b <= params.cost]
-        grid = np.unique(np.concatenate([np.linspace(0.0, params.cost, grid_points), bounds]))
+        inside = [b for b in bounds if 0.0 <= b <= params.cost]
+        grid = np.unique(np.concatenate([np.linspace(0.0, params.cost, grid_points), inside]))
     else:
         grid = np.asarray(sorted(s_grid), dtype=float)
-        if len(grid) and (grid[0] < 0.0 or grid[-1] > params.cost):
+        if not np.all((grid >= 0.0) & (grid <= params.cost)):
             raise InvalidParameterError("s_grid must lie within [0, cost]")
 
     rows: list[SubsidySweepRow] = []
     for s in grid:
         s = float(s)
-        cost_result = min_duration_cost(params, y0, s)
-        duration = min_duration(params, y0, s)
+        row, duration, outlay = _plan(params, y0, s, x_int, bounds)
         rows.append(
             SubsidySweepRow(
                 level=s,
                 normalized=s / params.externality,
                 feasible=duration is not None,
-                regime=cost_result.row,
+                regime=row,
                 duration=duration,
-                cost=cost_result.value,
-                method=cost_result.method,
+                cost=outlay,
             )
         )
     return rows, pareto_frontier(rows)

@@ -1,6 +1,9 @@
 import math
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +13,9 @@ TIPPING_KEYS = [
     "u_min=1", "u_max=2", "cost=3", "externality=3", "gamma=0.3333333333333333",
 ]
 PLANNER_KEYS = ["u_min=1", "u_max=2", "cost=2.5", "externality=3", "gamma=1"]
+# u_max == u_min + externality == cost: every in-band level is a fixed point.
+SINGULAR_KEYS = ["u_min=1", "u_max=2", "cost=2", "externality=1", "gamma=1", "x0=0.3"]
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -167,13 +173,15 @@ def test_full_subsidy_regime_violation(tmp_path, capsys):
 
 
 def test_validate_noext_cls_cost_check(tmp_path, capsys):
-    code, stdout, _ = run(
-        capsys, "validate",
-        *sets("u_min=0", "u_max=1", "cost=0.5", "externality=0", "gamma=1",
-              "x0=0", "kind=cls", "s=0.5", "T=1", "t_end=6"),
-    )
-    assert code == 0
-    assert "cost |analytic - quadrature|" in stdout
+    # Without network effects a full subsidy is the level-cost window.
+    for kind in ("kind=cls", "kind=full"):
+        code, stdout, _ = run(
+            capsys, "validate",
+            *sets("u_min=0", "u_max=1", "cost=0.5", "externality=0", "gamma=1",
+                  "x0=0", kind, "s=0.5", "T=1", "t_end=6"),
+        )
+        assert code == 0
+        assert "cost |analytic - quadrature|" in stdout
 
 
 def test_sweep_outputs(tmp_path, capsys):
@@ -374,7 +382,7 @@ def test_sweep_csv_reproducible_from_library(tmp_path, capsys):
     for r in rows:
         lines.append(",".join(_fmt(v) for v in (
             r.level, r.normalized, r.feasible, r.duration, r.cost,
-            r.regime, r.method, id(r) in on_frontier,
+            r.regime, "closed_form", id(r) in on_frontier,
         )))
     assert out.read_text() == "\n".join(lines) + "\n"
 
@@ -446,3 +454,65 @@ def test_simulate_zero_externality_edges(tmp_path, capsys):
     # A level above the cost is accepted without network effects.
     code, _, _ = run(capsys, "simulate", *sets(*base, "s=0.7"), "--output", str(out))
     assert code == 0
+
+
+def test_singular_line_paths(tmp_path, capsys):
+    out = tmp_path / "traj.csv"
+    code, _, stderr = run(
+        capsys, "simulate", *sets(*SINGULAR_KEYS, "t_end=2", "dt=0.5"), "--output", str(out),
+    )
+    assert (code, stderr) == (0, "")
+    _, rows = read_csv(out)
+    assert {float(r[1]) for r in rows} == {0.3}
+    for extra in ((), ("kind=cls", "s=0.5", "T=1")):
+        code, stdout, stderr = run(capsys, "validate", *sets(*SINGULAR_KEYS, *extra, "t_end=5"))
+        assert (code, stderr) == (0, "")
+        assert "all checks passed" in stdout
+
+
+def test_reproduce_example4_sweeps_match_sweep_verb(tmp_path, capsys):
+    assert run(capsys, "reproduce", "4", "--output", str(tmp_path))[0] == 0
+    for tag in ("0", "0.125"):
+        out = tmp_path / f"verb_{tag}.csv"
+        code, _, _ = run(
+            capsys, "sweep", *sets(*PLANNER_KEYS, f"x0={tag}", "kind=min_duration"),
+            "--output", str(out),
+        )
+        assert code == 0
+        assert out.read_bytes() == (tmp_path / f"example4_sweep_y0_{tag}.csv").read_bytes()
+
+
+def test_reproduce_example3_paths_match_simulate_verb(tmp_path, capsys):
+    assert run(capsys, "reproduce", "3", "--output", str(tmp_path))[0] == 0
+    _, rows = read_csv(tmp_path / "example3_thresholds.csv")
+    durations = {r[0]: r[1] for r in rows}
+    blocks: dict[str, list[str]] = {}
+    for line in (tmp_path / "example3_adoption.csv").read_text().splitlines()[1:]:
+        label, rest = line.split(",", 1)
+        blocks.setdefault(label, []).append(rest + "\n")
+    assert list(blocks) == [f"T{i}" for i in range(1, 8)]
+    for i in range(1, 8):
+        out = tmp_path / f"T{i}.csv"
+        code, _, _ = run(
+            capsys, "simulate",
+            *sets(*TIPPING_KEYS, "x0=0.25", "kind=full", f"T={durations[f'duration_{i}']}",
+                  "t_end=12", "dt=0.06"),
+            "--output", str(out),
+        )
+        assert code == 0
+        assert out.read_bytes() == ("t,x,phase\n" + "".join(blocks[f"T{i}"])).encode()
+
+
+def test_readme_command_line_examples(tmp_path, capsys, monkeypatch):
+    block = re.search(r"```sh\n(cat > .*?)```", README.read_text(), re.S).group(1)
+    heredoc = re.match(r"cat > (\S+) <<'CFG'\n(.*?\n)CFG\n", block, re.S)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("NETADOPT_OUTPUT_DIR", raising=False)
+    (tmp_path / heredoc.group(1)).write_text(heredoc.group(2))
+    commands = block[heredoc.end():].replace("\\\n", " ").split("\n")
+    commands = [shlex.split(c) for c in commands if c.strip()]
+    assert len(commands) == 3
+    for argv in commands:
+        assert argv[0] == "netadopt"
+        code, _, stderr = run(capsys, *argv[1:])
+        assert code == 0, (argv, stderr)

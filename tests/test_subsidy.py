@@ -12,10 +12,12 @@ from netadopt import (
     InfeasibleSubsidyError,
     InvalidParameterError,
     ModelParams,
+    band_hit_time,
     cost_sign_pattern,
     full_subsidy_analysis,
     integrate_cost,
     integrate_ode,
+    interior_equilibrium,
     min_duration,
     min_duration_cost,
     min_duration_trajectory,
@@ -240,15 +242,9 @@ def test_interval_bounds_values():
 
 
 def test_cost_rows_and_methods():
-    rows = {
-        0.3: (1, "closed_form"),
-        0.6: (3, "closed_form"),
-        1.0: (4, "closed_form"),
-        2.0: (5, "closed_form"),
-    }
-    for s, (row, method) in rows.items():
-        res = min_duration_cost(PLANNER, 0.0, s)
-        assert (res.row, res.method) == (row, method)
+    rows = {0.3: 1, 0.6: 3, 1.0: 4, 2.0: 5}
+    for s, row in rows.items():
+        assert min_duration_cost(PLANNER, 0.0, s).row == row
     assert min_duration_cost(PLANNER, 0.125, 0.2).row == 2
 
 
@@ -294,7 +290,7 @@ def test_cost_row4_matches_high_precision_reference():
     ]
     for params, y0, s, expected in cases:
         res = min_duration_cost(params, y0, s)
-        assert (res.row, res.method) == (4, "closed_form")
+        assert res.row == 4
         assert res.value == pytest.approx(expected, abs=1e-12)
 
 
@@ -336,6 +332,24 @@ def test_interval_bounds_ordered_at_zero_start():
         if row.level > s_hat:
             assert row.regime >= 3
     assert cost_sign_pattern(rows[:-1], params, 0.0).all_ok
+
+
+def test_duration_uses_the_range_of_the_outlay_at_a_bound():
+    # At the band-exit bound b3 the level is in range 3 for the outlay, so
+    # the duration is range 3's in-band hit time of x_int, to the last bit.
+    params = ModelParams(
+        1.0547039535418055, 1.7436614309227543, 1.8839248325971452,
+        1.1652682708125288, 0.30489378044815596,
+    )
+    y0 = 0.03673535991006957
+    b3 = subsidy_interval_bounds(params, y0)[2]
+    assert b3 == 0.486074148430436
+    assert min_duration_cost(params, y0, b3).row == 3
+    x_int = interior_equilibrium(params.cost, params)
+    expected = band_hit_time(x_int, 0.0, y0, params.cost - b3, params)
+    assert min_duration(params, y0, b3) == expected
+    rows, _ = sweep(params, y0)
+    assert [(r.regime, r.duration) for r in rows if r.level == b3] == [(3, expected)]
 
 
 def test_cost_matches_oracle_all_rows():
