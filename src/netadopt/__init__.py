@@ -31,10 +31,8 @@ from .errors import (
 from .model import (
     STABLE,
     UNSTABLE,
-    AffinityDistribution,
     EquilibriumReport,
     ModelParams,
-    UniformAffinity,
     classify_equilibria,
     interior_equilibrium,
     stability_of,
@@ -74,7 +72,6 @@ from .subsidy import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffinityDistribution",
     "AssumptionViolationError",
     "ConstantLevelSubsidy",
     "CostResult",
@@ -96,7 +93,6 @@ __all__ = [
     "SingularParametersError",
     "SubsidySweepRow",
     "UNSTABLE",
-    "UniformAffinity",
     "band_hit_time",
     "band_ode",
     "brute_force_equilibria",

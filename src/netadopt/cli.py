@@ -29,13 +29,14 @@ from .errors import (
     InvalidStepError,
     SingularParametersError,
 )
-from .model import ModelParams, UniformAffinity, classify_equilibria
+from .model import ModelParams, classify_equilibria
 
 OUTPUT_DIR_ENV = "NETADOPT_OUTPUT_DIR"
 
 TRAJECTORY_TOL = 1e-6
 COST_TOL = 1e-5
 MONOTONE_TOL = 1e-9
+MAX_ROWS = 10**6  # per trajectory CSV, whose sample times are held in memory
 
 
 # ---------------------------------------------------------------------------
@@ -94,13 +95,6 @@ def _resolve_output(name: str | None, default_name: str) -> Path:
     return path
 
 
-def _output_dir(name: str | None) -> Path:
-    base = os.environ.get(OUTPUT_DIR_ENV)
-    path = Path(name) if name else Path(base) if base else Path(".")
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 # ---------------------------------------------------------------------------
 # Scenario construction (library calls only)
 # ---------------------------------------------------------------------------
@@ -126,15 +120,19 @@ def _resolve_scenario(config: ScenarioConfig, params: ModelParams):
         # The full-subsidy analysis checks the bistable regime it needs.
         report = subsidy.full_subsidy_analysis(params, t0, x0, config.T)
         return report.trajectory, window, report.cost
-    traj = subsidy.subsidized_trajectory(params, window, t0, x0)
+    traj = subsidy.subsidized_trajectory(params, window, x0)
     if params.externality > 0:
         return traj, window, None
-    outlay = subsidy.noext_subsidy_cost(params.affinity, params.cost, params.gamma, window, x0)
-    return traj, window, outlay
+    return traj, window, subsidy.noext_subsidy_cost(params, window, x0)
 
 
 def _sample_times(traj: PiecewiseTrajectory, t0: float, t_end: float, step: float) -> list[float]:
-    n = max(1, int(math.floor((t_end - t0) / step + 1e-9)))
+    count = (t_end - t0) / step
+    if not count <= MAX_ROWS:  # also refuses an overflow to inf
+        raise InvalidParameterError(
+            f"(t_end - t0)/dt = {count:.3g} rows exceeds the limit of {MAX_ROWS}"
+        )
+    n = max(1, int(math.floor(count + 1e-9)))
     times = {t0 + i * step for i in range(n + 1)}
     times.add(t_end)
     for b in traj.breakpoints:
@@ -146,11 +144,14 @@ def _sample_times(traj: PiecewiseTrajectory, t0: float, t_end: float, step: floa
 
 
 def _trajectory_rows(traj: PiecewiseTrajectory, t0: float, t_end: float, step: float):
-    """(t, x, phase) samples of the path on [t0, t_end], junctions included."""
+    """(t, x, phase) samples of the path on [t0, t_end], junctions included.
+    The sample times are checked on the call, before any row is written."""
     sub_end = traj.subsidy_end
-    for t in _sample_times(traj, t0, t_end, step):
-        phase = "subsidized" if sub_end is not None and t <= sub_end else "unsubsidized"
-        yield t, traj.value(t), phase
+    return (
+        (t, traj.value(t),
+         "subsidized" if sub_end is not None and t <= sub_end else "unsubsidized")
+        for t in _sample_times(traj, t0, t_end, step)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -237,25 +238,20 @@ def cmd_full_subsidy(config: ScenarioConfig) -> int:
 
 def cmd_noext(config: ScenarioConfig) -> int:
     params = config.params()
-    if params.externality != 0.0:
-        raise InvalidParameterError("the noext verb requires externality = 0")
     dist = params.affinity
     cls = subsidy.ConstantLevelSubsidy(config.s, config.T, start=config.t0)
     rows: list[tuple] = [
         ("ccdf_at_cost", dist.ccdf(params.cost)),
         ("ccdf_at_subsidized_cost", dist.ccdf(params.cost - config.s)),
-        ("cls_cost", subsidy.noext_subsidy_cost(dist, params.cost, params.gamma, cls, config.x0)),
-        ("cost_decreasing_condition",
-         subsidy.noext_cost_decreasing_condition(dist, params.cost, config.s)),
+        ("cls_cost", subsidy.noext_subsidy_cost(params, cls, config.x0)),
+        ("cost_decreasing_condition", subsidy.noext_cost_decreasing_condition(params, config.s)),
     ]
     if config.target is not None:
-        duration = subsidy.noext_required_duration(
-            dist, params.cost, params.gamma, config.s, config.x0, config.target
-        )
-        cost_at = subsidy.noext_cost_at_target(
-            dist, params.cost, params.gamma, config.s, config.x0, config.target
-        )
-        rows += [("required_duration", duration), ("cost_at_target", cost_at)]
+        y0, level, target = config.x0, config.s, config.target
+        rows += [
+            ("required_duration", subsidy.noext_required_duration(params, y0, level, target)),
+            ("cost_at_target", subsidy.noext_cost_at_target(params, y0, level, target)),
+        ]
     path = _resolve_output(config.output, "noext.csv")
     _write_csv(path, ["quantity", "value"], rows)
     for name, value in rows:
@@ -282,6 +278,16 @@ def _verdict(label: str, ok: bool, failures: list[str]) -> None:
         failures.append(label)
 
 
+def _whole_steps(span: float, dt: float, at_least: int) -> float:
+    """The step that splits span into whole steps no longer than dt, and
+    into at least ``at_least`` of them.  A span the oracle would refuse
+    keeps dt, so that integrate_ode reports it."""
+    count = span / dt
+    if not count <= oracle.MAX_STEPS:
+        return dt
+    return span / max(at_least, math.ceil(count))
+
+
 def cmd_validate(config: ScenarioConfig) -> int:
     params = config.params()
     failures: list[str] = []
@@ -294,11 +300,18 @@ def cmd_validate(config: ScenarioConfig) -> int:
         # numerical perturbation is amplified; compare inside the window.
         t_end = traj.subsidy_end
     # Align the sample grid to the horizon so no step overruns it.
-    dt = (t_end - t0) / max(8, math.ceil((t_end - t0) / dt))
+    dt = _whole_steps(t_end - t0, dt, 8)
 
     sampled = oracle.integrate_ode(
         params, subsidy_schedule=schedule, t0=t0, x0=config.x0, t_end=t_end, dt=dt
     )
+    if analytic_cost is not None:
+        # Integrated before any check prints, so that a window too long
+        # for the oracle is refused with no partial report.
+        window = oracle.integrate_ode(
+            params, subsidy_schedule=schedule, t0=t0, x0=config.x0,
+            t_end=schedule.end, dt=_whole_steps(schedule.duration, dt, 1000),
+        )
     deviations = [
         abs(traj.value(t) - x) for t, x in zip(sampled.times, sampled.levels)
     ]
@@ -324,12 +337,6 @@ def cmd_validate(config: ScenarioConfig) -> int:
         _verdict(f"rk4 self-convergence (factor {d1 / max(d2, 1e-300):.1f})", ok, failures)
 
     if analytic_cost is not None:
-        n_cost = max(1000, math.ceil(schedule.duration / dt))
-        cost_dt = schedule.duration / n_cost
-        window = oracle.integrate_ode(
-            params, subsidy_schedule=schedule, t0=t0, x0=config.x0,
-            t_end=schedule.end, dt=cost_dt,
-        )
         numeric = oracle.integrate_cost(window, schedule)
         _check("cost |analytic - quadrature|", abs(analytic_cost - numeric),
                COST_TOL, failures)
@@ -358,7 +365,8 @@ def cmd_validate(config: ScenarioConfig) -> int:
 
 
 def cmd_reproduce(example_id: int, out: str | None) -> int:
-    out_dir = _output_dir(out)
+    out_dir = _resolve_output(out, ".")
+    out_dir.mkdir(parents=True, exist_ok=True)
     writer = {1: _reproduce_1, 2: _reproduce_2, 3: _reproduce_3, 4: _reproduce_4}
     paths = writer[example_id](out_dir)
     for p in paths:
@@ -373,19 +381,19 @@ def _reproduce_1(out_dir: Path) -> list[Path]:
     rows = []
     for label, duration in (("0", 0.0), ("1", 1.0), ("2", 2.0)):
         cls = subsidy.ConstantLevelSubsidy(params.cost, duration)
-        traj = subsidy.subsidized_trajectory(params, cls, 0.0, 0.0)
+        traj = subsidy.subsidized_trajectory(params, cls, 0.0)
         rows += [(label, t, y) for t, y, _ in _trajectory_rows(traj, 0.0, 8.0, 0.05)]
     always = closed_form.unsubsidized_trajectory(params, 0.0, 0.0, effective_cost=0.0)
     rows += [("inf", t, y) for t, y, _ in _trajectory_rows(always, 0.0, 8.0, 0.05)]
     p1 = out_dir / "example1_adoption.csv"
     _write_csv(p1, ["T", "t", "y"], rows)
 
-    wide = UniformAffinity(1.0, 6.0)
+    wide = ModelParams(1.0, 6.0, 3.0, 0.0, 1.0)
     tradeoff = []
     for s in np.linspace(-0.45, 3.0, 139):
         s = float(s)
-        duration = subsidy.noext_required_duration(wide, 3.0, 1.0, s, 0.0, 0.5)
-        outlay = subsidy.noext_cost_at_target(wide, 3.0, 1.0, s, 0.0, 0.5)
+        duration = subsidy.noext_required_duration(wide, 0.0, s, 0.5)
+        outlay = subsidy.noext_cost_at_target(wide, 0.0, s, 0.5)
         tradeoff.append((s, duration, outlay))
     p2 = out_dir / "example1_duration_cost.csv"
     _write_csv(p2, ["s", "duration", "cost"], tradeoff)

@@ -128,10 +128,6 @@ class PiecewiseTrajectory:
         return self.segments[0].start_time
 
     @property
-    def start_level(self) -> float:
-        return self.segments[0].start_level
-
-    @property
     def breakpoints(self) -> tuple[float, ...]:
         """Interior junction times between segments."""
         return tuple(seg.start_time for seg in self.segments[1:])
@@ -156,9 +152,6 @@ class PiecewiseTrajectory:
             if t >= seg.start_time:
                 return seg.value(t)
         raise AssertionError("unreachable")
-
-    def __call__(self, t: float) -> float:
-        return self.value(t)
 
 
 def band_ode(params: ModelParams, effective_cost: float | None = None) -> LinearODE:

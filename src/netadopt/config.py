@@ -15,6 +15,7 @@ from .errors import InvalidParameterError
 from .model import ModelParams
 
 SUBSIDY_KINDS = ("none", "cls", "full", "min_duration")
+MAX_SWEEP_POINTS = 10**6  # a sweep holds every row in memory
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,6 +68,10 @@ class ScenarioConfig:
         if self.sweep_points < 0:
             raise InvalidParameterError(
                 f"sweep_points must be >= 0, got {self.sweep_points}"
+            )
+        if self.sweep_points > MAX_SWEEP_POINTS:
+            raise InvalidParameterError(
+                f"sweep_points must be <= {MAX_SWEEP_POINTS}, got {self.sweep_points}"
             )
         return self.sweep_points
 

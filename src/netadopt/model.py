@@ -1,8 +1,8 @@
-"""Market model: parameters, affinity distributions, and equilibria.
+"""Market model: parameters and equilibria.
 
 A unit population of potential subscribers is described by the fraction
 ``x`` in [0, 1] currently adopting the service.  Each user has a private
-per-unit-time affinity drawn from a common distribution; a user would
+per-unit-time affinity drawn uniformly from [u_min, u_max]; a user would
 adopt whenever affinity plus the network benefit ``externality * x``
 exceeds the subscription cost.  The fraction that *would* adopt at level
 ``x`` is the map ``would_adopt``; its fixed points are the equilibria of
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Protocol, runtime_checkable
+from typing import Literal
 
 from .errors import (
     InvalidParameterError,
@@ -29,19 +29,6 @@ UNSTABLE: Stability = "unstable"
 # supplied by callers arrive through text and get a looser check.
 CONSTRUCTED_EQUILIBRIUM_TOL = 1e-12
 USER_EQUILIBRIUM_TOL = 1e-9
-
-
-@runtime_checkable
-class AffinityDistribution(Protocol):
-    """Anything exposing a complementary CDF and a density."""
-
-    def ccdf(self, u: float) -> float:
-        """P(affinity > u); nonincreasing, continuous, in [0, 1]."""
-        ...
-
-    def density(self, u: float) -> float:
-        """Density of the affinity at u; nonnegative."""
-        ...
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,11 +52,6 @@ class UniformAffinity:
         if u >= self.u_max:
             return 0.0
         return (self.u_max - u) / (self.u_max - self.u_min)
-
-    def density(self, u: float) -> float:
-        if self.u_min <= u <= self.u_max:
-            return 1.0 / (self.u_max - self.u_min)
-        return 0.0
 
 
 @dataclass(frozen=True, slots=True)

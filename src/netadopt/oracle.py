@@ -15,17 +15,12 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidParameterError, InvalidStepError
-from .model import (
-    STABLE,
-    UNSTABLE,
-    AffinityDistribution,
-    ModelParams,
-    Stability,
-)
+from .model import STABLE, UNSTABLE, ModelParams, Stability
 
 DEFAULT_STEP_SCALE = 1e-3  # dt * gamma for default integrations
 MAX_STEP_SCALE = 1e-2
 DEFAULT_HORIZON_SCALE = 60.0  # (t_end - t0) * gamma for limit checks
+MAX_STEPS = 10**7  # per run; the samples alone take 80 MB there
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,7 +60,6 @@ def _rk4_const_cost(ccdf, ceff: float, e: float, gamma: float, x: float, h: floa
 
 def integrate_ode(
     params: ModelParams,
-    dist: AffinityDistribution | None = None,
     subsidy_schedule=None,
     t0: float = 0.0,
     x0: float = 0.0,
@@ -81,14 +75,13 @@ def integrate_ode(
 
     Args:
         params: Market parameters (supply cost, externality, gamma).
-        dist: Affinity distribution; defaults to the uniform one implied
-            by params.
         subsidy_schedule: A ``ConstantLevelSubsidy``, or None for the
             plain dynamics.  Only its ``level``, ``start`` and ``end``
             attributes are read, so the oracle needs no planner import.
 
     Raises:
-        InvalidStepError: when dt*gamma exceeds 1e-2 or t_end <= t0.
+        InvalidStepError: when dt*gamma exceeds 1e-2, t_end <= t0, or the
+            run would take more than MAX_STEPS steps.
     """
     gamma = params.gamma
     if dt is None:
@@ -99,10 +92,15 @@ def integrate_ode(
         raise InvalidStepError(f"need 0 < dt*gamma <= {MAX_STEP_SCALE}, got {dt * gamma}")
     if t_end <= t0:
         raise InvalidStepError("t_end must exceed t0")
+    steps = (t_end - t0) / dt
+    if not steps <= MAX_STEPS:  # also refuses an overflow to inf
+        raise InvalidStepError(
+            f"oracle run of {steps:.3g} steps exceeds the limit of {MAX_STEPS}"
+        )
 
-    ccdf = (dist or params.affinity).ccdf
+    ccdf = params.affinity.ccdf
     cost, e = params.cost, params.externality
-    n = max(1, round((t_end - t0) / dt))
+    n = max(1, round(steps))
     t_end = t0 + n * dt  # snap to a whole number of steps
     if subsidy_schedule is None:
         level, start, end = 0.0, t0, t0

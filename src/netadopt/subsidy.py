@@ -27,12 +27,10 @@ from .errors import (
     InfeasibleSubsidyError,
     InvalidParameterError,
 )
-from .model import (
-    AffinityDistribution,
-    ModelParams,
-    UniformAffinity,
-    interior_equilibrium,
-)
+from .model import ModelParams, interior_equilibrium
+
+# Outlay steps between neighbouring sweep levels this small count as flat.
+FLAT_TOL = 1e-8
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,17 +109,19 @@ class ParetoFrontier:
 
 
 # ---------------------------------------------------------------------------
-# No-externality analytics (general affinity distribution)
+# No-externality analytics
 # ---------------------------------------------------------------------------
 
 
+def _require_no_externality(params: ModelParams) -> None:
+    if params.externality != 0.0:
+        raise InvalidParameterError(
+            f"no-externality planners require externality = 0, got {params.externality}"
+        )
+
+
 def noext_required_duration(
-    dist: AffinityDistribution,
-    cost: float,
-    gamma: float,
-    level: float,
-    y0: float,
-    target: float,
+    params: ModelParams, y0: float, level: float, target: float
 ) -> float | None:
     """Window length needed to steer the e == 0 path from y0 to target.
 
@@ -129,60 +129,46 @@ def noext_required_duration(
     resting level ccdf(cost - level); a target equal to y0 needs no time.
     The subsidy level may be negative (a surcharge).
     """
+    _require_no_externality(params)
     if target == y0:
         return 0.0
-    resting = dist.ccdf(cost - level)
+    resting = params.affinity.ccdf(params.cost - level)
     if y0 < target < resting or resting < target < y0:
-        return math.log((resting - y0) / (resting - target)) / gamma
+        return math.log((resting - y0) / (resting - target)) / params.gamma
     return None
 
 
-def noext_subsidy_cost(
-    dist: AffinityDistribution,
-    cost: float,
-    gamma: float,
-    cls: ConstantLevelSubsidy,
-    y0: float,
-) -> float:
+def noext_subsidy_cost(params: ModelParams, cls: ConstantLevelSubsidy, y0: float) -> float:
     """Provider outlay of a constant level subsidy without network effects."""
-    resting = dist.ccdf(cost - cls.level)
-    t = cls.duration
+    _require_no_externality(params)
+    resting = params.affinity.ccdf(params.cost - cls.level)
+    t, gamma = cls.duration, params.gamma
     return cls.level * (
         resting * t - (resting - y0) * (1.0 - math.exp(-gamma * t)) / gamma
     )
 
 
 def noext_cost_at_target(
-    dist: AffinityDistribution,
-    cost: float,
-    gamma: float,
-    level: float,
-    y0: float,
-    target: float,
+    params: ModelParams, y0: float, level: float, target: float
 ) -> float | None:
     """Outlay of running the subsidy exactly until the target is reached."""
-    duration = noext_required_duration(dist, cost, gamma, level, y0, target)
+    duration = noext_required_duration(params, y0, level, target)
     if duration is None:
         return None
-    resting = dist.ccdf(cost - level)
-    return level * (resting * duration - (target - y0) / gamma)
+    resting = params.affinity.ccdf(params.cost - level)
+    return level * (resting * duration - (target - y0) / params.gamma)
 
 
-def noext_cost_decreasing_condition(
-    dist: AffinityDistribution, cost: float, level: float
-) -> bool:
+def noext_cost_decreasing_condition(params: ModelParams, level: float) -> bool:
     """Sufficient condition for the target-outlay to fall as level rises.
 
-    For uniform affinities the condition collapses to u_max < cost
-    wherever the subsidized cost does not saturate the whole population
-    (once cost - level drops to u_min everyone subscribes and the outlay
-    grows linearly with the level).  For other distributions it is
-    ccdf(cost - level) < level * density(cost - level).
+    For uniform affinities it is u_max < cost, wherever the subsidized
+    cost does not saturate the whole population (once cost - level drops
+    to u_min everyone subscribes and the outlay grows linearly with the
+    level).
     """
-    if isinstance(dist, UniformAffinity):
-        return cost - level > dist.u_min and dist.u_max < cost
-    u = cost - level
-    return dist.ccdf(u) < level * dist.density(u)
+    _require_no_externality(params)
+    return params.cost - level > params.u_min and params.u_max < params.cost
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +177,11 @@ def noext_cost_decreasing_condition(
 
 
 def subsidized_trajectory(
-    params: ModelParams, cls: ConstantLevelSubsidy, t0: float, y0: float
+    params: ModelParams, cls: ConstantLevelSubsidy, y0: float
 ) -> PiecewiseTrajectory:
-    """Exact path under a constant level subsidy: run the plain dynamics
-    at cost - level over the window, then at the full cost from wherever
-    the window left the state.
+    """Exact path from (cls.start, y0) under a constant level subsidy: run
+    the plain dynamics at cost - level over the window, then at the full
+    cost from wherever the window left the state.
 
     With network effects the level may not exceed the cost.  Without them
     any level is accepted, as in the no-externality planners: the window
@@ -203,14 +189,12 @@ def subsidized_trajectory(
     """
     if params.externality > 0 and cls.level > params.cost:
         raise InvalidParameterError("subsidy level must not exceed the cost")
-    if abs(cls.start - t0) > 1e-12:
-        raise InvalidParameterError("subsidy window must start at t0")
     if cls.level == 0.0 or cls.duration == 0.0:
-        return unsubsidized_trajectory(params, t0, y0)
+        return unsubsidized_trajectory(params, cls.start, y0)
 
-    switch = t0 + cls.duration
+    switch = cls.end
     subsidized = unsubsidized_trajectory(
-        params, t0, y0, effective_cost=params.cost - cls.level
+        params, cls.start, y0, effective_cost=params.cost - cls.level
     )
     after = unsubsidized_trajectory(params, switch, subsidized.value(switch))
     kept = tuple(seg for seg in subsidized.segments if seg.start_time < switch)
@@ -252,12 +236,18 @@ def full_subsidy_analysis(
     1; the report carries the three duration thresholds, the complete
     path, the resulting long-run level, and the provider outlay
     cost * (duration - (1 - y0)(1 - exp(-gamma*duration)) / gamma).
+    Everyone adopts from the first instant only when u_min +
+    externality*y0 >= 0, so the analysis requires it.
     """
     x_int = _require_planner_regime(params, y0)
     if duration < 0:
         raise InvalidParameterError("duration must be >= 0")
     u_min, u_max = params.u_min, params.u_max
     c, e, gamma = params.cost, params.externality, params.gamma
+    if not u_min + e * y0 >= 0.0:
+        raise AssumptionViolationError(
+            "u_min + externality*y0 >= 0", f"{u_min + e * y0} < 0"
+        )
 
     one_minus = 1.0 - y0
     to_interior = _log_duration(one_minus, 1.0 - x_int, gamma)
@@ -265,11 +255,7 @@ def full_subsidy_analysis(
     to_band_low = _log_duration(one_minus * e, u_max + e - c, gamma)
 
     cls = ConstantLevelSubsidy(level=c, duration=duration, start=t0)
-    trajectory = (
-        subsidized_trajectory(params, cls, t0, y0)
-        if duration > 0
-        else unsubsidized_trajectory(params, t0, y0)
-    )
+    trajectory = subsidized_trajectory(params, cls, y0)
     outlay = c * (duration - one_minus * (1.0 - math.exp(-gamma * duration)) / gamma)
     return FullSubsidyReport(
         to_band_low=to_band_low,
@@ -457,25 +443,17 @@ def _plan(
 
 
 def sweep(
-    params: ModelParams,
-    y0: float,
-    s_grid: Sequence[float] | None = None,
-    grid_points: int = 512,
+    params: ModelParams, y0: float, grid_points: int = 512
 ) -> tuple[list[SubsidySweepRow], ParetoFrontier]:
     """Evaluate the minimum-duration planner over a grid of levels.
 
-    The default grid spans [0, cost] with the analytic boundary levels
-    inserted exactly.  Rows keep the grid order; the frontier keeps the
-    rows not dominated in (duration, cost).
+    The grid spans [0, cost] with the analytic boundary levels inserted
+    exactly.  Rows keep the grid order; the frontier keeps the rows not
+    dominated in (duration, cost).
     """
     x_int, bounds = _planner_bounds(params, y0)
-    if s_grid is None:
-        inside = [b for b in bounds if 0.0 <= b <= params.cost]
-        grid = np.unique(np.concatenate([np.linspace(0.0, params.cost, grid_points), inside]))
-    else:
-        grid = np.asarray(sorted(s_grid), dtype=float)
-        if not np.all((grid >= 0.0) & (grid <= params.cost)):
-            raise InvalidParameterError("s_grid must lie within [0, cost]")
+    inside = [b for b in bounds if 0.0 <= b <= params.cost]
+    grid = np.unique(np.concatenate([np.linspace(0.0, params.cost, grid_points), inside]))
 
     rows: list[SubsidySweepRow] = []
     for s in grid:
@@ -513,10 +491,7 @@ class CostSignPattern:
 
 
 def cost_sign_pattern(
-    rows: Sequence[SubsidySweepRow],
-    params: ModelParams,
-    y0: float,
-    zero_tol: float = 1e-8,
+    rows: Sequence[SubsidySweepRow], params: ModelParams, y0: float
 ) -> CostSignPattern:
     """Check the slope signs of the sweep's outlay against the expected
     pattern, range by range."""
@@ -540,7 +515,7 @@ def cost_sign_pattern(
             continue
         if k in (1, 2):
             if y0 == 0.0:
-                verdicts.append(all(abs(d) <= zero_tol for d in diffs))
+                verdicts.append(all(abs(d) <= FLAT_TOL for d in diffs))
             else:
                 verdicts.append(all(d > 0 for d in diffs))
         elif k == 3:
@@ -548,7 +523,7 @@ def cost_sign_pattern(
         elif k == 5:
             verdicts.append(all(d > 0 for d in diffs))
         else:
-            signs = [1 if d > zero_tol else (-1 if d < -zero_tol else 0) for d in diffs]
+            signs = [1 if d > FLAT_TOL else (-1 if d < -FLAT_TOL else 0) for d in diffs]
             nz = [s for s in signs if s != 0]
             switch_count = sum(1 for a, b in zip(nz, nz[1:]) if a != b)
             never_rises_then_falls = all(

@@ -14,7 +14,6 @@ from conftest import random_params, random_planner_setup, random_start
 from netadopt import (
     ConstantLevelSubsidy,
     ModelParams,
-    UniformAffinity,
     brute_force_equilibria,
     classify_equilibria,
     cost_sign_pattern,
@@ -141,14 +140,14 @@ def test_criterion_3_planner_sweep():
 def test_criterion_4_noext_feasibility_and_cost_growth():
     start = time.perf_counter()
     failures: list[str] = []
-    dist = UniformAffinity(1.0, 6.0)
-    if noext_required_duration(dist, 3.0, 1.0, -0.49, 0.0, 0.5) is None:
+    wide = ModelParams(1.0, 6.0, 3.0, 0.0, 1.0)
+    if noext_required_duration(wide, 0.0, -0.49, 0.5) is None:
         failures.append("duration should be finite just above -1/2")
     for s in (-0.5, -0.51):
-        if noext_required_duration(dist, 3.0, 1.0, s, 0.0, 0.5) is not None:
+        if noext_required_duration(wide, 0.0, s, 0.5) is not None:
             failures.append(f"duration should be infeasible at s={s}")
     costs = [
-        noext_cost_at_target(dist, 3.0, 1.0, float(s), 0.0, 0.5)
+        noext_cost_at_target(wide, 0.0, float(s), 0.5)
         for s in np.linspace(0.01, 2.0, 100)
     ]
     if any(c is None for c in costs):
@@ -188,7 +187,7 @@ def test_criterion_5_oracle_equivalence():
                 float(rng.uniform(0.2, 0.9)) * params.cost,
                 float(rng.uniform(0.5, 3.0)) / gamma,
             )
-            sub = subsidized_trajectory(params, cls, 0.0, x0)
+            sub = subsidized_trajectory(params, cls, x0)
             worst_traj = max(
                 worst_traj, _max_gap(params, sub, cls, x0, cls.duration + 20.0 / gamma)
             )
@@ -251,12 +250,12 @@ def test_criterion_6_derivative_claims():
     for _ in range(50):
         u_min = float(rng.uniform(0.0, 2.0))
         u_max = u_min + float(rng.uniform(0.5, 3.0))
-        dist = UniformAffinity(u_min, u_max)
         c = float(rng.uniform(u_min + 0.3, u_max + 1.0))
         gamma = float(rng.uniform(0.3, 2.0))
+        market = ModelParams(u_min, u_max, c, 0.0, gamma)
         y0 = float(rng.uniform(0.0, 0.3))
         target = float(rng.uniform(y0 + 0.05, 0.9))
-        f = lambda s: noext_required_duration(dist, c, gamma, s, y0, target)
+        f = lambda s: noext_required_duration(market, y0, s, target)
         h = 1e-5
         for s in np.linspace(0.0, c, 12):
             s = float(s)
@@ -272,16 +271,16 @@ def test_criterion_6_derivative_claims():
     for _ in range(50):
         u_min = float(rng.uniform(0.0, 1.5))
         u_max = u_min + float(rng.uniform(0.4, 1.5))
-        dist = UniformAffinity(u_min, u_max)
         c = u_max + float(rng.uniform(0.2, 1.5))  # u_max < cost
         gamma = float(rng.uniform(0.3, 2.0))
+        market = ModelParams(u_min, u_max, c, 0.0, gamma)
         y0 = 0.0
         target = float(rng.uniform(0.1, 0.6))
-        f = lambda s: noext_cost_at_target(dist, c, gamma, s, y0, target)
+        f = lambda s: noext_cost_at_target(market, y0, s, target)
         h = 1e-6
         for s in np.linspace(0.05, c - 0.05, 24):
             s = float(s)
-            if not noext_cost_decreasing_condition(dist, c, s):
+            if not noext_cost_decreasing_condition(market, s):
                 continue
             if f(s - h) is None or f(s + h) is None:
                 continue

@@ -256,8 +256,9 @@ def test_noext_verb(tmp_path, capsys):
 
 
 def test_noext_requires_zero_externality(tmp_path, capsys):
-    code, _, _ = run(capsys, "noext", *sets(*PLANNER_KEYS))
+    code, _, stderr = run(capsys, "noext", *sets(*PLANNER_KEYS))
     assert code == 2
+    assert "externality = 0" in stderr
 
 
 def test_validate_passes_on_tipping_scenario(tmp_path, capsys):
@@ -349,6 +350,19 @@ def test_output_dir_env(tmp_path, capsys, monkeypatch):
     )
     assert code == 0
     assert (tmp_path / "equilibria.csv").exists()
+
+
+def test_reproduce_relative_output_uses_env_dir(tmp_path, capsys, monkeypatch):
+    # reproduce resolves a relative directory like every other verb.
+    base, cwd = tmp_path / "base", tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    monkeypatch.setenv("NETADOPT_OUTPUT_DIR", str(base))
+    code, stdout, _ = run(capsys, "reproduce", "2", "--output", "sub")
+    assert code == 0
+    assert (base / "sub" / "example2_cases.csv").exists()
+    assert not (cwd / "sub").exists()
+    assert f"wrote {base / 'sub' / 'example2_cases.csv'}" in stdout
 
 
 def test_csv_float_format_17_digits(tmp_path, capsys):
@@ -516,3 +530,47 @@ def test_readme_command_line_examples(tmp_path, capsys, monkeypatch):
         assert argv[0] == "netadopt"
         code, _, stderr = run(capsys, *argv[1:])
         assert code == 0, (argv, stderr)
+
+
+def test_full_subsidy_outside_pure_climb_is_unsupported(tmp_path, capsys):
+    # Bistable, but u_min + externality*x0 < 0: under a free service the
+    # path does not climb purely toward 1, so the closed forms do not apply.
+    keys = ("u_min=-1", "u_max=0.5", "cost=1", "externality=3", "gamma=1",
+            "x0=0.1", "kind=full", "T=0.5")
+    for verb in ("full-subsidy", "validate", "simulate"):
+        code, stdout, stderr = run(
+            capsys, verb, *sets(*keys), "--output", str(tmp_path / "out.csv"),
+        )
+        assert (code, stdout) == (3, "")
+        assert "u_min + externality*y0 >= 0" in stderr
+
+
+def test_validate_window_too_long_for_oracle(tmp_path, capsys):
+    # The README tipping market with a window of 1e300 (1e302 oracle
+    # steps) or 1e308 (a step count that overflows to inf).
+    for T in ("1e300", "1e308"):
+        code, stdout, stderr = run(
+            capsys, "validate",
+            *sets(*TIPPING_KEYS, "x0=0.25", "kind=full", f"T={T}", "t_end=12", "dt=0.01"),
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr.count("\n") == 1 and "exceeds the limit of 10000000" in stderr
+
+
+def test_oversized_outputs_are_invalid_input(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    for points in ("1000001", "100000000000000000000"):
+        code, _, stderr = run(
+            capsys, "sweep",
+            *sets(*PLANNER_KEYS, "x0=0", "kind=min_duration", f"sweep_points={points}"),
+            "--output", str(out),
+        )
+        assert code == 2
+        assert stderr == f"error: sweep_points must be <= 1000000, got {points}\n"
+    for extra in (("t_end=2", "dt=1e-300"), ("t0=-1e308", "t_end=1e308", "dt=1")):
+        code, _, stderr = run(
+            capsys, "simulate", *sets(*TIPPING_KEYS, "x0=0.25", *extra), "--output", str(out),
+        )
+        assert code == 2
+        assert "rows exceeds the limit of 1000000" in stderr
+    assert not out.exists()

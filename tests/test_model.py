@@ -9,12 +9,12 @@ from netadopt import (
     ModelParams,
     NotAnEquilibriumError,
     SingularParametersError,
-    UniformAffinity,
     classify_equilibria,
     interior_equilibrium,
     stability_of,
     would_adopt,
 )
+from netadopt.model import UniformAffinity
 
 BISTABLE = ModelParams(1.0, 2.0, 2.5, 2.0, 1.0)
 
@@ -37,8 +37,6 @@ def test_uniform_affinity():
     assert dist.ccdf(0.0) == 1.0
     assert dist.ccdf(6.0) == 0.0
     assert dist.ccdf(3.0) == pytest.approx(0.6, abs=1e-15)
-    assert dist.density(2.0) == pytest.approx(0.2, abs=1e-15)
-    assert dist.density(7.0) == 0.0
     with pytest.raises(InvalidParameterError):
         UniformAffinity(2.0, 2.0)
 

@@ -8,7 +8,6 @@ from netadopt import (
     InvalidParameterError,
     InvalidStepError,
     ModelParams,
-    UniformAffinity,
     brute_force_equilibria,
     finite_diff,
     first_passage,
@@ -34,10 +33,9 @@ def test_integrate_matches_decay():
 
 
 def test_integrate_full_subsidy_is_pure_climb():
-    dist = UniformAffinity(0.0, 1.0)
     params = ModelParams(0.0, 1.0, 0.5, 0.0, 1.0)
     cls = ConstantLevelSubsidy(0.5, 50.0)
-    sampled = integrate_ode(params, dist, cls, t_end=5.0)
+    sampled = integrate_ode(params, cls, t_end=5.0)
     for t, x in zip(sampled.times, sampled.levels):
         assert x == pytest.approx(1.0 - math.exp(-t), abs=1e-6)
 
@@ -47,6 +45,11 @@ def test_integrate_step_validation():
         integrate_ode(TIPPING, dt=0.1, t_end=1.0)  # dt*gamma > 1e-2
     with pytest.raises(InvalidStepError):
         integrate_ode(TIPPING, t_end=0.0)
+    # Step counts past the ceiling, or too large to count, are refused
+    # before any sample is allocated.
+    for t_end in (1e300, 1e308):
+        with pytest.raises(InvalidStepError, match="exceeds the limit"):
+            integrate_ode(TIPPING, t_end=t_end, dt=0.01)
 
 
 def test_rk4_self_convergence():

@@ -164,7 +164,7 @@ def test_cls_composition_matches_rk4():
             float(rng.uniform(0.0, params.cost)),
             float(rng.uniform(0.2, 4.0)) / params.gamma,
         )
-        traj = subsidized_trajectory(params, cls, 0.0, x0)
+        traj = subsidized_trajectory(params, cls, x0)
         gap = max_oracle_gap(params, traj, cls, 0.0, x0, 30.0 / params.gamma)
         assert gap <= 1e-6
 
@@ -252,17 +252,15 @@ def test_cost_continuity_random_boundaries():
 
 def test_noext_duration_nonincreasing_in_level():
     rng = np.random.default_rng(666)
-    from netadopt import UniformAffinity
-
     for _ in range(25):
         u_min = float(rng.uniform(0.0, 2.0))
         u_max = u_min + float(rng.uniform(0.5, 3.0))
-        dist = UniformAffinity(u_min, u_max)
         c = float(rng.uniform(u_min + 0.3, u_max + 1.0))
         gamma = float(rng.uniform(0.3, 2.0))
+        params = ModelParams(u_min, u_max, c, 0.0, gamma)
         y0 = float(rng.uniform(0.0, 0.3))
         target = float(rng.uniform(y0 + 0.05, 0.9))
-        f = lambda s: noext_required_duration(dist, c, gamma, s, y0, target)
+        f = lambda s: noext_required_duration(params, y0, s, target)
         grid = [s for s in np.linspace(0.0, c, 40) if f(float(s)) is not None]
         for a, b in zip(grid, grid[1:]):
             fa, fb = f(float(a)), f(float(b))

@@ -14,6 +14,7 @@ from netadopt import (
     ModelParams,
     band_hit_time,
     cost_sign_pattern,
+    first_passage,
     full_subsidy_analysis,
     integrate_cost,
     integrate_ode,
@@ -49,22 +50,22 @@ def test_cls_validation():
 
 def test_subsidized_trajectory_zero_level_identity():
     cls = ConstantLevelSubsidy(0.0, 2.0)
-    a = subsidized_trajectory(TIPPING, cls, 0.0, 0.25)
+    a = subsidized_trajectory(TIPPING, cls, 0.25)
     b = unsubsidized_trajectory(TIPPING, 0.0, 0.25)
     for t in np.linspace(0.0, 10.0, 50):
         assert a.value(float(t)) == b.value(float(t))
 
 
 def test_subsidized_trajectory_flips_outcome_with_window_length():
-    short = subsidized_trajectory(TIPPING, ConstantLevelSubsidy(3.0, 0.177), 0.0, 0.25)
+    short = subsidized_trajectory(TIPPING, ConstantLevelSubsidy(3.0, 0.177), 0.25)
     assert short.final_level == 0.0
-    long = subsidized_trajectory(TIPPING, ConstantLevelSubsidy(3.0, 1.824), 0.0, 0.25)
+    long = subsidized_trajectory(TIPPING, ConstantLevelSubsidy(3.0, 1.824), 0.25)
     assert long.final_level == 1.0
 
 
 def test_subsidized_trajectory_continuous_at_switch():
     cls = ConstantLevelSubsidy(1.5, 2.0)
-    traj = subsidized_trajectory(TIPPING, cls, 0.0, 0.25)
+    traj = subsidized_trajectory(TIPPING, cls, 0.25)
     assert traj.subsidy_end == 2.0
     before = traj.value(2.0 - 1e-12)
     after = traj.value(2.0 + 1e-12)
@@ -73,7 +74,7 @@ def test_subsidized_trajectory_continuous_at_switch():
 
 def test_subsidized_trajectory_matches_oracle():
     cls = ConstantLevelSubsidy(1.5, 2.0)
-    traj = subsidized_trajectory(TIPPING, cls, 0.0, 0.25)
+    traj = subsidized_trajectory(TIPPING, cls, 0.25)
     sampled = integrate_ode(
         TIPPING, subsidy_schedule=cls, x0=0.25, t_end=30.0, dt=3e-3
     )
@@ -150,6 +151,33 @@ def test_full_subsidy_assumption_checks():
         full_subsidy_analysis(ModelParams(1, 2, 5.0, 3.0, 1.0), 0.0, 0.1, 1.0)
     with pytest.raises(AssumptionViolationError, match="interior"):
         full_subsidy_analysis(TIPPING, 0.0, 0.6, 1.0)  # y0 above the boundary
+    # Bistable, but at y0 = 0.1 the free service still leaves users with
+    # affinity below -0.3 out: the path does not climb purely toward 1.
+    bistable = ModelParams(-1.0, 0.5, 1.0, 3.0, 1.0)
+    with pytest.raises(AssumptionViolationError, match="u_min \\+ externality\\*y0 >= 0"):
+        full_subsidy_analysis(bistable, 0.0, 0.1, 0.5)
+
+
+def test_full_subsidy_negative_u_min_matches_oracle():
+    # u_min < 0 but u_min + externality*y0 >= 0: everyone adopts from the
+    # first instant of the window, so the closed forms still hold.
+    params = ModelParams(-0.2, 0.5, 1.0, 3.0, 1.0)
+    y0 = 0.1
+    report = full_subsidy_analysis(params, 0.0, y0, 0.5)
+    cls = ConstantLevelSubsidy(params.cost, 0.5)
+    window = integrate_ode(params, subsidy_schedule=cls, x0=y0, t_end=0.5, dt=1e-4)
+    assert report.cost == pytest.approx(integrate_cost(window, cls), abs=1e-5)
+    free = integrate_ode(
+        params, subsidy_schedule=ConstantLevelSubsidy(params.cost, 10.0), x0=y0,
+        t_end=2.0, dt=1e-4,
+    )
+    x_int = interior_equilibrium(params.cost, params)
+    for duration, level in (
+        (report.to_band_low, params.band_low()),
+        (report.to_interior, x_int),
+        (report.to_band_high, params.band_high()),
+    ):
+        assert first_passage(free, level) == pytest.approx(duration, abs=1e-6)
 
 
 def test_min_subsidy_values():
@@ -308,8 +336,6 @@ def test_min_duration_knife_edge_is_infeasible():
     assert min_duration_cost(params, y0, level).value is None
     with pytest.raises(InfeasibleSubsidyError):
         min_duration_trajectory(params, y0, level)
-    rows, _ = sweep(params, y0, s_grid=[level])
-    assert (rows[0].feasible, rows[0].duration, rows[0].cost) == (False, None, None)
 
 
 def test_interval_bounds_ordered_at_zero_start():
@@ -325,13 +351,12 @@ def test_interval_bounds_ordered_at_zero_start():
     assert raw_b1 > s_hat
     assert b1 == s_hat
     rows, _ = sweep(params, 0.0)
-    rows += sweep(params, 0.0, s_grid=[raw_b1])[0]
-    assert rows[-1].level == raw_b1
     for row in rows:
         assert row.feasible == (row.duration is not None)
         if row.level > s_hat:
             assert row.regime >= 3
-    assert cost_sign_pattern(rows[:-1], params, 0.0).all_ok
+    assert cost_sign_pattern(rows, params, 0.0).all_ok
+    assert min_duration_cost(params, 0.0, raw_b1).row >= 3
 
 
 def test_duration_uses_the_range_of_the_outlay_at_a_bound():
@@ -436,8 +461,7 @@ def test_frontier_strict_tradeoff():
 
 
 def test_frontier_matches_exhaustive_domination():
-    grid = list(np.linspace(0.0, PLANNER.cost, 41))
-    rows, frontier = sweep(PLANNER, 0.0, s_grid=grid)
+    rows, frontier = sweep(PLANNER, 0.0, grid_points=41)
     feasible = [r for r in rows if r.duration is not None and r.cost is not None]
 
     def dominated(r):
@@ -467,11 +491,6 @@ def test_cost_sign_pattern_example():
         assert 0.75 <= pattern.dip_level <= (1.5 if y0 == 0.0 else 1.125)
 
 
-def test_sweep_rejects_bad_grid():
-    with pytest.raises(InvalidParameterError):
-        sweep(PLANNER, 0.0, s_grid=[-0.1, 0.5])
-
-
 def test_planner_validation():
     with pytest.raises(AssumptionViolationError):
         min_subsidy(ModelParams(1, 2, 5.0, 3.0, 1.0), 0.0)
@@ -483,9 +502,9 @@ def test_planner_validation():
 
 def test_subsidized_trajectory_validation():
     with pytest.raises(InvalidParameterError):
-        subsidized_trajectory(TIPPING, ConstantLevelSubsidy(4.0, 1.0), 0.0, 0.25)
+        subsidized_trajectory(TIPPING, ConstantLevelSubsidy(4.0, 1.0), 0.25)
     with pytest.raises(InvalidParameterError):
-        # Window must open when the path starts.
-        subsidized_trajectory(TIPPING, ConstantLevelSubsidy(1.0, 1.0, start=2.0), 0.0, 0.25)
-    with pytest.raises(InvalidParameterError):
-        subsidized_trajectory(TIPPING, ConstantLevelSubsidy(1.0, 1.0), 0.0, 1.5)
+        subsidized_trajectory(TIPPING, ConstantLevelSubsidy(1.0, 1.0), 1.5)
+    # The path starts where the window opens.
+    late = subsidized_trajectory(TIPPING, ConstantLevelSubsidy(1.0, 1.0, start=2.0), 0.25)
+    assert (late.start_time, late.subsidy_end) == (2.0, 3.0)
