@@ -14,6 +14,7 @@ import argparse
 import math
 import os
 import sys
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -37,6 +38,7 @@ TRAJECTORY_TOL = 1e-6
 COST_TOL = 1e-5
 MONOTONE_TOL = 1e-9
 MAX_ROWS = 10**6  # per trajectory CSV, whose sample times are held in memory
+BLOCK_ROWS = 1024  # CSV rows joined into one write
 
 
 # ---------------------------------------------------------------------------
@@ -44,28 +46,47 @@ MAX_ROWS = 10**6  # per trajectory CSV, whose sample times are held in memory
 # ---------------------------------------------------------------------------
 
 
+def _flag(value: bool) -> str:
+    return "true" if value else "false"
+
+
 def _fmt(value) -> str:
     if value is None:
         return "inf"
     if isinstance(value, bool):
-        return "true" if value else "false"
+        return _flag(value)
     if isinstance(value, str):
         return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    v = float(value)
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return format(v, ".17g")
+    return format(float(value), ".17g")
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> int:
-    """Write the rows under the header; returns the number of rows."""
+def _fmt_line(row: Sequence) -> str:
+    return ",".join(map(_fmt, row)) + "\n"
+
+
+# Whole-row templates for the row-heavy layouts: '%.17g' % v is
+# format(v, '.17g') for every float, inf and nan included.
+PATH_ROW = "%.17g,%.17g,%s\n"  # t, x, phase
+SWEEP_ROW = "%.17g,%.17g,%s,%.17g,%.17g,%d,closed_form,%s\n"
+
+
+def _write_csv(
+    path: Path, header: Sequence[str], rows: Iterable[Sequence], template: str | None = None
+) -> int:
+    """Write the rows under the header; returns the number of rows.
+
+    With a ``%`` template each row is formatted in one step; without one
+    each cell goes through ``_fmt``, as the short mixed-type tables need.
+    """
+    lines = map(template.__mod__ if template else _fmt_line, rows)
     count = 0
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for count, row in enumerate(rows, start=1):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        while block := list(islice(lines, BLOCK_ROWS)):
+            fh.write("".join(block))
+            count += len(block)
     return count
 
 
@@ -73,15 +94,19 @@ def _write_sweep(
     path: Path, rows: Sequence[subsidy.SubsidySweepRow], frontier: subsidy.ParetoFrontier
 ) -> None:
     # Every outlay is a closed form; the method column keeps the layout.
+    # An infeasible level has no duration or outlay: those cells read inf.
     on_frontier = {id(r) for r in frontier.frontier}
     _write_csv(
         path,
         ["s", "s_over_e", "feasible", "T_hat", "S", "regime", "method", "frontier"],
         (
-            (r.level, r.normalized, r.feasible, r.duration, r.cost, r.regime,
-             "closed_form", id(r) in on_frontier)
+            (r.level, r.normalized, _flag(r.feasible),
+             math.inf if r.duration is None else r.duration,
+             math.inf if r.cost is None else r.cost,
+             r.regime, _flag(id(r) in on_frontier))
             for r in rows
         ),
+        SWEEP_ROW,
     )
 
 
@@ -126,32 +151,37 @@ def _resolve_scenario(config: ScenarioConfig, params: ModelParams):
     return traj, window, subsidy.noext_subsidy_cost(params, window, x0)
 
 
-def _sample_times(traj: PiecewiseTrajectory, t0: float, t_end: float, step: float) -> list[float]:
+def _sample_times(traj: PiecewiseTrajectory, t0: float, t_end: float, step: float) -> np.ndarray:
+    """The grid times t0 + i*step for i <= (t_end - t0)/step + 1e-9, t_end
+    itself and the path's junctions in (t0, t_end], sorted, without repeats."""
     count = (t_end - t0) / step
     if not count <= MAX_ROWS:  # also refuses an overflow to inf
         raise InvalidParameterError(
             f"(t_end - t0)/dt = {count:.3g} rows exceeds the limit of {MAX_ROWS}"
         )
-    n = max(1, int(math.floor(count + 1e-9)))
-    times = {t0 + i * step for i in range(n + 1)}
-    times.add(t_end)
-    for b in traj.breakpoints:
-        if t0 < b <= t_end:
-            times.add(b)
+    n = int(math.floor(count + 1e-9))
+    extra = [t_end, *(b for b in traj.breakpoints if t0 < b <= t_end)]
     if traj.subsidy_end is not None and t0 < traj.subsidy_end <= t_end:
-        times.add(traj.subsidy_end)
-    return sorted(times)
+        extra.append(traj.subsidy_end)
+    times = np.sort(np.concatenate((t0 + np.arange(n + 1) * step, extra)))
+    # Not np.unique, whose first call imports numpy.ma (~15 ms of a cold start).
+    return times[np.append(True, times[1:] != times[:-1])]
 
 
 def _trajectory_rows(traj: PiecewiseTrajectory, t0: float, t_end: float, step: float):
     """(t, x, phase) samples of the path on [t0, t_end], junctions included.
-    The sample times are checked on the call, before any row is written."""
+    The sample times are checked on the call, before any row is written;
+    the rows are made a block at a time, so no full-length list is held."""
+    times = _sample_times(traj, t0, t_end, step)
     sub_end = traj.subsidy_end
-    return (
-        (t, traj.value(t),
-         "subsidized" if sub_end is not None and t <= sub_end else "unsubsidized")
-        for t in _sample_times(traj, t0, t_end, step)
-    )
+    subsidized = 0 if sub_end is None else int(np.searchsorted(times, sub_end, side="right"))
+
+    def block_rows(lo: int):
+        block = times[lo:lo + BLOCK_ROWS]
+        phases = chain(repeat("subsidized", subsidized - lo), repeat("unsubsidized"))
+        return zip(block.tolist(), traj.values(block).tolist(), phases)
+
+    return chain.from_iterable(map(block_rows, range(0, len(times), BLOCK_ROWS)))
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +213,7 @@ def cmd_simulate(config: ScenarioConfig) -> int:
         t_end = min(t_end, traj.subsidy_end)
     rows = _trajectory_rows(traj, config.t0, t_end, config.run_dt())
     path = _resolve_output(config.output, "trajectory.csv")
-    count = _write_csv(path, ["t", "x", "phase"], rows)
+    count = _write_csv(path, ["t", "x", "phase"], rows, PATH_ROW)
     print(f"{count} rows on [{_fmt(config.t0)}, {_fmt(t_end)}]")
     print(f"wrote {path}")
     return 0
@@ -278,6 +308,12 @@ def _verdict(label: str, ok: bool, failures: list[str]) -> None:
         failures.append(label)
 
 
+def _max_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """max |a - b| over the samples the two runs share."""
+    n = min(len(a), len(b))
+    return float(np.max(np.abs(a[:n] - b[:n])))
+
+
 def _whole_steps(span: float, dt: float, at_least: int) -> float:
     """The step that splits span into whole steps no longer than dt, and
     into at least ``at_least`` of them.  A span the oracle would refuse
@@ -305,17 +341,16 @@ def cmd_validate(config: ScenarioConfig) -> int:
     sampled = oracle.integrate_ode(
         params, subsidy_schedule=schedule, t0=t0, x0=config.x0, t_end=t_end, dt=dt
     )
-    if analytic_cost is not None:
+    window = None
+    if analytic_cost is not None and schedule.duration > 0:
         # Integrated before any check prints, so that a window too long
         # for the oracle is refused with no partial report.
         window = oracle.integrate_ode(
             params, subsidy_schedule=schedule, t0=t0, x0=config.x0,
             t_end=schedule.end, dt=_whole_steps(schedule.duration, dt, 1000),
         )
-    deviations = [
-        abs(traj.value(t) - x) for t, x in zip(sampled.times, sampled.levels)
-    ]
-    _check("trajectory max |closed form - rk4|", max(deviations), TRAJECTORY_TOL, failures)
+    _check("trajectory max |closed form - rk4|",
+           _max_gap(traj.values(sampled.times), sampled.levels), TRAJECTORY_TOL, failures)
 
     smooth_end = t_end
     for b in traj.breakpoints:
@@ -330,14 +365,15 @@ def cmd_validate(config: ScenarioConfig) -> int:
                 params, subsidy_schedule=schedule, t0=t0, x0=config.x0,
                 t_end=smooth_end, dt=dt / k,
             )
-        d1 = max(abs(a - b) for a, b in zip(runs[1].levels, runs[2].levels[::2]))
-        d2 = max(abs(a - b) for a, b in zip(runs[2].levels, runs[4].levels[::2]))
+        d1 = _max_gap(runs[1].levels, runs[2].levels[::2])
+        d2 = _max_gap(runs[2].levels, runs[4].levels[::2])
         # Deviations at the rounding floor carry no order information.
         ok = d1 < 1e-12 or d2 < 1e-15 or d1 / d2 >= 8.0
         _verdict(f"rk4 self-convergence (factor {d1 / max(d2, 1e-300):.1f})", ok, failures)
 
     if analytic_cost is not None:
-        numeric = oracle.integrate_cost(window, schedule)
+        # A zero-length window pays nothing, so there is nothing to integrate.
+        numeric = 0.0 if window is None else oracle.integrate_cost(window, schedule)
         _check("cost |analytic - quadrature|", abs(analytic_cost - numeric),
                COST_TOL, failures)
 
@@ -386,7 +422,7 @@ def _reproduce_1(out_dir: Path) -> list[Path]:
     always = closed_form.unsubsidized_trajectory(params, 0.0, 0.0, effective_cost=0.0)
     rows += [("inf", t, y) for t, y, _ in _trajectory_rows(always, 0.0, 8.0, 0.05)]
     p1 = out_dir / "example1_adoption.csv"
-    _write_csv(p1, ["T", "t", "y"], rows)
+    _write_csv(p1, ["T", "t", "y"], rows, "%s,%.17g,%.17g\n")
 
     wide = ModelParams(1.0, 6.0, 3.0, 0.0, 1.0)
     tradeoff = []
@@ -435,7 +471,7 @@ def _reproduce_2(out_dir: Path) -> list[Path]:
     p2 = out_dir / "example2_equilibria.csv"
     _write_csv(p2, ["case_id", "level", "stability"], eq_rows)
     p3 = out_dir / "example2_adoption.csv"
-    _write_csv(p3, ["case_id", "x0", "t", "x"], paths_rows)
+    _write_csv(p3, ["case_id", "x0", "t", "x"], paths_rows, "%d,%.17g,%.17g,%.17g\n")
     return [p1, p2, p3]
 
 
@@ -469,7 +505,7 @@ def _reproduce_3(out_dir: Path) -> list[Path]:
     p1 = out_dir / "example3_thresholds.csv"
     _write_csv(p1, ["quantity", "value"], rows)
     p2 = out_dir / "example3_adoption.csv"
-    _write_csv(p2, ["duration_label", "t", "y", "phase"], traj_rows)
+    _write_csv(p2, ["duration_label", "t", "y", "phase"], traj_rows, "%s," + PATH_ROW)
     return [p1, p2]
 
 

@@ -14,10 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidParameterError
 from .model import ModelParams
 
 CONTINUITY_TOL = 1e-12
+SAMPLE_BLOCK = 4096  # samples evaluated per pass; bounds the floats held at once
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,14 +147,42 @@ class PiecewiseTrajectory:
 
     def value(self, t: float) -> float:
         """Adoption level at time t >= start_time."""
-        if t < self.start_time:
+        return float(self.values([t])[0])
+
+    def values(self, times) -> np.ndarray:
+        """Adoption levels at nondecreasing times >= start_time, as float64.
+
+        The segments are located once over the sorted times; a time on a
+        junction takes the later segment.  Each sample repeats its
+        segment's ``value`` arithmetic in the same order, with ``math.exp``
+        per element (a vector exp rounds differently on some arguments),
+        so the levels equal the segments' scalar values bit for bit.
+        """
+        times = np.asarray(times, dtype=float)
+        if times.ndim != 1:
+            raise InvalidParameterError("times must be one-dimensional")
+        if len(times) and times[0] < self.start_time:
             raise InvalidParameterError(
-                f"t={t} precedes trajectory start {self.start_time}"
+                f"t={times[0]} precedes trajectory start {self.start_time}"
             )
-        for seg in reversed(self.segments):
-            if t >= seg.start_time:
-                return seg.value(t)
-        raise AssertionError("unreachable")
+        if np.any(times[1:] < times[:-1]):
+            raise InvalidParameterError("times must be nondecreasing")
+        bounds = np.searchsorted(
+            times, [seg.start_time for seg in self.segments], side="left"
+        ).tolist() + [len(times)]
+        out = np.empty(len(times))
+        for seg, lo, hi in zip(self.segments, bounds, bounds[1:]):
+            for a in range(lo, hi, SAMPLE_BLOCK):
+                b = min(a + SAMPLE_BLOCK, hi)
+                elapsed = times[a:b] - seg.start_time
+                if isinstance(seg, LinearDriftSegment):
+                    out[a:b] = seg.start_level + seg.slope * elapsed
+                else:
+                    growth = np.fromiter(
+                        map(math.exp, (seg.rate * elapsed).tolist()), float, count=b - a
+                    )
+                    out[a:b] = seg.limit + (seg.start_level - seg.limit) * growth
+        return out
 
 
 def band_ode(params: ModelParams, effective_cost: float | None = None) -> LinearODE:

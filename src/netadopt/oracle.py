@@ -44,20 +44,6 @@ class SampledTrajectory:
         return self.start_time + self.dt * (len(self.levels) - 1)
 
 
-def _rk4_const_cost(ccdf, ceff: float, e: float, gamma: float, x: float, h: float) -> float:
-    """One RK4 step of xdot = gamma*(ccdf(ceff - e*x) - x), autonomous."""
-    if h == 0.0:
-        return x
-    k1 = gamma * (ccdf(ceff - e * x) - x)
-    x2 = x + 0.5 * h * k1
-    k2 = gamma * (ccdf(ceff - e * x2) - x2)
-    x3 = x + 0.5 * h * k2
-    k3 = gamma * (ccdf(ceff - e * x3) - x3)
-    x4 = x + h * k3
-    k4 = gamma * (ccdf(ceff - e * x4) - x4)
-    return x + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-
-
 def integrate_ode(
     params: ModelParams,
     subsidy_schedule=None,
@@ -98,7 +84,8 @@ def integrate_ode(
             f"oracle run of {steps:.3g} steps exceeds the limit of {MAX_STEPS}"
         )
 
-    ccdf = params.affinity.ccdf
+    u_min, u_max = params.u_min, params.u_max
+    spread = u_max - u_min
     cost, e = params.cost, params.externality
     n = max(1, round(steps))
     t_end = t0 + n * dt  # snap to a whole number of steps
@@ -111,23 +98,43 @@ def integrate_ode(
     levels = np.empty(n + 1)
     levels[0] = x0
 
-    # Integrate phase by phase with a tight loop, splitting the straddling
-    # steps at the exact switch times.
+    # Integrate phase by phase with a tight loop: grid steps up to the
+    # phase end b, then one split step onto b when it falls between grid
+    # times.  Each step is xdot = gamma*(ccdf(ceff - e*x) - x) under
+    # classical RK4, with the uniform ccdf written out at every stage.
     edges = [t0, *cuts, t_end]
     x, t, i = x0, t0, 1
     for a, b in zip(edges, edges[1:]):
         ceff = cost - (level if start <= 0.5 * (a + b) <= end else 0.0)
-        while i <= n:
+        while True:
             t_next = t0 + i * dt
-            if t_next > b:
-                break
-            x = _rk4_const_cost(ccdf, ceff, e, gamma, x, t_next - t)
+            on_grid = i <= n and t_next <= b
+            if not on_grid:
+                if t >= b:
+                    break
+                t_next = b
+            h = t_next - t
+            if h != 0.0:
+                u = ceff - e * x
+                k1 = gamma * ((1.0 if u <= u_min else 0.0 if u >= u_max
+                               else (u_max - u) / spread) - x)
+                x2 = x + 0.5 * h * k1
+                u = ceff - e * x2
+                k2 = gamma * ((1.0 if u <= u_min else 0.0 if u >= u_max
+                               else (u_max - u) / spread) - x2)
+                x3 = x + 0.5 * h * k2
+                u = ceff - e * x3
+                k3 = gamma * ((1.0 if u <= u_min else 0.0 if u >= u_max
+                               else (u_max - u) / spread) - x3)
+                x4 = x + h * k3
+                u = ceff - e * x4
+                k4 = gamma * ((1.0 if u <= u_min else 0.0 if u >= u_max
+                               else (u_max - u) / spread) - x4)
+                x = x + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
             t = t_next
-            levels[i] = x
-            i += 1
-        if t < b:
-            x = _rk4_const_cost(ccdf, ceff, e, gamma, x, b - t)
-            t = b
+            if on_grid:
+                levels[i] = x
+                i += 1
     return SampledTrajectory(start_time=t0, dt=dt, levels=levels)
 
 

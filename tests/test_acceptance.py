@@ -164,7 +164,7 @@ def _max_gap(params, traj, schedule, x0, t_end, n=None):
     sampled = integrate_ode(
         params, subsidy_schedule=schedule, t0=0.0, x0=x0, t_end=t_end, dt=t_end / n
     )
-    return max(abs(traj.value(t) - x) for t, x in zip(sampled.times, sampled.levels))
+    return np.max(np.abs(traj.values(sampled.times) - sampled.levels))
 
 
 def test_criterion_5_oracle_equivalence():

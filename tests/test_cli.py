@@ -184,6 +184,17 @@ def test_validate_noext_cls_cost_check(tmp_path, capsys):
         assert "cost |analytic - quadrature|" in stdout
 
 
+def test_validate_zero_length_window(tmp_path, capsys):
+    # A window of length 0 pays nothing: the outlay check compares the
+    # analytic outlay against 0 instead of integrating an empty window.
+    noext = ("u_min=0", "u_max=1", "cost=0.5", "externality=0", "gamma=1", "x0=0.1")
+    for keys in ((*TIPPING_KEYS, "x0=0.25", "kind=full", "dt=0.01"),
+                 (*noext, "kind=cls", "s=0.25"), (*noext, "kind=full")):
+        code, stdout, stderr = run(capsys, "validate", *sets(*keys, "T=0", "t_end=5"))
+        assert (code, stderr) == (0, ""), keys
+        assert "cost |analytic - quadrature| = 0.000e+00 (tol 1e-05): PASS" in stdout
+
+
 def test_sweep_outputs(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code, stdout, _ = run(
@@ -399,6 +410,46 @@ def test_sweep_csv_reproducible_from_library(tmp_path, capsys):
             r.regime, "closed_form", id(r) in on_frontier,
         )))
     assert out.read_text() == "\n".join(lines) + "\n"
+
+
+def test_simulate_csv_reproducible_from_library(tmp_path, capsys):
+    # The grid t0 + i*dt up to t_end, the horizon, the window end and the
+    # band-edge junctions, each once and in order, valued by the path.
+    from netadopt import ModelParams, full_subsidy_analysis
+    from netadopt.cli import _fmt
+
+    out = tmp_path / "traj.csv"
+    code, stdout, _ = run(
+        capsys, "simulate",
+        *sets(*TIPPING_KEYS, "x0=0.25", "kind=full", "T=2", "t_end=10", "dt=0.3"),
+        "--output", str(out),
+    )
+    assert code == 0
+    params = ModelParams(1, 2, 3, 3, 0.3333333333333333)
+    traj = full_subsidy_analysis(params, 0.0, 0.25, 2.0).trajectory
+    junctions = [b for b in traj.breakpoints if 0.0 < b <= 10.0]
+    assert junctions and traj.subsidy_end == 2.0
+    times = sorted({i * 0.3 for i in range(34)} | {10.0, 2.0, *junctions})
+    lines = ["t,x,phase"] + [
+        f"{_fmt(t)},{_fmt(traj.value(t))},{'subsidized' if t <= 2.0 else 'unsubsidized'}"
+        for t in times
+    ]
+    assert out.read_text() == "\n".join(lines) + "\n"
+    assert stdout.startswith(f"{len(times)} rows on [0, 10]\n")
+
+
+def test_simulate_rows_stop_at_horizon(tmp_path, capsys):
+    # A step longer than the horizon leaves the start and the horizon.
+    out = tmp_path / "traj.csv"
+    code, stdout, _ = run(
+        capsys, "simulate",
+        *sets(*TIPPING_KEYS[:4], "gamma=1", "x0=0.25", "t_end=1", "dt=5"),
+        "--output", str(out),
+    )
+    assert code == 0
+    _, rows = read_csv(out)
+    assert [r[0] for r in rows] == ["0", "1"]
+    assert stdout.startswith("2 rows on [0, 1]\n")
 
 
 def test_module_entry_point(tmp_path):

@@ -16,6 +16,7 @@ from netadopt import (
     solve_linear,
     unsubsidized_trajectory,
 )
+from netadopt.closed_form import SAMPLE_BLOCK
 
 TIPPING = ModelParams(1.0, 2.0, 3.0, 3.0, 1.0 / 3.0)  # bistable, interior 0.5
 TIPPING_BAND = band_ode(TIPPING, 3.0)
@@ -246,6 +247,55 @@ def test_trajectory_eval_contract():
     b = traj.breakpoints[0]
     first, second = traj.segments
     assert abs(first.value(b) - second.value(b)) <= 1e-12
+
+
+def _segment_scan_value(traj, t):
+    """Reference: the latest segment starting at or before t, evaluated alone."""
+    for seg in reversed(traj.segments):
+        if t >= seg.start_time:
+            return seg.value(t)
+    raise AssertionError("t precedes the path")
+
+
+def _three_segment_path():
+    first = ExponentialSegment(0.5, 0.2, limit=0.0, rate=-1.0)
+    drift = LinearDriftSegment(1.5, first.value(1.5), slope=0.1)
+    last = ExponentialSegment(2.25, drift.value(2.25), limit=1.0, rate=-0.5)
+    return PiecewiseTrajectory((first, drift, last))
+
+
+@pytest.mark.parametrize("traj", [
+    unsubsidized_trajectory(ModelParams(1, 2, 1.5, 0.0, 1.0), 0.0, 0.2),  # one segment
+    unsubsidized_trajectory(TIPPING, 0.0, 0.6),  # band, then above it
+    unsubsidized_trajectory(ModelParams(1.0, 2.0, 2.4, 1.0, 1.0), 0.0, 0.8),  # drift first
+    _three_segment_path(),
+])
+def test_values_match_scalar_evaluation_bitwise(traj):
+    start = traj.start_time
+    junctions = list(traj.breakpoints)
+    times = np.sort(np.concatenate([
+        # More samples than two evaluation blocks, so block edges are crossed.
+        start + np.linspace(0.0, 12.0, 2 * SAMPLE_BLOCK + 809), junctions, junctions,
+        [start, start],
+        np.nextafter(junctions, -np.inf), np.nextafter(junctions, np.inf),
+    ]))
+    got = traj.values(times)
+    assert got.dtype == np.float64 and got.shape == times.shape
+    expected = np.array([_segment_scan_value(traj, t) for t in times.tolist()])
+    assert got.tobytes() == expected.tobytes()
+    assert got.tobytes() == np.array([traj.value(t) for t in times.tolist()]).tobytes()
+    # A junction time takes the later segment.
+    for b, seg in zip(traj.breakpoints, traj.segments[1:]):
+        assert traj.values([b, b]).tolist() == [seg.value(b)] * 2
+
+
+def test_values_contract():
+    traj = _three_segment_path()
+    assert traj.values([]).shape == (0,)
+    with pytest.raises(InvalidParameterError, match="precedes"):
+        traj.values([0.0, 1.0])
+    with pytest.raises(InvalidParameterError, match="nondecreasing"):
+        traj.values([1.0, 3.0, 2.0])
 
 
 def test_trajectory_continuity_enforced():

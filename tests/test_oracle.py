@@ -52,6 +52,67 @@ def test_integrate_step_validation():
             integrate_ode(TIPPING, t_end=t_end, dt=0.01)
 
 
+def _rk4_const_cost(ccdf, ceff, e, gamma, x, h):
+    """Reference: one RK4 step of xdot = gamma*(ccdf(ceff - e*x) - x)."""
+    if h == 0.0:
+        return x
+    k1 = gamma * (ccdf(ceff - e * x) - x)
+    x2 = x + 0.5 * h * k1
+    k2 = gamma * (ccdf(ceff - e * x2) - x2)
+    x3 = x + 0.5 * h * k2
+    k3 = gamma * (ccdf(ceff - e * x3) - x3)
+    x4 = x + h * k3
+    k4 = gamma * (ccdf(ceff - e * x4) - x4)
+    return x + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+
+
+def _reference_levels(params, schedule, t0, x0, t_end, dt):
+    """Reference: the phase-by-phase scalar-step loop, one call per step."""
+    ccdf = params.affinity.ccdf
+    n = max(1, round((t_end - t0) / dt))
+    t_end = t0 + n * dt
+    level, start, end = (
+        (0.0, t0, t0) if schedule is None
+        else (schedule.level, schedule.start, schedule.end)
+    )
+    edges = [t0, *sorted({b for b in (start, end) if t0 < b < t_end}), t_end]
+    levels = [x0]
+    x, t, i = x0, t0, 1
+    for a, b in zip(edges, edges[1:]):
+        ceff = params.cost - (level if start <= 0.5 * (a + b) <= end else 0.0)
+        while i <= n and t0 + i * dt <= b:
+            x = _rk4_const_cost(ccdf, ceff, params.externality, params.gamma, x,
+                                t0 + i * dt - t)
+            t = t0 + i * dt
+            levels.append(x)
+            i += 1
+        if t < b:
+            x = _rk4_const_cost(ccdf, ceff, params.externality, params.gamma, x, b - t)
+            t = b
+    return np.array(levels)
+
+
+@pytest.mark.parametrize("schedule, t0, x0, t_end", [
+    (None, 0.0, 0.2, 6.0),  # no window: falls through the band toward 0
+    (ConstantLevelSubsidy(1.0, 1.5), 0.0, 0.0, 4.0),  # edges on grid times
+    (ConstantLevelSubsidy(0.7, 0.77031, start=0.30037), 0.1, 0.05, 3.0),  # between them
+])
+def test_integrate_ode_matches_scalar_steps_bitwise(schedule, t0, x0, t_end):
+    sampled = integrate_ode(PLANNER, subsidy_schedule=schedule, t0=t0, x0=x0,
+                            t_end=t_end, dt=1e-3)
+    expected = _reference_levels(PLANNER, schedule, t0, x0, t_end, 1e-3)
+    assert sampled.levels.tobytes() == expected.tobytes()
+    # The samples take at least two of the uniform ccdf's three branches.
+    ceff = np.full(len(sampled.levels), PLANNER.cost)
+    if schedule is not None:
+        times = sampled.times
+        ceff[(times >= schedule.start) & (times <= schedule.end)] -= schedule.level
+    u = ceff - PLANNER.externality * sampled.levels
+    branches = [u <= PLANNER.u_min, (u > PLANNER.u_min) & (u < PLANNER.u_max),
+                u >= PLANNER.u_max]
+    assert sum(b.any() for b in branches) >= 2
+
+
 def test_rk4_self_convergence():
     # Smooth span (no band crossing): halving dt cuts deviation by >= 8x.
     devs = {}

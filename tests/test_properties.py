@@ -38,7 +38,7 @@ def max_oracle_gap(params, traj, schedule, t0, x0, t_end, dt=None):
         params, subsidy_schedule=schedule, t0=t0, x0=x0, t_end=t_end,
         dt=dt if dt is not None else 1e-3 / params.gamma,
     )
-    return max(abs(traj.value(t) - x) for t, x in zip(sampled.times, sampled.levels))
+    return np.max(np.abs(traj.values(sampled.times) - sampled.levels))
 
 
 def test_classify_matches_brute_force():
