@@ -9,17 +9,7 @@ length, total outlay, Pareto frontier), and an independent fixed-step
 RK4 / quadrature oracle used to cross-validate all of it.
 """
 
-from .closed_form import (
-    ExponentialSegment,
-    LinearDriftSegment,
-    LinearODE,
-    PiecewiseTrajectory,
-    band_hit_time,
-    band_ode,
-    hit_time,
-    solve_linear,
-    unsubsidized_trajectory,
-)
+from .closed_form import PiecewiseTrajectory, Segment, unsubsidized_trajectory
 from .errors import (
     AssumptionViolationError,
     InfeasibleSubsidyError,
@@ -35,17 +25,9 @@ from .model import (
     ModelParams,
     classify_equilibria,
     interior_equilibrium,
-    stability_of,
     would_adopt,
 )
-from .oracle import (
-    SampledTrajectory,
-    brute_force_equilibria,
-    finite_diff,
-    first_passage,
-    integrate_cost,
-    integrate_ode,
-)
+from .oracle import SampledTrajectory, integrate_cost, integrate_ode
 from .subsidy import (
     ConstantLevelSubsidy,
     CostResult,
@@ -77,31 +59,23 @@ __all__ = [
     "CostResult",
     "CostSignPattern",
     "EquilibriumReport",
-    "ExponentialSegment",
     "FullSubsidyReport",
     "InfeasibleSubsidyError",
     "InvalidParameterError",
     "InvalidStepError",
-    "LinearDriftSegment",
-    "LinearODE",
     "ModelParams",
     "NotAnEquilibriumError",
     "ParetoFrontier",
     "PiecewiseTrajectory",
     "STABLE",
     "SampledTrajectory",
+    "Segment",
     "SingularParametersError",
     "SubsidySweepRow",
     "UNSTABLE",
-    "band_hit_time",
-    "band_ode",
-    "brute_force_equilibria",
     "classify_equilibria",
     "cost_sign_pattern",
-    "finite_diff",
-    "first_passage",
     "full_subsidy_analysis",
-    "hit_time",
     "integrate_cost",
     "integrate_ode",
     "interior_equilibrium",
@@ -114,8 +88,6 @@ __all__ = [
     "noext_required_duration",
     "noext_subsidy_cost",
     "pareto_frontier",
-    "solve_linear",
-    "stability_of",
     "subsidized_trajectory",
     "subsidy_interval_bounds",
     "sweep",

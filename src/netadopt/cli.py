@@ -342,12 +342,14 @@ def cmd_validate(config: ScenarioConfig) -> int:
         params, subsidy_schedule=schedule, t0=t0, x0=config.x0, t_end=t_end, dt=dt
     )
     window = None
-    if analytic_cost is not None and schedule.duration > 0:
+    window_dt = 0.0 if analytic_cost is None else _whole_steps(schedule.duration, dt, 1000)
+    if window_dt > 0.0:
         # Integrated before any check prints, so that a window too long
-        # for the oracle is refused with no partial report.
+        # for the oracle is refused with no partial report.  A window of
+        # length 0, or one so short that its step underflows, pays nothing.
         window = oracle.integrate_ode(
             params, subsidy_schedule=schedule, t0=t0, x0=config.x0,
-            t_end=schedule.end, dt=_whole_steps(schedule.duration, dt, 1000),
+            t_end=schedule.end, dt=window_dt,
         )
     _check("trajectory max |closed form - rk4|",
            _max_gap(traj.values(sampled.times), sampled.levels), TRAJECTORY_TOL, failures)
@@ -372,7 +374,6 @@ def cmd_validate(config: ScenarioConfig) -> int:
         _verdict(f"rk4 self-convergence (factor {d1 / max(d2, 1e-300):.1f})", ok, failures)
 
     if analytic_cost is not None:
-        # A zero-length window pays nothing, so there is nothing to integrate.
         numeric = 0.0 if window is None else oracle.integrate_cost(window, schedule)
         _check("cost |analytic - quadrature|", abs(analytic_cost - numeric),
                COST_TOL, failures)

@@ -4,9 +4,13 @@ The dynamics xdot = gamma * (would_adopt(x) - x) are piecewise linear in
 x: below the band [band_low, band_high] the level decays exponentially
 toward 0, above it it rises exponentially toward 1, and inside it follows
 a linear ODE whose fixed point is the interior equilibrium.  A trajectory
-is therefore an ordered list of exponential (or, in one degenerate case,
-linear-drift) segments glued at the exact band-crossing times.  Without
-network effects the band is empty and the path is a single exponential.
+is therefore an ordered list of segments x0 + step * expm1(rate * tau),
+glued at the exact band-crossing times; on the degenerate band
+(externality == u_max - u_min) the in-band segment has rate 0 and drifts
+linearly.  Written from the start level, a segment stays accurate when
+the in-band fixed point is huge, and ``time_to`` inverts it with log1p.
+Without network effects the band is empty and the path is a single
+exponential.
 """
 
 from __future__ import annotations
@@ -24,79 +28,45 @@ SAMPLE_BLOCK = 4096  # samples evaluated per pass; bounds the floats held at onc
 
 
 @dataclass(frozen=True, slots=True)
-class LinearODE:
-    """Coefficients of xdot = gamma * (a * x + b)."""
+class Segment:
+    """x(t) = start_level + step * expm1(rate * (t - start_time)).
 
-    a: float
-    b: float
-
-
-def solve_linear(ode: LinearODE, gamma: float, t0: float, x0: float, t: float) -> float:
-    """Exact solution of xdot = gamma*(a*x + b) with x(t0) = x0, at time t.
-
-    For a == 0 the analytic limit x0 + gamma*b*(t - t0) is used.
+    With rate < 0 the level relaxes toward ``start_level - step`` and with
+    rate > 0 it moves away from it; with rate == 0 it drifts linearly,
+    x(t) = start_level + step * (t - start_time).  Measuring from the
+    start level keeps the displacement accurate even when that limit is
+    huge, as it is in a nearly degenerate band.
     """
-    a, b = ode.a, ode.b
-    tau = t - t0
-    if a == 0.0:
-        return x0 + gamma * b * tau
-    return ((a * x0 + b) * math.exp(a * gamma * tau) - b) / a
-
-
-def hit_time(
-    ode: LinearODE, gamma: float, t0: float, x0: float, x: float
-) -> float | None:
-    """First time t >= t0 at which the linear ODE solution reaches x.
-
-    Returns None when the level is never reached (wrong side of the fixed
-    point, motion away from the target, or asymptotic approach only).
-    """
-    a, b = ode.a, ode.b
-    if x == x0:
-        return t0
-    if a == 0.0:
-        if b == 0.0:
-            return None
-        dt = (x - x0) / (gamma * b)
-        return t0 + dt if dt >= 0.0 else None
-    start = a * x0 + b
-    if start == 0.0:
-        return None  # sitting on the fixed point, x != x0 unreachable
-    ratio = (a * x + b) / start
-    if ratio <= 0.0:
-        return None
-    dt = math.log(ratio) / (gamma * a)
-    return t0 + dt if dt >= 0.0 else None
-
-
-@dataclass(frozen=True, slots=True)
-class ExponentialSegment:
-    """x(t) = limit + (start_level - limit) * exp(rate * (t - start_time))."""
 
     start_time: float
     start_level: float
-    limit: float
     rate: float
+    step: float
 
     def value(self, t: float) -> float:
-        return self.limit + (self.start_level - self.limit) * math.exp(
-            self.rate * (t - self.start_time)
-        )
+        tau = t - self.start_time
+        if self.rate == 0.0:
+            return self.start_level + self.step * tau
+        return self.start_level + self.step * math.expm1(self.rate * tau)
 
+    def time_to(self, x: float) -> float | None:
+        """First time >= start_time at which the segment reaches x.
 
-@dataclass(frozen=True, slots=True)
-class LinearDriftSegment:
-    """x(t) = start_level + slope * (t - start_time); degenerate in-band case."""
-
-    start_time: float
-    start_level: float
-    slope: float
-
-    def value(self, t: float) -> float:
-        return self.start_level + self.slope * (t - self.start_time)
-
-
-Segment = ExponentialSegment | LinearDriftSegment
+        Returns None when the level is never reached (wrong side of the
+        limit, motion away from the target, or asymptotic approach only).
+        """
+        if x == self.start_level:
+            return self.start_time
+        if self.step == 0.0:
+            return None  # standing still
+        ratio = (x - self.start_level) / self.step
+        if self.rate == 0.0:
+            tau = ratio
+        elif ratio <= -1.0:
+            return None
+        else:
+            tau = math.log1p(ratio) / self.rate
+        return self.start_time + tau if tau >= 0.0 else None
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,11 +109,9 @@ class PiecewiseTrajectory:
     def final_level(self) -> float:
         """Asymptotic level as t goes to infinity."""
         last = self.segments[-1]
-        if isinstance(last, LinearDriftSegment):
-            raise InvalidParameterError("unbounded drift has no final level")
-        if last.rate > 0 and last.start_level != last.limit:
-            raise InvalidParameterError("diverging final segment has no limit")
-        return last.limit if last.start_level != last.limit else last.start_level
+        if last.rate >= 0.0 and last.step != 0.0:
+            raise InvalidParameterError("diverging or drifting final segment has no limit")
+        return last.start_level - last.step
 
     def value(self, t: float) -> float:
         """Adoption level at time t >= start_time."""
@@ -154,8 +122,8 @@ class PiecewiseTrajectory:
 
         The segments are located once over the sorted times; a time on a
         junction takes the later segment.  Each sample repeats its
-        segment's ``value`` arithmetic in the same order, with ``math.exp``
-        per element (a vector exp rounds differently on some arguments),
+        segment's ``value`` arithmetic in the same order, with ``math.expm1``
+        per element (a vector expm1 rounds differently on some arguments),
         so the levels equal the segments' scalar values bit for bit.
         """
         times = np.asarray(times, dtype=float)
@@ -175,31 +143,31 @@ class PiecewiseTrajectory:
             for a in range(lo, hi, SAMPLE_BLOCK):
                 b = min(a + SAMPLE_BLOCK, hi)
                 elapsed = times[a:b] - seg.start_time
-                if isinstance(seg, LinearDriftSegment):
-                    out[a:b] = seg.start_level + seg.slope * elapsed
+                if seg.rate == 0.0:
+                    out[a:b] = seg.start_level + seg.step * elapsed
                 else:
                     growth = np.fromiter(
-                        map(math.exp, (seg.rate * elapsed).tolist()), float, count=b - a
+                        map(math.expm1, (seg.rate * elapsed).tolist()), float, count=b - a
                     )
-                    out[a:b] = seg.limit + (seg.start_level - seg.limit) * growth
+                    out[a:b] = seg.start_level + seg.step * growth
         return out
 
 
-def band_ode(params: ModelParams, effective_cost: float | None = None) -> LinearODE:
-    """In-band coefficients: a = (e + u_min - u_max)/(u_max - u_min), etc."""
+def band_segment(
+    params: ModelParams, effective_cost: float, t0: float, x0: float
+) -> Segment:
+    """In-band piece from (t0, x0) of xdot = gamma * (a*x + b), where
+    a = (e + u_min - u_max)/(u_max - u_min) and b = (u_max - c)/(u_max - u_min).
+
+    For a != 0 it relaxes toward (or, with a > 0, away from) the fixed
+    point -b/a; on the degenerate band a == 0 it drifts at speed gamma*b.
+    """
     spread = params.u_max - params.u_min
-    c = params.cost if effective_cost is None else effective_cost
-    return LinearODE(
-        a=(params.externality + params.u_min - params.u_max) / spread,
-        b=(params.u_max - c) / spread,
-    )
-
-
-def band_hit_time(
-    x: float, t0: float, x0: float, effective_cost: float, params: ModelParams
-) -> float | None:
-    """Time for the in-band closed form to reach level x, or None."""
-    return hit_time(band_ode(params, effective_cost), params.gamma, t0, x0, x)
+    a = (params.externality + params.u_min - params.u_max) / spread
+    b = (params.u_max - effective_cost) / spread
+    if a == 0.0:
+        return Segment(t0, x0, rate=0.0, step=params.gamma * b)
+    return Segment(t0, x0, rate=a * params.gamma, step=x0 + b / a)
 
 
 def unsubsidized_trajectory(
@@ -229,42 +197,29 @@ def unsubsidized_trajectory(
     e = params.externality
     dist = params.affinity
     if e == 0.0:
-        return PiecewiseTrajectory(
-            (ExponentialSegment(t0, x0, limit=dist.ccdf(ceff), rate=-gamma),)
-        )
+        return PiecewiseTrajectory((Segment(t0, x0, rate=-gamma, step=x0 - dist.ccdf(ceff)),))
     low = params.band_low(ceff)
     high = params.band_high(ceff)
-    ode = band_ode(params, ceff)
 
     segments: list[Segment] = []
     t, x = t0, x0
     while True:
         f = gamma * (dist.ccdf(ceff - e * x) - x)
         if x < low or (x == low and f < 0):
-            segments.append(ExponentialSegment(t, x, limit=0.0, rate=-gamma))
+            segments.append(Segment(t, x, rate=-gamma, step=x))  # toward 0
             break
         if x > high or (x == high and f > 0):
-            segments.append(ExponentialSegment(t, x, limit=1.0, rate=-gamma))
+            segments.append(Segment(t, x, rate=-gamma, step=x - 1.0))  # toward 1
             break
-        if f == 0.0 or (ode.a == 0.0 and ode.b == 0.0):
+        seg = band_segment(params, ceff, t, x)
+        if f == 0.0 or seg.step == 0.0:
             # Fixed point (possibly the unstable interior one): stays put.
             # On the singular line every in-band level is one, even where
             # rounding leaves f != 0.
-            segments.append(ExponentialSegment(t, x, limit=x, rate=-gamma))
+            segments.append(Segment(t, x, rate=-gamma, step=0.0))
             break
-        if ode.a == 0.0:
-            target = high if ode.b > 0 else low
-            t_exit = hit_time(ode, gamma, t, x, target)
-            if t_exit <= t:
-                x = target
-                continue
-            segments.append(LinearDriftSegment(t, x, slope=gamma * ode.b))
-            t, x = t_exit, target
-            continue
-        fixed = -ode.b / ode.a
         target = high if f > 0 else low
-        t_exit = hit_time(ode, gamma, t, x, target)
-        seg = ExponentialSegment(t, x, limit=fixed, rate=ode.a * gamma)
+        t_exit = seg.time_to(target)
         if t_exit is None:
             segments.append(seg)
             break  # converges to the interior fixed point inside the band
@@ -272,19 +227,6 @@ def unsubsidized_trajectory(
             # Zero-length crossing within rounding: already at the edge.
             x = target
             continue
-        # Newton-polish the junction: rounding in log/exp is amplified by
-        # long near-threshold crawls, so land the segment on the edge to
-        # machine accuracy before handing over.
-        for _ in range(2):
-            value = seg.value(t_exit)
-            speed = seg.rate * (value - seg.limit)
-            if speed == 0.0:
-                break
-            polished = t_exit + (target - value) / speed
-            if polished <= t:
-                break
-            t_exit = polished
         segments.append(seg)
         t, x = t_exit, target
     return PiecewiseTrajectory(tuple(segments))
-

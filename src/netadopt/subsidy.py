@@ -17,11 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .closed_form import (
-    PiecewiseTrajectory,
-    band_hit_time,
-    unsubsidized_trajectory,
-)
+from .closed_form import PiecewiseTrajectory, band_segment, unsubsidized_trajectory
 from .errors import (
     AssumptionViolationError,
     InfeasibleSubsidyError,
@@ -411,29 +407,27 @@ def _plan(
         return 2, None, level / gamma * (inv_a * inner + low)
 
     if level <= b3:
-        duration = band_hit_time(x_int, 0.0, y0, ceff, params)
+        duration = band_segment(params, ceff, 0.0, y0).time_to(x_int)
         if y0 - sub_int <= 0.0:
             return 3, duration, knife_edge
         inner = sub_int * math.log((x_int - sub_int) / (y0 - sub_int)) + x_int - y0
         return 3, duration, level / gamma * inv_a * inner
 
     if level <= b4:
-        edge = params.band_high(ceff)
-        exit_time = band_hit_time(edge, 0.0, y0, ceff, params)
+        # The subsidized band edge band_high(ceff), written so that it is
+        # exactly y0 at b4: there the climb is all out of band and the
+        # duration equals range 5's to the last bit.
+        edge = y0 + (b4 - level) / e
+        exit_time = band_segment(params, ceff, 0.0, y0).time_to(edge)
+        duration = None  # the subsidized path sits on its own fixed point
         if exit_time is not None:
             duration = exit_time + math.log((1.0 - edge) / (1.0 - x_int)) / gamma
-        elif y0 >= edge:
-            # Rounding put the start above the subsidized band edge; the
-            # climb is then entirely out of band.
-            duration = math.log((1.0 - y0) / (1.0 - x_int)) / gamma
-        else:
-            duration = None  # the subsidized path sits on its own fixed point
         if y0 - sub_int <= 0.0:
             return 4, duration, knife_edge
         # In-band climb from y0 to the subsidized band edge, then the
         # climb toward 1 up to x_int.  log1p keeps the in-band term
         # accurate when externality is close to u_max - u_min.
-        top = min(max(edge, y0), x_int)
+        top = min(edge, x_int)
         in_band = sub_int * math.log1p((top - y0) / (y0 - sub_int)) + top - y0
         above = math.log1p((x_int - top) / (1.0 - x_int)) - (x_int - top)
         return 4, duration, level / gamma * (inv_a * in_band + above)
@@ -453,11 +447,11 @@ def sweep(
     """
     x_int, bounds = _planner_bounds(params, y0)
     inside = [b for b in bounds if 0.0 <= b <= params.cost]
-    grid = np.unique(np.concatenate([np.linspace(0.0, params.cost, grid_points), inside]))
+    # A set, not np.unique, whose first call imports numpy.ma.
+    grid = sorted({*np.linspace(0.0, params.cost, grid_points).tolist(), *inside})
 
     rows: list[SubsidySweepRow] = []
     for s in grid:
-        s = float(s)
         row, duration, outlay = _plan(params, y0, s, x_int, bounds)
         rows.append(
             SubsidySweepRow(

@@ -14,10 +14,8 @@ from conftest import random_params, random_planner_setup, random_start
 from netadopt import (
     ConstantLevelSubsidy,
     ModelParams,
-    brute_force_equilibria,
     classify_equilibria,
     cost_sign_pattern,
-    finite_diff,
     full_subsidy_analysis,
     integrate_cost,
     integrate_ode,
@@ -34,6 +32,7 @@ from netadopt import (
     sweep,
     unsubsidized_trajectory,
 )
+from netadopt.oracle import brute_force_equilibria, finite_diff
 
 TIPPING = ModelParams(1.0, 2.0, 3.0, 3.0, 1.0 / 3.0)
 PLANNER = ModelParams(1.0, 2.0, 2.5, 3.0, 1.0)

@@ -188,11 +188,16 @@ def test_validate_zero_length_window(tmp_path, capsys):
     # A window of length 0 pays nothing: the outlay check compares the
     # analytic outlay against 0 instead of integrating an empty window.
     noext = ("u_min=0", "u_max=1", "cost=0.5", "externality=0", "gamma=1", "x0=0.1")
-    for keys in ((*TIPPING_KEYS, "x0=0.25", "kind=full", "dt=0.01"),
-                 (*noext, "kind=cls", "s=0.25"), (*noext, "kind=full")):
-        code, stdout, stderr = run(capsys, "validate", *sets(*keys, "T=0", "t_end=5"))
+    # A subnormal window counts as one of length 0: its oracle step
+    # underflows, and its outlay (here 3 * 5e-324) is compared against 0.
+    tipping = (*TIPPING_KEYS, "x0=0.25", "kind=full", "dt=0.01")
+    for keys, outlay in (((*tipping, "T=0"), "0.000e+00"),
+                         ((*noext, "kind=cls", "s=0.25", "T=0"), "0.000e+00"),
+                         ((*noext, "kind=full", "T=0"), "0.000e+00"),
+                         ((*tipping, "T=5e-324"), "1.482e-323")):
+        code, stdout, stderr = run(capsys, "validate", *sets(*keys, "t_end=5"))
         assert (code, stderr) == (0, ""), keys
-        assert "cost |analytic - quadrature| = 0.000e+00 (tol 1e-05): PASS" in stdout
+        assert f"cost |analytic - quadrature| = {outlay} (tol 1e-05): PASS" in stdout
 
 
 def test_sweep_outputs(tmp_path, capsys):
@@ -519,6 +524,39 @@ def test_simulate_zero_externality_edges(tmp_path, capsys):
     # A level above the cost is accepted without network effects.
     code, _, _ = run(capsys, "simulate", *sets(*base, "s=0.7"), "--output", str(out))
     assert code == 0
+
+
+def test_near_singular_min_duration_simulate(tmp_path, capsys):
+    # externality/(u_max - u_min) = 1 + 1e-6: the in-band fixed point of
+    # the subsidized dynamics is about -7.5e5, far from the path, yet the
+    # in-band climb meets the band edge exactly and the window ends on the
+    # tipping level 0.5.
+    out = tmp_path / "traj.csv"
+    code, stdout, stderr = run(
+        capsys, "simulate",
+        *sets("u_min=1", "u_max=2", "cost=2.0000005", "externality=1.000001", "gamma=1",
+              "x0=0", "kind=min_duration", "s=0.75"),
+        "--output", str(out),
+    )
+    assert (code, stderr) == (0, "")
+    _, rows = read_csv(out)
+    assert stdout.startswith(f"{len(rows)} rows on [0, ")
+    assert float(rows[-1][1]) == pytest.approx(0.5, abs=1e-12)
+    assert all(0.0 <= float(r[1]) <= 1.0 for r in rows)
+
+
+def test_sweep_does_not_import_numpy_ma(tmp_path):
+    argv = ["sweep", *sets(*PLANNER_KEYS, "x0=0", "kind=min_duration"),
+            "--output", str(tmp_path / "sweep.csv")]
+    script = (
+        "import sys\n"
+        "from netadopt.cli import main\n"
+        f"main({argv!r})\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_singular_line_paths(tmp_path, capsys):

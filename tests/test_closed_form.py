@@ -4,32 +4,26 @@ import numpy as np
 import pytest
 
 from netadopt import (
-    ExponentialSegment,
     InvalidParameterError,
-    LinearDriftSegment,
-    LinearODE,
     ModelParams,
     PiecewiseTrajectory,
-    band_hit_time,
-    band_ode,
-    hit_time,
-    solve_linear,
+    Segment,
     unsubsidized_trajectory,
 )
-from netadopt.closed_form import SAMPLE_BLOCK
+from netadopt.closed_form import SAMPLE_BLOCK, band_segment
 
 TIPPING = ModelParams(1.0, 2.0, 3.0, 3.0, 1.0 / 3.0)  # bistable, interior 0.5
-TIPPING_BAND = band_ode(TIPPING, 3.0)
 
 
 def band_level(t, x0):
     """In-band closed form for TIPPING from (0, x0)."""
-    return solve_linear(TIPPING_BAND, TIPPING.gamma, 0.0, x0, t)
+    return band_segment(TIPPING, 3.0, 0.0, x0).value(t)
 
 
-def bisect_hit_time(ode, gamma, t0, x0, x, hi=200.0):
-    """Independent inverse of solve_linear by bisection on time."""
-    f = lambda t: solve_linear(ode, gamma, t0, x0, t) - x
+def bisect_hit_time(seg, x, hi=200.0):
+    """Independent inverse of Segment.value by bisection on time."""
+    f = lambda t: seg.value(t) - x
+    t0 = seg.start_time
     lo = t0
     if f(lo) == 0.0:
         return lo
@@ -48,41 +42,51 @@ def bisect_hit_time(ode, gamma, t0, x0, x, hi=200.0):
 
 
 def test_solve_linear_basics():
-    assert solve_linear(LinearODE(-1, 0), 1.0, 0.0, 1.0, 1.0) == pytest.approx(math.exp(-1), abs=1e-15)
-    assert solve_linear(LinearODE(-1, 1), 1.0, 0.0, 0.0, 1.0) == pytest.approx(1 - math.exp(-1), abs=1e-15)
-    assert solve_linear(LinearODE(0, 1), 1.0, 0.0, 0.0, 0.5) == pytest.approx(0.5, abs=1e-15)
+    # Segment.value solves the linear ODE: decay toward 0, relaxation
+    # toward 1, and a linear drift.
+    assert Segment(0.0, 1.0, rate=-1.0, step=1.0).value(1.0) == pytest.approx(math.exp(-1), abs=1e-15)
+    assert Segment(0.0, 0.0, rate=-1.0, step=-1.0).value(1.0) == pytest.approx(1 - math.exp(-1), abs=1e-15)
+    assert Segment(0.0, 0.0, rate=0.0, step=1.0).value(0.5) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_hit_time_decay_inverse():
-    assert hit_time(LinearODE(-1, 0), 1.0, 0.0, 1.0, math.exp(-1)) == pytest.approx(1.0, abs=1e-12)
+    assert Segment(0.0, 1.0, rate=-1.0, step=1.0).time_to(math.exp(-1)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_hit_time_asymptote_infeasible():
-    assert hit_time(LinearODE(-1, 1), 1.0, 0.0, 0.0, 1.0) is None
+    assert Segment(0.0, 0.0, rate=-1.0, step=-1.0).time_to(1.0) is None
 
 
 def test_hit_time_growing_branch():
-    # Frozen from the bisection oracle below: 1.5*log(5/3).
-    ode = LinearODE(2.0, -1.0)
+    # Frozen from the bisection oracle below: 1.5*log(5/3).  xdot =
+    # (1/3)(2x - 1) from 0.4: rate 2/3, fixed point 0.5, step -0.1.
+    seg = Segment(0.0, 0.4, rate=2.0 / 3.0, step=0.4 - 0.5)
     expected = 1.5 * math.log(5.0 / 3.0)
-    got = hit_time(ode, 1.0 / 3.0, 0.0, 0.4, 1.0 / 3.0)
+    got = seg.time_to(1.0 / 3.0)
     assert got == pytest.approx(0.7662384356489861, abs=1e-12)
     assert got == pytest.approx(expected, abs=1e-12)
-    oracle = bisect_hit_time(ode, 1.0 / 3.0, 0.0, 0.4, 1.0 / 3.0)
-    assert got == pytest.approx(oracle, abs=1e-9)
+    assert got == pytest.approx(bisect_hit_time(seg, 1.0 / 3.0), abs=1e-9)
+    assert seg.time_to(0.45) is None  # moves away from the fixed point
 
 
 def test_hit_time_degenerate_drift():
-    ode = LinearODE(0.0, 1.0)
-    assert hit_time(ode, 2.0, 1.0, 0.0, 1.0) == pytest.approx(1.5, abs=1e-15)
-    assert hit_time(ode, 2.0, 1.0, 0.5, 0.0) is None  # drifts the other way
-    assert hit_time(LinearODE(0.0, 0.0), 1.0, 0.0, 0.3, 0.3) == 0.0
+    drift = Segment(1.0, 0.0, rate=0.0, step=2.0)
+    assert drift.time_to(1.0) == pytest.approx(1.5, abs=1e-15)
+    assert Segment(1.0, 0.5, rate=0.0, step=2.0).time_to(0.0) is None  # drifts the other way
+    assert Segment(0.0, 0.3, rate=0.0, step=0.0).time_to(0.3) == 0.0
+    assert Segment(0.0, 0.3, rate=0.0, step=0.0).time_to(0.4) is None
 
 
 def test_band_ode_coefficients():
-    ode = band_ode(TIPPING)
-    assert ode.a == pytest.approx(2.0, abs=1e-15)
-    assert ode.b == pytest.approx(-1.0, abs=1e-15)
+    # a = 2, b = -1: rate a*gamma, step x0 + b/a; the degenerate band
+    # (externality == spread) drifts at gamma*b.
+    seg = band_segment(TIPPING, 3.0, 0.0, 0.4)
+    assert seg.rate == pytest.approx(2.0 / 3.0, abs=1e-15)
+    assert seg.step == pytest.approx(-0.1, abs=1e-15)
+    assert seg.start_level - seg.step == pytest.approx(0.5, abs=1e-15)
+    drift = band_segment(ModelParams(1.0, 2.0, 2.4, 1.0, 2.0), 2.4, 1.0, 0.8)
+    assert (drift.start_time, drift.start_level, drift.rate) == (1.0, 0.8, 0.0)
+    assert drift.step == pytest.approx(2.0 * -0.4, abs=1e-15)
 
 
 def test_band_level_examples():
@@ -95,28 +99,30 @@ def test_band_level_examples():
 
 
 def test_band_hit_time_examples():
-    assert band_hit_time(0.4, 0.0, 0.4, 3.0, TIPPING) == 0.0
-    assert band_hit_time(1 / 3, 0.0, 0.4, 3.0, TIPPING) == pytest.approx(
+    assert band_segment(TIPPING, 3.0, 0.0, 0.4).time_to(0.4) == 0.0
+    assert band_segment(TIPPING, 3.0, 0.0, 0.4).time_to(1 / 3) == pytest.approx(
         0.7662384356489861, abs=1e-9
     )
     # Starting below the band the in-band form moves away from 2/3.
-    assert band_hit_time(2 / 3, 0.0, 0.25, 3.0, TIPPING) is None
+    assert band_segment(TIPPING, 3.0, 0.0, 0.25).time_to(2 / 3) is None
 
 
 def test_band_hit_round_trip():
     for x0 in (0.36, 0.42, 0.55, 0.62):
         for target in (0.345, 0.4, 0.6, 0.66):
-            t = band_hit_time(target, 0.0, x0, 3.0, TIPPING)
+            seg = band_segment(TIPPING, 3.0, 0.0, x0)
+            t = seg.time_to(target)
             if t is None:
+                assert bisect_hit_time(seg, target) is None
                 continue
             assert band_level(t, x0) == pytest.approx(target, abs=1e-9)
+            assert t == pytest.approx(bisect_hit_time(seg, target), abs=1e-9)
 
 
 def test_band_exit_times_examples():
     def exit_times(x0):
-        low, high = TIPPING.band_low(), TIPPING.band_high()
-        return (hit_time(TIPPING_BAND, TIPPING.gamma, 0.0, x0, low),
-                hit_time(TIPPING_BAND, TIPPING.gamma, 0.0, x0, high))
+        seg = band_segment(TIPPING, 3.0, 0.0, x0)
+        return seg.time_to(TIPPING.band_low()), seg.time_to(TIPPING.band_high())
 
     down, up = exit_times(0.4)
     assert down == pytest.approx(0.7662384356489861, abs=1e-9)
@@ -179,7 +185,7 @@ def test_trajectory_case1_two_phase():
     assert traj.final_level == 0.0
     assert len(traj.segments) == 2
     x_int = 1.5  # (2 - 3.5) / (2 - 3)
-    a, gamma = band_ode(params).a, params.gamma
+    a, gamma = 1.0, params.gamma  # a = (externality + u_min - u_max)/(u_max - u_min)
     t_low = math.log((0.75 - x_int) / (0.9 - x_int)) / (a * gamma)
     assert traj.breakpoints[0] == pytest.approx(t_low, abs=1e-12)
     assert traj.value(t_low) == pytest.approx(0.75, abs=1e-12)
@@ -204,7 +210,7 @@ def test_trajectory_degenerate_band_drift():
     # externality == spread: the in-band dynamics have constant speed.
     params = ModelParams(1.0, 2.0, 2.4, 1.0, 1.0)  # band [0.4, 1.4], drifts down
     traj = unsubsidized_trajectory(params, 0.0, 0.8)
-    assert isinstance(traj.segments[0], LinearDriftSegment)
+    assert traj.segments[0].rate == 0.0
     assert traj.final_level == 0.0
     # xdot = gamma * b = -0.4 inside the band
     assert traj.value(0.5) == pytest.approx(0.6, abs=1e-12)
@@ -258,9 +264,9 @@ def _segment_scan_value(traj, t):
 
 
 def _three_segment_path():
-    first = ExponentialSegment(0.5, 0.2, limit=0.0, rate=-1.0)
-    drift = LinearDriftSegment(1.5, first.value(1.5), slope=0.1)
-    last = ExponentialSegment(2.25, drift.value(2.25), limit=1.0, rate=-0.5)
+    first = Segment(0.5, 0.2, rate=-1.0, step=0.2)
+    drift = Segment(1.5, first.value(1.5), rate=0.0, step=0.1)
+    last = Segment(2.25, drift.value(2.25), rate=-0.5, step=drift.value(2.25) - 1.0)
     return PiecewiseTrajectory((first, drift, last))
 
 
@@ -299,10 +305,23 @@ def test_values_contract():
 
 
 def test_trajectory_continuity_enforced():
-    good = ExponentialSegment(0.0, 0.2, limit=0.0, rate=-1.0)
-    bad = ExponentialSegment(1.0, 0.9, limit=1.0, rate=-1.0)
+    good = Segment(0.0, 0.2, rate=-1.0, step=0.2)
+    bad = Segment(1.0, 0.9, rate=-1.0, step=0.9 - 1.0)
     with pytest.raises(InvalidParameterError):
         PiecewiseTrajectory((good, bad))
+
+
+def test_final_level_is_exactly_empty_or_full():
+    # final_level is start_level - step with step = x0 - limit; for the
+    # limits 0 and 1 that round trip is exact for every x0 in [0, 1].
+    rng = np.random.default_rng(2718)
+    starts = [0.0, 5e-324, 1e-300, 0.5, math.nextafter(1.0, 0.0), 1.0]
+    for x0 in starts + rng.uniform(0.0, 1.0, 2000).tolist():
+        assert PiecewiseTrajectory((Segment(0.0, x0, rate=-1.0, step=x0),)).final_level == 0.0
+        assert PiecewiseTrajectory((Segment(0.0, x0, rate=-1.0, step=x0 - 1.0),)).final_level == 1.0
+    for x0 in np.linspace(0.0, 1.0, 41).tolist():
+        final = unsubsidized_trajectory(TIPPING, 0.0, x0).final_level
+        assert final == (0.0 if x0 < 0.5 else 0.5 if x0 == 0.5 else 1.0)
 
 
 def test_trajectory_bounded():

@@ -11,10 +11,9 @@ from netadopt import (
     SingularParametersError,
     classify_equilibria,
     interior_equilibrium,
-    stability_of,
     would_adopt,
 )
-from netadopt.model import UniformAffinity
+from netadopt.model import UniformAffinity, stability_of
 
 BISTABLE = ModelParams(1.0, 2.0, 2.5, 2.0, 1.0)
 

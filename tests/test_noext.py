@@ -9,7 +9,6 @@ from netadopt import (
     ConstantLevelSubsidy,
     InvalidParameterError,
     ModelParams,
-    finite_diff,
     integrate_cost,
     integrate_ode,
     noext_cost_at_target,
@@ -18,6 +17,7 @@ from netadopt import (
     noext_subsidy_cost,
     subsidized_trajectory,
 )
+from netadopt.oracle import finite_diff
 
 WIDE = ModelParams(1.0, 6.0, 3.0, 0.0, 1.0)  # ccdf(cost) = 0.6
 UNIT_MARKET = ModelParams(0.0, 1.0, 0.5, 0.0, 1.0)

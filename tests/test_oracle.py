@@ -8,15 +8,13 @@ from netadopt import (
     InvalidParameterError,
     InvalidStepError,
     ModelParams,
-    brute_force_equilibria,
-    finite_diff,
-    first_passage,
     full_subsidy_analysis,
     integrate_cost,
     integrate_ode,
     min_duration,
     min_duration_cost,
 )
+from netadopt.oracle import brute_force_equilibria, finite_diff, first_passage
 
 TIPPING = ModelParams(1.0, 2.0, 3.0, 3.0, 1.0 / 3.0)
 PLANNER = ModelParams(1.0, 2.0, 2.5, 3.0, 1.0)

@@ -8,13 +8,8 @@ from conftest import random_params, random_planner_setup, random_start
 
 from netadopt import (
     ConstantLevelSubsidy,
-    LinearDriftSegment,
     ModelParams,
-    brute_force_equilibria,
-    band_hit_time,
-    band_ode,
     classify_equilibria,
-    finite_diff,
     full_subsidy_analysis,
     integrate_cost,
     integrate_ode,
@@ -25,12 +20,13 @@ from netadopt import (
     min_subsidy,
     noext_cost_at_target,
     noext_required_duration,
-    solve_linear,
     subsidized_trajectory,
     subsidy_interval_bounds,
     unsubsidized_trajectory,
     would_adopt,
 )
+from netadopt.closed_form import band_segment
+from netadopt.oracle import brute_force_equilibria, finite_diff
 
 
 def max_oracle_gap(params, traj, schedule, t0, x0, t_end, dt=None):
@@ -102,16 +98,14 @@ def test_band_time_level_round_trip():
         low, high = params.band_low(), params.band_high()
         x0 = float(rng.uniform(low, high))
         target = float(rng.uniform(low, high))
-        ode = band_ode(params)
-        t = band_hit_time(target, 0.0, x0, params.cost, params)
+        seg = band_segment(params, params.cost, 0.0, x0)
+        t = seg.time_to(target)
         if t is not None:
-            assert solve_linear(ode, params.gamma, 0.0, x0, t) == pytest.approx(
-                target, abs=1e-9
-            )
+            assert seg.value(t) == pytest.approx(target, abs=1e-9)
         # And in the time direction: hit the level reached at a given time.
         t_probe = float(rng.uniform(0.0, 2.0 / params.gamma))
-        level = solve_linear(ode, params.gamma, 0.0, x0, t_probe)
-        back = band_hit_time(level, 0.0, x0, params.cost, params)
+        level = seg.value(t_probe)
+        back = seg.time_to(level)
         if t_probe == 0.0 or level != x0:
             assert back == pytest.approx(t_probe, abs=1e-9)
 
@@ -150,7 +144,7 @@ def test_degenerate_drift_matches_rk4():
         )
         x0 = float(rng.uniform(0.0, 1.0))
         traj = unsubsidized_trajectory(params, 0.0, x0)
-        assert any(isinstance(s, LinearDriftSegment) for s in traj.segments) or len(traj.segments) == 1
+        assert any(s.rate == 0.0 for s in traj.segments) or len(traj.segments) == 1
         gap = max_oracle_gap(params, traj, None, 0.0, x0, 40.0 / params.gamma)
         assert gap <= 1e-6
 

@@ -1,20 +1,19 @@
 """Subsidy planners in the bistable regime."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import random_planner_setup
 
 from netadopt import (
     AssumptionViolationError,
     ConstantLevelSubsidy,
-    ExponentialSegment,
     InfeasibleSubsidyError,
     InvalidParameterError,
     ModelParams,
-    band_hit_time,
     cost_sign_pattern,
-    first_passage,
     full_subsidy_analysis,
     integrate_cost,
     integrate_ode,
@@ -29,6 +28,8 @@ from netadopt import (
     sweep,
     unsubsidized_trajectory,
 )
+from netadopt.closed_form import band_segment
+from netadopt.oracle import first_passage
 
 TIPPING = ModelParams(1.0, 2.0, 3.0, 3.0, 1.0 / 3.0)  # interior 0.5, y0 below
 PLANNER = ModelParams(1.0, 2.0, 2.5, 3.0, 1.0)  # interior 0.25
@@ -138,7 +139,7 @@ def test_full_subsidy_post_window_structure():
         assert err <= 1e-6
     past_high = full_subsidy_analysis(TIPPING, 0.0, 0.25, hi + 0.5)
     tail = past_high.trajectory.segments[-1]
-    assert isinstance(tail, ExponentialSegment) and tail.limit == 1.0
+    assert tail.rate < 0 and past_high.trajectory.final_level == 1.0
 
 
 def test_full_subsidy_assumption_checks():
@@ -239,7 +240,7 @@ def test_min_duration_trajectory_regimes():
     high = min_duration_trajectory(PLANNER, 0.0, 2.0)
     assert len(high.segments) == 1
     seg = high.segments[0]
-    assert isinstance(seg, ExponentialSegment) and seg.limit == 1.0
+    assert seg.rate == -PLANNER.gamma and high.final_level == 1.0
     for t in (0.1, 0.2):
         assert high.value(t) == pytest.approx(1 - math.exp(-t), abs=1e-12)
     # In-band range: the window is covered by one in-band segment.
@@ -247,7 +248,8 @@ def test_min_duration_trajectory_regimes():
     assert low.segments[0].start_time == 0.0
     assert low.subsidy_end <= low.breakpoints[0]
     sub_int = (2.0 - 1.9) / (2.0 - 4.0)  # interior of the subsidized dynamics
-    assert low.segments[0].limit == pytest.approx(sub_int, abs=1e-12)
+    first = low.segments[0]
+    assert first.start_level - first.step == pytest.approx(sub_int, abs=1e-12)
 
 
 def test_min_duration_trajectory_hits_target():
@@ -319,6 +321,58 @@ def test_cost_row4_matches_high_precision_reference():
         assert res.value == pytest.approx(expected, abs=1e-12)
 
 
+def test_row4_junction_matches_high_precision_reference():
+    # Frozen with mpmath at 50 digits from the exact binary values of the
+    # inputs; ceff = cost - s is exact in binary for each.  With spread =
+    # u_max - u_min, externality/spread - 1 runs from 1e-6 to 1e-2, so the
+    # subsidized in-band fixed point sub = -b/a, a = (e - spread)/spread,
+    # b = (u_max - ceff)/spread, lies far below the path.  The in-band climb x = sub + (y0 - sub)
+    # exp(a gamma t) leaves the band at top = (ceff - u_min)/e at
+    #   t1 = log((top - sub)/(y0 - sub))/(a gamma),
+    # and x_mid is its level at t_mid (a float near t1/2).
+    cases = [
+        (ModelParams(1.0, 2.0, 2.0000005, 1.000001, 1.0), 0.0, 0.75,
+         0.33333383333319768735, 0.16666691666659883, 0.1250001145831823276),
+        (ModelParams(1.0, 2.0, 2.000005, 1.00001, 0.5), 0.0, 0.75,
+         0.66667666663950594886, 0.333338333319753, 0.1250011458182291925),
+        (ModelParams(1.0, 2.0, 2.00005, 1.0001, 2.0), 0.0, 0.75,
+         0.16669166598777921218, 0.0833458329938896, 0.12501145682304065435),
+        (ModelParams(1.0, 2.0, 2.0005, 1.001, 1.0), 0.0, 0.75,
+         0.33383319778071737868, 0.1669165988903587, 0.12511443241560326626),
+        (ModelParams(1.0, 2.0, 2.005, 1.01, 0.7), 0.0, 0.75,
+         0.48331428804244332008, 0.24165714402122165, 0.12613085200514434395),
+        (ModelParams(0.5, 1.75, 1.750001875, 1.2500037499999999, 1.5), 0.0, 0.9375,
+         0.22222322222140737405, 0.11111161111070368, 0.12500034374864060895),
+        (ModelParams(0.5, 1.75, 1.7501875, 1.250375, 0.4), 0.0, 0.9375,
+         0.83370830279464976339, 0.4168541513973249, 0.12503436140959861869),
+        (ModelParams(0.5, 1.75, 1.7500125, 1.250025, 1.0), 0.1, 1.0,
+         0.1250085936658872095, 0.0625042968329436, 0.15000296868597768723),
+    ]
+    for params, y0, s, t1, t_mid, x_mid in cases:
+        assert Fraction(params.cost) - Fraction(s) == Fraction(params.cost - s)
+        assert min_duration_cost(params, y0, s).row == 4
+        traj = min_duration_trajectory(params, y0, s)
+        assert abs(traj.breakpoints[0] - t1) <= 1e-13 * t1
+        assert abs(traj.value(t_mid) - x_mid) <= 1e-15
+
+
+def test_range4_meets_range5_exactly_at_b4():
+    # At b4 the whole climb is out of band: the duration equals range 5's
+    # constant to the last bit, so the b4 row dominates every range-5 row
+    # (same duration, lower outlay) and none of them is on the frontier.
+    rng = np.random.default_rng(1717)
+    for i in range(60):
+        params, y0 = random_planner_setup(rng, positive_y0=bool(i % 2))
+        if i % 4 == 0:
+            y0 = 0.0
+        b4 = subsidy_interval_bounds(params, y0)[3]
+        assert 0.0 < b4 < params.cost
+        assert min_duration_cost(params, y0, b4).row == 4
+        assert min_duration(params, y0, b4) == min_duration(params, y0, params.cost)
+        rows, frontier = sweep(params, y0, grid_points=257)
+        assert not [r.level for r in frontier.frontier if r.regime == 5]
+
+
 def test_min_duration_knife_edge_is_infeasible():
     # Just above min_subsidy the subsidized interior level rounds onto y0:
     # the path rests there, so no window reaches the tipping level.
@@ -368,7 +422,7 @@ def test_duration_uses_the_range_of_the_outlay_at_a_bound():
     assert b3 == 0.486074148430436
     assert min_duration_cost(params, y0, b3).row == 3
     x_int = interior_equilibrium(params.cost, params)
-    expected = band_hit_time(x_int, 0.0, y0, params.cost - b3, params)
+    expected = band_segment(params, params.cost - b3, 0.0, y0).time_to(x_int)
     assert min_duration(params, y0, b3) == expected
     rows, _ = sweep(params, y0)
     assert [(r.regime, r.duration) for r in rows if r.level == b3] == [(3, expected)]
