@@ -27,7 +27,6 @@ from .model import (
     interior_equilibrium,
     would_adopt,
 )
-from .oracle import SampledTrajectory, integrate_cost, integrate_ode
 from .subsidy import (
     ConstantLevelSubsidy,
     CostResult,
@@ -52,6 +51,17 @@ from .subsidy import (
 )
 
 __version__ = "0.1.0"
+
+# The oracle needs numpy; it loads on first use of one of its names.
+_ORACLE_NAMES = ("SampledTrajectory", "integrate_cost", "integrate_ode")
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "AssumptionViolationError",

@@ -14,13 +14,13 @@ import argparse
 import math
 import os
 import sys
-from itertools import chain, islice, repeat
+from array import array
+from bisect import bisect_left, bisect_right
+from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
-from . import closed_form, oracle, subsidy
+from . import closed_form, subsidy
 from .closed_form import PiecewiseTrajectory
 from .config import REFERENCE_PATH, ScenarioConfig, load_config
 from .errors import (
@@ -57,8 +57,8 @@ def _fmt(value) -> str:
         return _flag(value)
     if isinstance(value, str):
         return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+    if isinstance(value, int):
+        return str(value)
     return format(float(value), ".17g")
 
 
@@ -66,28 +66,33 @@ def _fmt_line(row: Sequence) -> str:
     return ",".join(map(_fmt, row)) + "\n"
 
 
-# Whole-row templates for the row-heavy layouts: '%.17g' % v is
-# format(v, '.17g') for every float, inf and nan included.
-PATH_ROW = "%.17g,%.17g,%s\n"  # t, x, phase
 SWEEP_ROW = "%.17g,%.17g,%s,%.17g,%.17g,%d,closed_form,%s\n"
+
+
+def _write_text(path: Path, header: Sequence[str], chunks: Iterable[str]) -> None:
+    """Write the header line, then the CSV text chunk by chunk."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(chunks)
 
 
 def _write_csv(
     path: Path, header: Sequence[str], rows: Iterable[Sequence], template: str | None = None
-) -> int:
-    """Write the rows under the header; returns the number of rows.
+) -> None:
+    """Write the rows under the header, BLOCK_ROWS rows per write.
 
-    With a ``%`` template each row is formatted in one step; without one
-    each cell goes through ``_fmt``, as the short mixed-type tables need.
+    With a ``%`` template each row is formatted in one step ('%.17g' % v
+    is format(v, '.17g') for every float, inf and nan included); without
+    one each cell goes through ``_fmt``, as the short mixed-type tables need.
     """
     lines = map(template.__mod__ if template else _fmt_line, rows)
-    count = 0
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        while block := list(islice(lines, BLOCK_ROWS)):
-            fh.write("".join(block))
-            count += len(block)
-    return count
+    _write_text(path, header, _chunks(lines))
+
+
+def _chunks(lines: Iterator[str]) -> Iterator[str]:
+    """The lines joined BLOCK_ROWS at a time."""
+    while block := list(islice(lines, BLOCK_ROWS)):
+        yield "".join(block)
 
 
 def _write_sweep(
@@ -151,37 +156,48 @@ def _resolve_scenario(config: ScenarioConfig, params: ModelParams):
     return traj, window, subsidy.noext_subsidy_cost(params, window, x0)
 
 
-def _sample_times(traj: PiecewiseTrajectory, t0: float, t_end: float, step: float) -> np.ndarray:
+def _sample_times(traj: PiecewiseTrajectory, t0: float, t_end: float, step: float) -> array:
     """The grid times t0 + i*step for i <= (t_end - t0)/step + 1e-9, t_end
-    itself and the path's junctions in (t0, t_end], sorted, without repeats."""
+    itself and the path's junctions in (t0, t_end], increasing, without repeats."""
     count = (t_end - t0) / step
     if not count <= MAX_ROWS:  # also refuses an overflow to inf
         raise InvalidParameterError(
             f"(t_end - t0)/dt = {count:.3g} rows exceeds the limit of {MAX_ROWS}"
         )
     n = int(math.floor(count + 1e-9))
+    times = array("d", [t0 + i * step for i in range(n + 1)])
+    if step <= 4.0 * math.ulp(abs(t0) + n * step):
+        # A step within a few ulps of the times: rounding can repeat one.
+        times = array("d", dict.fromkeys(times))
     extra = [t_end, *(b for b in traj.breakpoints if t0 < b <= t_end)]
     if traj.subsidy_end is not None and t0 < traj.subsidy_end <= t_end:
         extra.append(traj.subsidy_end)
-    times = np.sort(np.concatenate((t0 + np.arange(n + 1) * step, extra)))
-    # Not np.unique, whose first call imports numpy.ma (~15 ms of a cold start).
-    return times[np.append(True, times[1:] != times[:-1])]
+    for t in extra:
+        k = bisect_left(times, t)
+        if k == len(times) or times[k] != t:
+            times.insert(k, t)
+    return times
 
 
-def _trajectory_rows(traj: PiecewiseTrajectory, t0: float, t_end: float, step: float):
-    """(t, x, phase) samples of the path on [t0, t_end], junctions included.
-    The sample times are checked on the call, before any row is written;
-    the rows are made a block at a time, so no full-length list is held."""
-    times = _sample_times(traj, t0, t_end, step)
+def _path_text(
+    traj: PiecewiseTrajectory, times: array, prefix: str = "", phase: bool = True
+) -> Iterator[str]:
+    """CSV rows ``prefix`` t,x[,phase] of the path at the sample times,
+    BLOCK_ROWS rows per chunk.  The levels are evaluated a block at a
+    time, so no full-length list is held."""
     sub_end = traj.subsidy_end
-    subsidized = 0 if sub_end is None else int(np.searchsorted(times, sub_end, side="right"))
-
-    def block_rows(lo: int):
-        block = times[lo:lo + BLOCK_ROWS]
-        phases = chain(repeat("subsidized", subsidized - lo), repeat("unsubsidized"))
-        return zip(block.tolist(), traj.values(block).tolist(), phases)
-
-    return chain.from_iterable(map(block_rows, range(0, len(times), BLOCK_ROWS)))
+    cut = 0 if sub_end is None else bisect_right(times, sub_end)
+    # One row template per phase, so each row is formatted in one step.
+    inside, after = (
+        prefix + "%.17g,%.17g" + (f",{name}\n" if phase else "\n")
+        for name in ("subsidized", "unsubsidized")
+    )
+    for lo in range(0, len(times), BLOCK_ROWS):
+        hi = min(lo + BLOCK_ROWS, len(times))
+        for a, b, row in ((lo, min(hi, cut), inside), (max(lo, cut), hi, after)):
+            if a < b:
+                block = times[a:b].tolist()
+                yield "".join(map(row.__mod__, zip(block, traj.values(block))))
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +227,10 @@ def cmd_simulate(config: ScenarioConfig) -> int:
         raise InvalidParameterError("t_end must exceed t0")
     if config.kind == "min_duration" and traj.subsidy_end is not None:
         t_end = min(t_end, traj.subsidy_end)
-    rows = _trajectory_rows(traj, config.t0, t_end, config.run_dt())
+    times = _sample_times(traj, config.t0, t_end, config.run_dt())
     path = _resolve_output(config.output, "trajectory.csv")
-    count = _write_csv(path, ["t", "x", "phase"], rows, PATH_ROW)
-    print(f"{count} rows on [{_fmt(config.t0)}, {_fmt(t_end)}]")
+    _write_text(path, ["t", "x", "phase"], _path_text(traj, times))
+    print(f"{len(times)} rows on [{_fmt(config.t0)}, {_fmt(t_end)}]")
     print(f"wrote {path}")
     return 0
 
@@ -308,23 +324,39 @@ def _verdict(label: str, ok: bool, failures: list[str]) -> None:
         failures.append(label)
 
 
-def _max_gap(a: np.ndarray, b: np.ndarray) -> float:
-    """max |a - b| over the samples the two runs share."""
+def _max_gap(a, b) -> float:
+    """max |a - b| over the samples two oracle runs share."""
     n = min(len(a), len(b))
-    return float(np.max(np.abs(a[:n] - b[:n])))
+    return float(abs(a[:n] - b[:n]).max())
 
 
-def _whole_steps(span: float, dt: float, at_least: int) -> float:
+def _path_gap(traj: PiecewiseTrajectory, sampled) -> float:
+    """max |closed form - rk4| over the oracle's samples.  The path is
+    evaluated a block at a time, so no full-length list of levels is held;
+    the block maxima are reduced with numpy, whose max keeps a NaN."""
+    import numpy as np
+
+    times, levels = sampled.times, sampled.levels
+    return float(np.max([
+        abs(levels[a:a + BLOCK_ROWS] - traj.values(times[a:a + BLOCK_ROWS].tolist())).max()
+        for a in range(0, len(levels), BLOCK_ROWS)
+    ]))
+
+
+def _whole_steps(span: float, dt: float, at_least: int, max_steps: int) -> float:
     """The step that splits span into whole steps no longer than dt, and
     into at least ``at_least`` of them.  A span the oracle would refuse
-    keeps dt, so that integrate_ode reports it."""
+    (more than ``max_steps`` steps) keeps dt, so that integrate_ode
+    reports it."""
     count = span / dt
-    if not count <= oracle.MAX_STEPS:
+    if not count <= max_steps:
         return dt
     return span / max(at_least, math.ceil(count))
 
 
 def cmd_validate(config: ScenarioConfig) -> int:
+    from . import oracle  # the only verb that needs the oracle, and numpy
+
     params = config.params()
     failures: list[str] = []
     traj, schedule, analytic_cost = _resolve_scenario(config, params)
@@ -336,13 +368,14 @@ def cmd_validate(config: ScenarioConfig) -> int:
         # numerical perturbation is amplified; compare inside the window.
         t_end = traj.subsidy_end
     # Align the sample grid to the horizon so no step overruns it.
-    dt = _whole_steps(t_end - t0, dt, 8)
+    dt = _whole_steps(t_end - t0, dt, 8, oracle.MAX_STEPS)
 
     sampled = oracle.integrate_ode(
         params, subsidy_schedule=schedule, t0=t0, x0=config.x0, t_end=t_end, dt=dt
     )
     window = None
-    window_dt = 0.0 if analytic_cost is None else _whole_steps(schedule.duration, dt, 1000)
+    window_dt = 0.0 if analytic_cost is None else _whole_steps(
+        schedule.duration, dt, 1000, oracle.MAX_STEPS)
     if window_dt > 0.0:
         # Integrated before any check prints, so that a window too long
         # for the oracle is refused with no partial report.  A window of
@@ -351,8 +384,8 @@ def cmd_validate(config: ScenarioConfig) -> int:
             params, subsidy_schedule=schedule, t0=t0, x0=config.x0,
             t_end=schedule.end, dt=window_dt,
         )
-    _check("trajectory max |closed form - rk4|",
-           _max_gap(traj.values(sampled.times), sampled.levels), TRAJECTORY_TOL, failures)
+    _check("trajectory max |closed form - rk4|", _path_gap(traj, sampled),
+           TRAJECTORY_TOL, failures)
 
     smooth_end = t_end
     for b in traj.breakpoints:
@@ -360,15 +393,19 @@ def cmd_validate(config: ScenarioConfig) -> int:
             smooth_end = min(smooth_end, b)
             break
     if smooth_end - t0 >= 8 * dt:
-        smooth_end = t0 + math.floor((smooth_end - t0) / dt) * dt
-        runs = {}
-        for k in (1, 2, 4):
-            runs[k] = oracle.integrate_ode(
+        m = math.floor((smooth_end - t0) / dt)
+        smooth_end = t0 + m * dt
+        half, quarter = (
+            oracle.integrate_ode(
                 params, subsidy_schedule=schedule, t0=t0, x0=config.x0,
                 t_end=smooth_end, dt=dt / k,
-            )
-        d1 = _max_gap(runs[1].levels, runs[2].levels[::2])
-        d2 = _max_gap(runs[2].levels, runs[4].levels[::2])
+            ).levels
+            for k in (2, 4)
+        )
+        # The run at dt up to smooth_end is the main run's prefix, bit for
+        # bit: both take the same steps and split them at the same window end.
+        d1 = _max_gap(sampled.levels[:m + 1], half[::2])
+        d2 = _max_gap(half, quarter[::2])
         # Deviations at the rounding floor carry no order information.
         ok = d1 < 1e-12 or d2 < 1e-15 or d1 / d2 >= 8.0
         _verdict(f"rk4 self-convergence (factor {d1 / max(d2, 1e-300):.1f})", ok, failures)
@@ -415,20 +452,21 @@ def _reproduce_1(out_dir: Path) -> list[Path]:
     # Flat-affinity service: adoption under a half-cost subsidy for a few
     # window lengths, then the duration/outlay tradeoff toward a target.
     params = ModelParams(0.0, 1.0, 0.5, 0.0, 1.0)
-    rows = []
+    paths = []
     for label, duration in (("0", 0.0), ("1", 1.0), ("2", 2.0)):
         cls = subsidy.ConstantLevelSubsidy(params.cost, duration)
-        traj = subsidy.subsidized_trajectory(params, cls, 0.0)
-        rows += [(label, t, y) for t, y, _ in _trajectory_rows(traj, 0.0, 8.0, 0.05)]
+        paths.append((label, subsidy.subsidized_trajectory(params, cls, 0.0)))
     always = closed_form.unsubsidized_trajectory(params, 0.0, 0.0, effective_cost=0.0)
-    rows += [("inf", t, y) for t, y, _ in _trajectory_rows(always, 0.0, 8.0, 0.05)]
+    paths.append(("inf", always))
     p1 = out_dir / "example1_adoption.csv"
-    _write_csv(p1, ["T", "t", "y"], rows, "%s,%.17g,%.17g\n")
+    _write_text(p1, ["T", "t", "y"], chain.from_iterable(
+        _path_text(traj, _sample_times(traj, 0.0, 8.0, 0.05), f"{label},", phase=False)
+        for label, traj in paths
+    ))
 
     wide = ModelParams(1.0, 6.0, 3.0, 0.0, 1.0)
     tradeoff = []
-    for s in np.linspace(-0.45, 3.0, 139):
-        s = float(s)
+    for s in subsidy.linspace(-0.45, 3.0, 139):
         duration = subsidy.noext_required_duration(wide, 0.0, s, 0.5)
         outlay = subsidy.noext_cost_at_target(wide, 0.0, s, 0.5)
         tradeoff.append((s, duration, outlay))
@@ -447,7 +485,7 @@ _REGIME_CASES = (
 
 def _reproduce_2(out_dir: Path) -> list[Path]:
     # Four parameter rows exercising each equilibrium regime (gamma = 1).
-    table, eq_rows, paths_rows = [], [], []
+    table, eq_rows, path_text = [], [], []
     for u_min, u_max, cost, externality in _REGIME_CASES:
         params = ModelParams(u_min, u_max, cost, externality, 1.0)
         report = classify_equilibria(params)
@@ -458,10 +496,9 @@ def _reproduce_2(out_dir: Path) -> list[Path]:
         eq_rows += [(report.case_id, lvl, st) for lvl, st in report.equilibria]
         for x0 in (0.1, 1.0 / 3.0, 2.0 / 3.0, 0.9):
             traj = closed_form.unsubsidized_trajectory(params, 0.0, x0)
-            paths_rows += [
-                (report.case_id, x0, t, x)
-                for t, x, _ in _trajectory_rows(traj, 0.0, 10.0, 0.05)
-            ]
+            times = _sample_times(traj, 0.0, 10.0, 0.05)
+            prefix = "%d,%.17g," % (report.case_id, x0)
+            path_text.append(_path_text(traj, times, prefix, phase=False))
     p1 = out_dir / "example2_cases.csv"
     _write_csv(
         p1,
@@ -472,7 +509,7 @@ def _reproduce_2(out_dir: Path) -> list[Path]:
     p2 = out_dir / "example2_equilibria.csv"
     _write_csv(p2, ["case_id", "level", "stability"], eq_rows)
     p3 = out_dir / "example2_adoption.csv"
-    _write_csv(p3, ["case_id", "x0", "t", "x"], paths_rows, "%d,%.17g,%.17g,%.17g\n")
+    _write_text(p3, ["case_id", "x0", "t", "x"], chain.from_iterable(path_text))
     return [p1, p2, p3]
 
 
@@ -494,19 +531,18 @@ def _reproduce_3(out_dir: Path) -> list[Path]:
         ("duration_to_interior", mid),
         ("duration_to_band_high", hi),
     ]
-    traj_rows = []
+    path_text = []
     for i, duration in enumerate(durations, start=1):
         report = subsidy.full_subsidy_analysis(params, 0.0, y0, duration)
         rows.append((f"duration_{i}", duration))
         rows.append((f"final_equilibrium_{i}", report.final_equilibrium))
         rows.append((f"cost_{i}", report.cost))
-        traj_rows += [
-            (f"T{i}", *row) for row in _trajectory_rows(report.trajectory, 0.0, 12.0, 0.06)
-        ]
+        times = _sample_times(report.trajectory, 0.0, 12.0, 0.06)
+        path_text.append(_path_text(report.trajectory, times, f"T{i},"))
     p1 = out_dir / "example3_thresholds.csv"
     _write_csv(p1, ["quantity", "value"], rows)
     p2 = out_dir / "example3_adoption.csv"
-    _write_csv(p2, ["duration_label", "t", "y", "phase"], traj_rows, "%s," + PATH_ROW)
+    _write_text(p2, ["duration_label", "t", "y", "phase"], chain.from_iterable(path_text))
     return [p1, p2]
 
 

@@ -16,15 +16,13 @@ exponential.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import InvalidParameterError
 from .model import ModelParams
 
 CONTINUITY_TOL = 1e-12
-SAMPLE_BLOCK = 4096  # samples evaluated per pass; bounds the floats held at once
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,41 +113,35 @@ class PiecewiseTrajectory:
 
     def value(self, t: float) -> float:
         """Adoption level at time t >= start_time."""
-        return float(self.values([t])[0])
+        return self.values([t])[0]
 
-    def values(self, times) -> np.ndarray:
-        """Adoption levels at nondecreasing times >= start_time, as float64.
+    def values(self, times) -> list[float]:
+        """Adoption levels at nondecreasing times >= start_time.
 
-        The segments are located once over the sorted times; a time on a
-        junction takes the later segment.  Each sample repeats its
-        segment's ``value`` arithmetic in the same order, with ``math.expm1``
-        per element (a vector expm1 rounds differently on some arguments),
-        so the levels equal the segments' scalar values bit for bit.
+        Each segment's times are located once with a bisection; a time on
+        a junction takes the later segment.  Each sample repeats its
+        segment's ``value`` arithmetic in the same order, so the levels
+        equal the segments' scalar values bit for bit.
         """
-        times = np.asarray(times, dtype=float)
-        if times.ndim != 1:
-            raise InvalidParameterError("times must be one-dimensional")
-        if len(times) and times[0] < self.start_time:
+        try:
+            times = list(map(float, times))
+        except TypeError:
+            raise InvalidParameterError("times must be one-dimensional") from None
+        if times and times[0] < self.start_time:
             raise InvalidParameterError(
                 f"t={times[0]} precedes trajectory start {self.start_time}"
             )
-        if np.any(times[1:] < times[:-1]):
+        if times != sorted(times):
             raise InvalidParameterError("times must be nondecreasing")
-        bounds = np.searchsorted(
-            times, [seg.start_time for seg in self.segments], side="left"
-        ).tolist() + [len(times)]
-        out = np.empty(len(times))
-        for seg, lo, hi in zip(self.segments, bounds, bounds[1:]):
-            for a in range(lo, hi, SAMPLE_BLOCK):
-                b = min(a + SAMPLE_BLOCK, hi)
-                elapsed = times[a:b] - seg.start_time
-                if seg.rate == 0.0:
-                    out[a:b] = seg.start_level + seg.step * elapsed
-                else:
-                    growth = np.fromiter(
-                        map(math.expm1, (seg.rate * elapsed).tolist()), float, count=b - a
-                    )
-                    out[a:b] = seg.start_level + seg.step * growth
+        bounds = [bisect_left(times, seg.start_time) for seg in self.segments]
+        out: list[float] = []
+        for seg, lo, hi in zip(self.segments, bounds, bounds[1:] + [len(times)]):
+            t0, x0, rate, step = seg.start_time, seg.start_level, seg.rate, seg.step
+            if rate == 0.0:
+                out += [x0 + step * (t - t0) for t in times[lo:hi]]
+            else:
+                expm1 = math.expm1
+                out += [x0 + step * expm1(rate * (t - t0)) for t in times[lo:hi]]
         return out
 
 

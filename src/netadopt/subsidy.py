@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .closed_form import PiecewiseTrajectory, band_segment, unsubsidized_trajectory
 from .errors import (
     AssumptionViolationError,
@@ -436,6 +434,27 @@ def _plan(
     return 5, climb / gamma, level / gamma * (climb - (x_int - y0))
 
 
+def linspace(start: float, stop: float, num: int) -> list[float]:
+    """``num`` evenly spaced points from start to stop, both included.
+
+    The points are ``i*step + start`` with the last one set to stop, or
+    ``i/div*delta + start`` where the step underflows to 0, which is
+    numpy.linspace's arithmetic: the two agree bit for bit.
+    """
+    if num < 0:
+        raise InvalidParameterError(f"need num >= 0 points, got {num}")
+    div, delta = num - 1, stop - start
+    if div <= 0:
+        return [0.0 * delta + start] * num
+    step = delta / div
+    if step == 0.0:
+        points = [i / div * delta + start for i in range(num)]
+    else:
+        points = [i * step + start for i in range(num)]
+    points[-1] = stop
+    return points
+
+
 def sweep(
     params: ModelParams, y0: float, grid_points: int = 512
 ) -> tuple[list[SubsidySweepRow], ParetoFrontier]:
@@ -447,8 +466,7 @@ def sweep(
     """
     x_int, bounds = _planner_bounds(params, y0)
     inside = [b for b in bounds if 0.0 <= b <= params.cost]
-    # A set, not np.unique, whose first call imports numpy.ma.
-    grid = sorted({*np.linspace(0.0, params.cost, grid_points).tolist(), *inside})
+    grid = sorted({*linspace(0.0, params.cost, grid_points), *inside})
 
     rows: list[SubsidySweepRow] = []
     for s in grid:

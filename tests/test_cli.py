@@ -1,4 +1,5 @@
 import math
+import os
 import re
 import shlex
 import subprocess
@@ -545,18 +546,121 @@ def test_near_singular_min_duration_simulate(tmp_path, capsys):
     assert all(0.0 <= float(r[1]) <= 1.0 for r in rows)
 
 
-def test_sweep_does_not_import_numpy_ma(tmp_path):
-    argv = ["sweep", *sets(*PLANNER_KEYS, "x0=0", "kind=min_duration"),
-            "--output", str(tmp_path / "sweep.csv")]
-    script = (
-        "import sys\n"
-        "from netadopt.cli import main\n"
-        f"main({argv!r})\n"
-        "print('numpy.ma' in sys.modules)\n"
+_PLANNER_CALL = [*sets(*PLANNER_KEYS, "x0=0", "kind=min_duration")]
+_TIPPING_CALL = [*sets(*TIPPING_KEYS, "x0=0.25", "kind=full", "T=1.277", "t_end=12")]
+
+
+_VERB_CALLS = {
+    "import": None,  # a bare ``import netadopt``
+    "sweep": ["sweep", *_PLANNER_CALL],
+    "simulate": ["simulate", *_TIPPING_CALL],
+    "equilibria": ["equilibria", *sets(*TIPPING_KEYS)],
+    "full-subsidy": ["full-subsidy", *_TIPPING_CALL],
+    "noext": ["noext", *sets("u_min=1", "u_max=6", "cost=3", "externality=0", "gamma=1",
+                             "s=1", "T=2", "target=0.5")],
+    **{f"reproduce-{k}": ["reproduce", k] for k in "1234"},
+    "validate": ["validate", *_TIPPING_CALL, *sets("dt=0.01")],
+}
+
+
+@pytest.mark.parametrize("name", list(_VERB_CALLS))
+def test_only_validate_imports_numpy(tmp_path, name):
+    # In a fresh interpreter, so that numpy is absent unless the call loads it.
+    argv, loads_numpy = _VERB_CALLS[name], name == "validate"
+    call = "import netadopt" if argv is None else (
+        f"from netadopt.cli import main\nassert main({argv!r}) == 0"
     )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys\n{call}\nprint('numpy' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "NETADOPT_OUTPUT_DIR": str(tmp_path)},
+    )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    assert proc.stdout.splitlines()[-1] == str(loads_numpy)
+
+
+def test_oracle_names_load_on_first_use():
+    import netadopt
+    import netadopt.oracle
+
+    assert netadopt.integrate_ode is netadopt.oracle.integrate_ode
+    assert netadopt.integrate_cost is netadopt.oracle.integrate_cost
+    assert netadopt.SampledTrajectory is netadopt.oracle.SampledTrajectory
+    with pytest.raises(AttributeError, match="no_such_name"):
+        netadopt.no_such_name
+    namespace = {}
+    exec("from netadopt import *", namespace)
+    assert set(netadopt.__all__) <= set(namespace)
+    assert namespace["integrate_ode"] is netadopt.oracle.integrate_ode
+
+
+def test_validate_reuses_the_main_run_as_its_dt_run(capsys, monkeypatch):
+    # The self-convergence check compares the main oracle run, cut at the
+    # last grid time before the path's first junction, against runs at
+    # dt/2 and dt/4.  That prefix must be the run at dt to the same end.
+    from netadopt import oracle
+
+    calls = []
+    original = oracle.integrate_ode
+
+    def recording(params, **kwargs):
+        calls.append((params, kwargs))
+        return original(params, **kwargs)
+
+    monkeypatch.setattr(oracle, "integrate_ode", recording)
+    for keys in (
+        (*TIPPING_KEYS, "x0=0.6", "kind=none", "t_end=20", "dt=0.01"),
+        (*TIPPING_KEYS, "x0=0.25", "kind=cls", "s=2", "T=3", "t_end=12", "dt=0.01"),
+        (*TIPPING_KEYS, "x0=0.25", "kind=cls", "s=0", "T=1", "t_end=12", "dt=0.01"),
+        (*TIPPING_KEYS, "x0=0.25", "kind=full", "T=1.277", "t_end=12", "dt=0.01"),
+        (*PLANNER_KEYS, "x0=0", "kind=min_duration", "s=1.0", "sweep_points=16"),
+    ):
+        calls.clear()
+        code, stdout, _ = run(capsys, "validate", *sets(*keys))
+        assert code == 0 and "rk4 self-convergence" in stdout, keys
+        (params, main_run), *rest = calls
+        half = [kw for _, kw in rest if kw["dt"] == main_run["dt"] / 2]
+        assert len(half) == 1 and all(kw["dt"] != main_run["dt"] for _, kw in rest)
+        fresh = original(params, **{**main_run, "t_end": half[0]["t_end"]}).levels
+        prefix = original(params, **main_run).levels[:len(fresh)]
+        assert len(fresh) > 8 and prefix.tobytes() == fresh.tobytes(), keys
+
+
+def test_validate_fails_on_a_nan_level(capsys, monkeypatch):
+    # A NaN level at the last of 1201 samples, past the first block, fails
+    # the trajectory check (a plain max over the block maxima would drop it).
+    from netadopt import PiecewiseTrajectory
+
+    values = PiecewiseTrajectory.values
+
+    def nan_at_end(self, times):
+        out = values(self, times)
+        for i, t in enumerate(times):
+            if t > 11.999:
+                out[i] = math.nan
+        return out
+
+    monkeypatch.setattr(PiecewiseTrajectory, "values", nan_at_end)
+    code, stdout, _ = run(capsys, "validate", *_TIPPING_CALL, *sets("dt=0.01"))
+    assert code == 1
+    assert "trajectory max |closed form - rk4| = nan (tol 1e-06): FAIL" in stdout
+    assert stdout.endswith("FAILED: 1 check(s)\n")
+
+
+def test_simulate_drops_repeated_grid_times(tmp_path, capsys):
+    # A step far below the resolution of the times: t0 + i*dt rounds to the
+    # same float for runs of i, and each time is written once.
+    out = tmp_path / "traj.csv"
+    code, stdout, _ = run(
+        capsys, "simulate",
+        *sets(*TIPPING_KEYS, "x0=0.25", "t0=1e10", "t_end=10000000000.00001", "dt=1e-11"),
+        "--output", str(out),
+    )
+    assert code == 0
+    _, rows = read_csv(out)
+    times = [float(r[0]) for r in rows]
+    assert len(times) == 6 and times == sorted(set(times))
+    assert (times[0], times[-1]) == (1e10, 10000000000.00001)
+    assert stdout.startswith("6 rows on [10000000000, 10000000000.00001]\n")
 
 
 def test_singular_line_paths(tmp_path, capsys):

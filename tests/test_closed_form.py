@@ -10,7 +10,8 @@ from netadopt import (
     Segment,
     unsubsidized_trajectory,
 )
-from netadopt.closed_form import SAMPLE_BLOCK, band_segment
+from netadopt.cli import BLOCK_ROWS
+from netadopt.closed_form import band_segment
 
 TIPPING = ModelParams(1.0, 2.0, 3.0, 3.0, 1.0 / 3.0)  # bistable, interior 0.5
 
@@ -280,28 +281,37 @@ def test_values_match_scalar_evaluation_bitwise(traj):
     start = traj.start_time
     junctions = list(traj.breakpoints)
     times = np.sort(np.concatenate([
-        # More samples than two evaluation blocks, so block edges are crossed.
-        start + np.linspace(0.0, 12.0, 2 * SAMPLE_BLOCK + 809), junctions, junctions,
+        # Samples over many CLI blocks, so block edges fall inside segments.
+        start + np.linspace(0.0, 12.0, 8 * BLOCK_ROWS + 809), junctions, junctions,
         [start, start],
         np.nextafter(junctions, -np.inf), np.nextafter(junctions, np.inf),
-    ]))
+    ])).tolist()
     got = traj.values(times)
-    assert got.dtype == np.float64 and got.shape == times.shape
-    expected = np.array([_segment_scan_value(traj, t) for t in times.tolist()])
-    assert got.tobytes() == expected.tobytes()
-    assert got.tobytes() == np.array([traj.value(t) for t in times.tolist()]).tobytes()
+    assert type(got) is list and len(got) == len(times)
+    assert all(type(x) is float for x in got)
+    expected = [_segment_scan_value(traj, t) for t in times]
+    assert np.array(got).tobytes() == np.array(expected).tobytes()
+    assert np.array(got).tobytes() == np.array([traj.value(t) for t in times]).tobytes()
+    # Evaluated a block at a time, as the CLI does, the levels are the same.
+    blocks = [x for a in range(0, len(times), BLOCK_ROWS)
+              for x in traj.values(times[a:a + BLOCK_ROWS])]
+    assert np.array(blocks).tobytes() == np.array(got).tobytes()
     # A junction time takes the later segment.
     for b, seg in zip(traj.breakpoints, traj.segments[1:]):
-        assert traj.values([b, b]).tolist() == [seg.value(b)] * 2
+        assert traj.values([b, b]) == [seg.value(b)] * 2
 
 
 def test_values_contract():
     traj = _three_segment_path()
-    assert traj.values([]).shape == (0,)
+    assert traj.values([]) == []
+    assert traj.values((0.5, 2.0)) == [traj.value(0.5), traj.value(2.0)]
     with pytest.raises(InvalidParameterError, match="precedes"):
         traj.values([0.0, 1.0])
     with pytest.raises(InvalidParameterError, match="nondecreasing"):
         traj.values([1.0, 3.0, 2.0])
+    for two_d in ([[1.0, 2.0]], np.zeros((2, 2))):
+        with pytest.raises(InvalidParameterError, match="one-dimensional"):
+            traj.values(two_d)
 
 
 def test_trajectory_continuity_enforced():

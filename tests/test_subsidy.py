@@ -30,6 +30,7 @@ from netadopt import (
 )
 from netadopt.closed_form import band_segment
 from netadopt.oracle import first_passage
+from netadopt.subsidy import linspace
 
 TIPPING = ModelParams(1.0, 2.0, 3.0, 3.0, 1.0 / 3.0)  # interior 0.5, y0 below
 PLANNER = ModelParams(1.0, 2.0, 2.5, 3.0, 1.0)  # interior 0.25
@@ -478,6 +479,23 @@ def test_cost_grows_toward_threshold_with_positive_start():
     above = [min_duration_cost(PLANNER, y0, s_hat * (1 + d)).value for d in (1e-2, 1e-4, 1e-6)]
     assert below[0] < below[1] < below[2]
     assert above[0] < above[1] < above[2]
+
+
+@pytest.mark.parametrize("num", [0, 1, 2, 3, 139, 512, 4096, 99_999])
+def test_linspace_equals_numpy_bitwise(num):
+    spans = [
+        (0.0, 2.5), (-0.45, 3.0), (-3.7, -1.2), (2.0, -1.0), (1.0, 1.0), (-1e300, 1e300),
+        (0.0, 5e-324), (5e-324, 3e-323), (-1e-320, 1e-320),  # subnormal spans
+    ]
+    for start, stop in spans:
+        got = linspace(start, stop, num)
+        assert all(type(x) is float for x in got)
+        assert np.array(got).tobytes() == np.linspace(start, stop, num).tobytes(), (start, stop)
+
+
+def test_linspace_refuses_a_negative_count():
+    with pytest.raises(InvalidParameterError, match="num >= 0"):
+        linspace(0.0, 1.0, -1)
 
 
 def test_sweep_grid_and_flags():
