@@ -7,8 +7,6 @@ stable, separated by a tipping level, so where you start decides where
 you end up.
 """
 
-import numpy as np
-
 from netadopt import ModelParams, classify_equilibria, unsubsidized_trajectory
 
 CASES = [
@@ -30,5 +28,5 @@ print("bistable regime: the start level picks the long-run outcome")
 params = CASES[2][1]
 for x0 in (0.2, 0.45, 0.55, 0.9):
     traj = unsubsidized_trajectory(params, 0.0, x0)
-    samples = "  ".join(f"{traj.value(t):.3f}" for t in np.linspace(0.0, 6.0, 7))
+    samples = "  ".join(f"{traj.value(float(t)):.3f}" for t in range(7))
     print(f"  x0={x0:.2f}: {samples}  ->  {traj.final_level:.0f}")

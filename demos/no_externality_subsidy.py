@@ -7,8 +7,6 @@ either way.  Here (affinities well above the cost at the high end) the
 outlay grows with the level, so speed is bought with money.
 """
 
-import numpy as np
-
 from netadopt import (
     ConstantLevelSubsidy,
     ModelParams,
@@ -36,7 +34,7 @@ print("a half-cost subsidy for one time unit, then back to full price:")
 market = ModelParams(u_min=0.0, u_max=1.0, cost=0.5, externality=0.0, gamma=1.0)
 cls = ConstantLevelSubsidy(0.5, 1.0)
 traj = subsidized_trajectory(market, cls, 0.0)
-for t in np.linspace(0.0, 5.0, 11):
+for t in [i * 0.5 for i in range(11)]:
     marker = "subsidized" if t <= 1.0 else "full price"
-    print(f"  t={t:>4.1f}  y={traj.value(float(t)):.4f}  ({marker})")
+    print(f"  t={t:>4.1f}  y={traj.value(t):.4f}  ({marker})")
 print(f"long-run level: {traj.final_level}")

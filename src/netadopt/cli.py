@@ -17,10 +17,11 @@ import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from itertools import chain, islice
+from operator import sub
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from . import closed_form, subsidy
+from . import closed_form, oracle, subsidy
 from .closed_form import PiecewiseTrajectory
 from .config import REFERENCE_PATH, ScenarioConfig, load_config
 from .errors import (
@@ -324,23 +325,33 @@ def _verdict(label: str, ok: bool, failures: list[str]) -> None:
         failures.append(label)
 
 
-def _max_gap(a, b) -> float:
+def _block_gap(gap: float, a: Iterable[float], b: Iterable[float]) -> float:
+    """max(gap, max |a - b|) over one block.  The sum of the differences is
+    NaN exactly when one of them is, and a NaN gap stays NaN."""
+    diffs = list(map(abs, map(sub, a, b)))
+    total = sum(diffs)
+    return total if total != total else max(gap, max(diffs))
+
+
+def _max_gap(a: array, b: array) -> float:
     """max |a - b| over the samples two oracle runs share."""
-    n = min(len(a), len(b))
-    return float(abs(a[:n] - b[:n]).max())
+    gap = 0.0
+    for lo in range(0, min(len(a), len(b)), BLOCK_ROWS):
+        gap = _block_gap(gap, a[lo:lo + BLOCK_ROWS], b[lo:lo + BLOCK_ROWS])
+    return gap
 
 
-def _path_gap(traj: PiecewiseTrajectory, sampled) -> float:
+def _path_gap(traj: PiecewiseTrajectory, sampled: oracle.SampledTrajectory) -> float:
     """max |closed form - rk4| over the oracle's samples.  The path is
-    evaluated a block at a time, so no full-length list of levels is held;
-    the block maxima are reduced with numpy, whose max keeps a NaN."""
-    import numpy as np
-
-    times, levels = sampled.times, sampled.levels
-    return float(np.max([
-        abs(levels[a:a + BLOCK_ROWS] - traj.values(times[a:a + BLOCK_ROWS].tolist())).max()
-        for a in range(0, len(levels), BLOCK_ROWS)
-    ]))
+    evaluated a block at a time, so no full-length list of times or
+    levels is held."""
+    levels, t0, dt = sampled.levels, sampled.start_time, sampled.dt
+    gap = 0.0
+    for lo in range(0, len(levels), BLOCK_ROWS):
+        hi = min(lo + BLOCK_ROWS, len(levels))
+        times = [t0 + dt * i for i in range(lo, hi)]
+        gap = _block_gap(gap, levels[lo:hi], traj.values(times))
+    return gap
 
 
 def _whole_steps(span: float, dt: float, at_least: int, max_steps: int) -> float:
@@ -355,8 +366,6 @@ def _whole_steps(span: float, dt: float, at_least: int, max_steps: int) -> float
 
 
 def cmd_validate(config: ScenarioConfig) -> int:
-    from . import oracle  # the only verb that needs the oracle, and numpy
-
     params = config.params()
     failures: list[str] = []
     traj, schedule, analytic_cost = _resolve_scenario(config, params)

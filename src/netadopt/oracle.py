@@ -9,10 +9,9 @@ closed-form machinery, so agreement between the two routes is meaningful.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
 
 from .errors import InvalidParameterError, InvalidStepError
 from .model import STABLE, UNSTABLE, ModelParams, Stability
@@ -29,15 +28,15 @@ class SampledTrajectory:
 
     start_time: float
     dt: float
-    levels: np.ndarray
+    levels: array  # array('d'), one level per sample
 
     def __post_init__(self) -> None:
         if self.dt <= 0:
             raise InvalidStepError("dt must be > 0")
 
     @property
-    def times(self) -> np.ndarray:
-        return self.start_time + self.dt * np.arange(len(self.levels))
+    def times(self) -> list[float]:
+        return [self.start_time + self.dt * i for i in range(len(self.levels))]
 
     @property
     def end_time(self) -> float:
@@ -95,8 +94,7 @@ def integrate_ode(
         level = subsidy_schedule.level
         start, end = float(subsidy_schedule.start), float(subsidy_schedule.end)
     cuts = sorted({b for b in (start, end) if t0 < b < t_end})
-    levels = np.empty(n + 1)
-    levels[0] = x0
+    levels = array("d", [x0]) * (n + 1)
 
     # Integrate phase by phase with a tight loop: grid steps up to the
     # phase end b, then one split step onto b when it falls between grid
@@ -138,7 +136,7 @@ def integrate_ode(
     return SampledTrajectory(start_time=t0, dt=dt, levels=levels)
 
 
-def _composite_simpson(y: np.ndarray, dx: float) -> float:
+def _composite_simpson(y: array, dx: float) -> float:
     """Composite Simpson over uniform samples; 3/8 rule absorbs odd tails."""
     n = len(y) - 1
     if n <= 0:
@@ -153,8 +151,8 @@ def _composite_simpson(y: np.ndarray, dx: float) -> float:
         n -= 3
         if n == 0:
             return total
-    total += dx / 3.0 * (y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-2:2]))
-    return float(total)
+    total += dx / 3.0 * (y[0] + y[-1] + 4.0 * math.fsum(y[1:-1:2]) + 2.0 * math.fsum(y[2:-2:2]))
+    return total
 
 
 def integrate_cost(sampled: SampledTrajectory, subsidy_schedule) -> float:
@@ -166,22 +164,25 @@ def integrate_cost(sampled: SampledTrajectory, subsidy_schedule) -> float:
     """
     if subsidy_schedule is None or subsidy_schedule.level == 0.0:
         return 0.0
-    times = sampled.times
-    levels = sampled.levels
+    levels, t0, dt = sampled.levels, sampled.start_time, sampled.dt
     hi = min(subsidy_schedule.end, sampled.end_time)
-    lo = max(subsidy_schedule.start, sampled.start_time)
+    lo = max(subsidy_schedule.start, t0)
     if hi <= lo:
         return 0.0
-    i_lo = int(math.ceil((lo - sampled.start_time) / sampled.dt - 1e-9))
-    i_hi = int(math.floor((hi - sampled.start_time) / sampled.dt + 1e-9))
-    total = _composite_simpson(levels[i_lo : i_hi + 1], sampled.dt)
-    if times[i_hi] < hi:  # partial trailing interval
-        x_hi = np.interp(hi, times, levels)
-        total += 0.5 * (levels[i_hi] + x_hi) * (hi - times[i_hi])
-    if times[i_lo] > lo:  # partial leading interval
-        x_lo = np.interp(lo, times, levels)
-        total += 0.5 * (x_lo + levels[i_lo]) * (times[i_lo] - lo)
-    return float(subsidy_schedule.level * total)
+    i_lo = int(math.ceil((lo - t0) / dt - 1e-9))
+    i_hi = int(math.floor((hi - t0) / dt + 1e-9))
+    total = _composite_simpson(levels[i_lo : i_hi + 1], dt)
+    # The level at a window edge is interpolated in np.interp's arithmetic.
+    t_hi = t0 + dt * i_hi
+    if t_hi < hi:  # partial trailing interval
+        slope = (levels[i_hi + 1] - levels[i_hi]) / (t0 + dt * (i_hi + 1) - t_hi)
+        total += 0.5 * (levels[i_hi] + (slope * (hi - t_hi) + levels[i_hi])) * (hi - t_hi)
+    t_lo = t0 + dt * i_lo
+    if t_lo > lo:  # partial leading interval
+        t_j = t0 + dt * (i_lo - 1)
+        slope = (levels[i_lo] - levels[i_lo - 1]) / (t_lo - t_j)
+        total += 0.5 * (slope * (lo - t_j) + levels[i_lo - 1] + levels[i_lo]) * (t_lo - lo)
+    return subsidy_schedule.level * total
 
 
 def brute_force_equilibria(
@@ -201,15 +202,16 @@ def brute_force_equilibria(
     def g(x: float) -> float:
         return min(1.0, max(0.0, (params.u_max - c + e * x) / spread)) - x
 
-    xs = np.linspace(0.0, 1.0, grid_n + 1)
-    gs = np.minimum(1.0, np.maximum(0.0, (params.u_max - c + e * xs) / spread)) - xs
+    step = 1.0 / grid_n  # np.linspace(0, 1, grid_n + 1), bit for bit
+    xs = [i * step for i in range(grid_n)] + [1.0]
+    gs = list(map(g, xs))
 
     roots: list[float] = []
     for i in range(grid_n):
         if gs[i] == 0.0:
-            roots.append(float(xs[i]))
+            roots.append(xs[i])
         elif gs[i] * gs[i + 1] < 0.0:
-            lo, hi = float(xs[i]), float(xs[i + 1])
+            lo, hi = xs[i], xs[i + 1]
             glo = gs[i]
             while hi - lo > 1e-13:
                 mid = 0.5 * (lo + hi)
@@ -254,10 +256,9 @@ def first_passage(sampled: SampledTrajectory, target: float) -> float | None:
     d0 = levels[0] - target
     if d0 == 0.0:
         return sampled.start_time
-    sign_changes = np.nonzero(np.diff(np.sign(levels - target)))[0]
-    if len(sign_changes) == 0:
-        return None
-    i = int(sign_changes[0])
-    x_i, x_j = levels[i], levels[i + 1]
-    frac = (target - x_i) / (x_j - x_i)
-    return sampled.start_time + sampled.dt * (i + float(frac))
+    above = d0 > 0.0
+    for i, (x_i, x_j) in enumerate(zip(levels, levels[1:])):
+        if (x_j > target) != above or x_j == target:
+            frac = (target - x_i) / (x_j - x_i)
+            return sampled.start_time + sampled.dt * (i + frac)
+    return None

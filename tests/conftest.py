@@ -53,6 +53,11 @@ def random_params(rng: np.random.Generator, case: int) -> ModelParams:
     raise RuntimeError(f"could not generate case-{case} parameters")
 
 
+def max_gap(traj, sampled) -> float:
+    """max |closed form - rk4| over the oracle's samples (NaN if any is NaN)."""
+    return np.max(np.abs(np.asarray(traj.values(sampled.times)) - np.asarray(sampled.levels)))
+
+
 def random_start(rng: np.random.Generator, params: ModelParams) -> float:
     """A start level in [0, 1] kept away from the unstable interior point."""
     while True:

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import random_params, random_planner_setup, random_start
+from conftest import max_gap, random_params, random_planner_setup, random_start
 
 from netadopt import (
     ConstantLevelSubsidy,
@@ -163,7 +163,7 @@ def _max_gap(params, traj, schedule, x0, t_end, n=None):
     sampled = integrate_ode(
         params, subsidy_schedule=schedule, t0=0.0, x0=x0, t_end=t_end, dt=t_end / n
     )
-    return np.max(np.abs(traj.values(sampled.times) - sampled.levels))
+    return max_gap(traj, sampled)
 
 
 def test_criterion_5_oracle_equivalence():

@@ -551,7 +551,6 @@ _TIPPING_CALL = [*sets(*TIPPING_KEYS, "x0=0.25", "kind=full", "T=1.277", "t_end=
 
 
 _VERB_CALLS = {
-    "import": None,  # a bare ``import netadopt``
     "sweep": ["sweep", *_PLANNER_CALL],
     "simulate": ["simulate", *_TIPPING_CALL],
     "equilibria": ["equilibria", *sets(*TIPPING_KEYS)],
@@ -563,34 +562,19 @@ _VERB_CALLS = {
 }
 
 
-@pytest.mark.parametrize("name", list(_VERB_CALLS))
-def test_only_validate_imports_numpy(tmp_path, name):
-    # In a fresh interpreter, so that numpy is absent unless the call loads it.
-    argv, loads_numpy = _VERB_CALLS[name], name == "validate"
-    call = "import netadopt" if argv is None else (
-        f"from netadopt.cli import main\nassert main({argv!r}) == 0"
+def test_every_verb_runs_without_numpy(tmp_path):
+    # In a fresh interpreter where any ``import numpy`` raises ImportError.
+    script = (
+        "import sys\nsys.modules['numpy'] = None\nimport netadopt\n"
+        "from netadopt.cli import main\n"
+        f"for name, argv in {_VERB_CALLS!r}.items():\n"
+        "    assert main(argv) == 0, name\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", f"import sys\n{call}\nprint('numpy' in sys.modules)"],
-        capture_output=True, text=True, env={**os.environ, "NETADOPT_OUTPUT_DIR": str(tmp_path)},
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={**os.environ, "NETADOPT_OUTPUT_DIR": str(tmp_path)},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == str(loads_numpy)
-
-
-def test_oracle_names_load_on_first_use():
-    import netadopt
-    import netadopt.oracle
-
-    assert netadopt.integrate_ode is netadopt.oracle.integrate_ode
-    assert netadopt.integrate_cost is netadopt.oracle.integrate_cost
-    assert netadopt.SampledTrajectory is netadopt.oracle.SampledTrajectory
-    with pytest.raises(AttributeError, match="no_such_name"):
-        netadopt.no_such_name
-    namespace = {}
-    exec("from netadopt import *", namespace)
-    assert set(netadopt.__all__) <= set(namespace)
-    assert namespace["integrate_ode"] is netadopt.oracle.integrate_ode
 
 
 def test_validate_reuses_the_main_run_as_its_dt_run(capsys, monkeypatch):
@@ -643,6 +627,33 @@ def test_validate_fails_on_a_nan_level(capsys, monkeypatch):
     code, stdout, _ = run(capsys, "validate", *_TIPPING_CALL, *sets("dt=0.01"))
     assert code == 1
     assert "trajectory max |closed form - rk4| = nan (tol 1e-06): FAIL" in stdout
+    assert stdout.endswith("FAILED: 1 check(s)\n")
+
+
+def test_validate_fails_on_a_nan_in_the_half_step_run(capsys, monkeypatch):
+    # A NaN level inside the second block of the dt/2 run, not at a block's
+    # first sample, fails the self-convergence check (a plain max over the
+    # differences would drop it).
+    from netadopt import oracle
+
+    original = oracle.integrate_ode
+    steps = []  # the first run is the main run, at dt
+
+    def nan_in_half_run(params, **kwargs):
+        sampled = original(params, **kwargs)
+        steps.append(kwargs["dt"])
+        if kwargs["dt"] == steps[0] / 2:
+            assert len(sampled.levels) > 2000
+            sampled.levels[1500] = math.nan
+        return sampled
+
+    monkeypatch.setattr(oracle, "integrate_ode", nan_in_half_run)
+    # Above the band the path never meets a junction: 4001 samples at dt/2.
+    keys = (*TIPPING_KEYS, "x0=0.9", "kind=none", "t_end=20", "dt=0.01")
+    code, stdout, _ = run(capsys, "validate", *sets(*keys))
+    assert code == 1
+    assert "trajectory max |closed form - rk4|" in stdout and "(tol 1e-06): PASS" in stdout
+    assert "rk4 self-convergence (factor nan): FAIL" in stdout
     assert stdout.endswith("FAILED: 1 check(s)\n")
 
 

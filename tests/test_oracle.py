@@ -22,7 +22,7 @@ PLANNER = ModelParams(1.0, 2.0, 2.5, 3.0, 1.0)
 
 def test_integrate_constant_at_equilibrium():
     sampled = integrate_ode(TIPPING, x0=0.5, t_end=20.0)
-    assert np.max(np.abs(sampled.levels - 0.5)) <= 1e-10
+    assert np.max(np.abs(np.asarray(sampled.levels) - 0.5)) <= 1e-10
 
 
 def test_integrate_matches_decay():
@@ -103,9 +103,9 @@ def test_integrate_ode_matches_scalar_steps_bitwise(schedule, t0, x0, t_end):
     # The samples take at least two of the uniform ccdf's three branches.
     ceff = np.full(len(sampled.levels), PLANNER.cost)
     if schedule is not None:
-        times = sampled.times
+        times = np.asarray(sampled.times)
         ceff[(times >= schedule.start) & (times <= schedule.end)] -= schedule.level
-    u = ceff - PLANNER.externality * sampled.levels
+    u = ceff - PLANNER.externality * np.asarray(sampled.levels)
     branches = [u <= PLANNER.u_min, (u > PLANNER.u_min) & (u < PLANNER.u_max),
                 u >= PLANNER.u_max]
     assert sum(b.any() for b in branches) >= 2

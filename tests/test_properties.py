@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import random_params, random_planner_setup, random_start
+from conftest import max_gap, random_params, random_planner_setup, random_start
 
 from netadopt import (
     ConstantLevelSubsidy,
@@ -34,7 +34,7 @@ def max_oracle_gap(params, traj, schedule, t0, x0, t_end, dt=None):
         params, subsidy_schedule=schedule, t0=t0, x0=x0, t_end=t_end,
         dt=dt if dt is not None else 1e-3 / params.gamma,
     )
-    return np.max(np.abs(traj.values(sampled.times) - sampled.levels))
+    return max_gap(traj, sampled)
 
 
 def test_classify_matches_brute_force():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import random_planner_setup
+from conftest import max_gap, random_planner_setup
 
 from netadopt import (
     AssumptionViolationError,
@@ -80,7 +80,7 @@ def test_subsidized_trajectory_matches_oracle():
     sampled = integrate_ode(
         TIPPING, subsidy_schedule=cls, x0=0.25, t_end=30.0, dt=3e-3
     )
-    err = np.max(np.abs(traj.values(sampled.times) - sampled.levels))
+    err = max_gap(traj, sampled)
     assert err <= 1e-6
 
 
@@ -136,7 +136,7 @@ def test_full_subsidy_post_window_structure():
             t_end=25.0,
             dt=3e-3,
         )
-        err = np.max(np.abs(report.trajectory.values(sampled.times) - sampled.levels))
+        err = max_gap(report.trajectory, sampled)
         assert err <= 1e-6
     past_high = full_subsidy_analysis(TIPPING, 0.0, 0.25, hi + 0.5)
     tail = past_high.trajectory.segments[-1]
