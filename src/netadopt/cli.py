@@ -16,7 +16,7 @@ import os
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
-from itertools import chain, islice
+from itertools import chain
 from operator import sub
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -47,8 +47,7 @@ BLOCK_ROWS = 1024  # CSV rows joined into one write
 # ---------------------------------------------------------------------------
 
 
-def _flag(value: bool) -> str:
-    return "true" if value else "false"
+_flag = ("false", "true").__getitem__  # a bool's CSV text
 
 
 def _fmt(value) -> str:
@@ -63,10 +62,6 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def _fmt_line(row: Sequence) -> str:
-    return ",".join(map(_fmt, row)) + "\n"
-
-
 SWEEP_ROW = "%.17g,%.17g,%s,%.17g,%.17g,%d,closed_form,%s\n"
 
 
@@ -77,23 +72,24 @@ def _write_text(path: Path, header: Sequence[str], chunks: Iterable[str]) -> Non
         fh.writelines(chunks)
 
 
-def _write_csv(
-    path: Path, header: Sequence[str], rows: Iterable[Sequence], template: str | None = None
-) -> None:
-    """Write the rows under the header, BLOCK_ROWS rows per write.
-
-    With a ``%`` template each row is formatted in one step ('%.17g' % v
-    is format(v, '.17g') for every float, inf and nan included); without
-    one each cell goes through ``_fmt``, as the short mixed-type tables need.
-    """
-    lines = map(template.__mod__ if template else _fmt_line, rows)
-    _write_text(path, header, _chunks(lines))
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write the rows under the header, each cell through ``_fmt``, as the
+    short mixed-type tables need."""
+    _write_text(path, header, [",".join(map(_fmt, row)) + "\n" for row in rows])
 
 
-def _chunks(lines: Iterator[str]) -> Iterator[str]:
-    """The lines joined BLOCK_ROWS at a time."""
-    while block := list(islice(lines, BLOCK_ROWS)):
-        yield "".join(block)
+def _row_blocks(row: str, columns: Sequence[Sequence]) -> Iterator[str]:
+    """The ``%`` template ``row`` filled from one cell of each column per
+    row, BLOCK_ROWS rows per chunk.  One ``%`` on the template repeated k
+    times gives the text of k single-row ``%``s ('%.17g' % v is
+    format(v, '.17g') for every float, inf and nan included)."""
+    width, count = len(columns), len(columns[0])
+    for lo in range(0, count, BLOCK_ROWS):
+        k = min(BLOCK_ROWS, count - lo)
+        cells = [None] * (width * k)
+        for i, column in enumerate(columns):
+            cells[i::width] = column[lo:lo + k]
+        yield row * k % tuple(cells)
 
 
 def _write_sweep(
@@ -102,17 +98,18 @@ def _write_sweep(
     # Every outlay is a closed form; the method column keeps the layout.
     # An infeasible level has no duration or outlay: those cells read inf.
     on_frontier = {id(r) for r in frontier.frontier}
-    _write_csv(
+    level, normalized, feasible, regime, duration, cost = zip(*rows) if rows else [()] * 6
+    inf = math.inf
+    columns = (
+        level, normalized, list(map(_flag, feasible)),
+        [inf if d is None else d for d in duration],
+        [inf if v is None else v for v in cost],
+        regime, list(map(_flag, map(on_frontier.__contains__, map(id, rows)))),
+    )
+    _write_text(
         path,
         ["s", "s_over_e", "feasible", "T_hat", "S", "regime", "method", "frontier"],
-        (
-            (r.level, r.normalized, _flag(r.feasible),
-             math.inf if r.duration is None else r.duration,
-             math.inf if r.cost is None else r.cost,
-             r.regime, _flag(id(r) in on_frontier))
-            for r in rows
-        ),
-        SWEEP_ROW,
+        _row_blocks(SWEEP_ROW, columns),
     )
 
 
@@ -188,7 +185,7 @@ def _path_text(
     time, so no full-length list is held."""
     sub_end = traj.subsidy_end
     cut = 0 if sub_end is None else bisect_right(times, sub_end)
-    # One row template per phase, so each row is formatted in one step.
+    # One row template per phase, so each block is formatted in one step.
     inside, after = (
         prefix + "%.17g,%.17g" + (f",{name}\n" if phase else "\n")
         for name in ("subsidized", "unsubsidized")
@@ -198,7 +195,7 @@ def _path_text(
         for a, b, row in ((lo, min(hi, cut), inside), (max(lo, cut), hi, after)):
             if a < b:
                 block = times[a:b].tolist()
-                yield "".join(map(row.__mod__, zip(block, traj.values(block))))
+                yield from _row_blocks(row, (block, traj.values(block)))
 
 
 # ---------------------------------------------------------------------------

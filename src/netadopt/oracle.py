@@ -35,10 +35,6 @@ class SampledTrajectory:
             raise InvalidStepError("dt must be > 0")
 
     @property
-    def times(self) -> list[float]:
-        return [self.start_time + self.dt * i for i in range(len(self.levels))]
-
-    @property
     def end_time(self) -> float:
         return self.start_time + self.dt * (len(self.levels) - 1)
 

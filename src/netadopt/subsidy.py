@@ -12,10 +12,13 @@ and the duration/outlay Pareto frontier over a grid of levels.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import accumulate, chain
+from operator import sub
+from typing import NamedTuple, Sequence
 
-from .closed_form import PiecewiseTrajectory, band_segment, unsubsidized_trajectory
+from .closed_form import PiecewiseTrajectory, unsubsidized_trajectory
 from .errors import (
     AssumptionViolationError,
     InfeasibleSubsidyError,
@@ -82,8 +85,7 @@ class CostResult:
     row: int
 
 
-@dataclass(frozen=True, slots=True)
-class SubsidySweepRow:
+class SubsidySweepRow(NamedTuple):
     """Per-level record of a minimum-duration subsidy sweep."""
 
     level: float
@@ -369,69 +371,113 @@ def _plan_level(
         raise InvalidParameterError(
             f"level must lie in [0, cost], got {level} with cost {params.cost}"
         )
-    return _plan(params, y0, level, x_int, bounds)
+    regimes, durations, outlays = _plan_grid(params, y0, [level], x_int, bounds)
+    return regimes[0], durations[0], outlays[0]
 
 
-def _plan(
+def _plan_grid(
     params: ModelParams,
     y0: float,
-    level: float,
+    levels: Sequence[float],
     x_int: float,
     bounds: tuple[float, float, float, float],
-) -> tuple[int, float | None, float | None]:
-    """(range, minimum duration, outlay) of the planner at one level.
-
-    The range is decided once, against ``bounds``, and both numbers come
-    from that range's closed forms.  On rows 1-2 (at or below
-    min_subsidy) no window tips the market.
+) -> tuple[list[int], list[float | None], list[float | None]]:
+    """(range, minimum duration, outlay) of the planner at nondecreasing
+    levels.  The levels are split once against ``bounds`` into the five
+    ranges (a level on a bound is in the lower one), and each range is
+    evaluated with its own closed forms.  On ranges 1-2 (at or below
+    min_subsidy) no window tips the market.  Raises InvalidParameterError
+    when a duration or outlay overflows, as dividing by a tiny gamma can.
     """
+    u_min, u_max = params.u_min, params.u_max
     c, e, gamma = params.cost, params.externality, params.gamma
-    spread = params.u_max - params.u_min
+    spread = u_max - u_min
     inv_a = spread / (e - spread)  # 1/a of the in-band dynamics
-    b1, s_hat, b3, b4 = bounds
-
-    if level <= b1:
-        return 1, None, level * y0 / gamma
-
-    ceff = c - level
-    sub_int = interior_equilibrium(ceff, params)
+    denom = u_max - (u_min + e)  # of interior_equilibrium
     knife_edge = None if y0 > 0 else 0.0
-    if level <= s_hat:
+    log, log1p = math.log, math.log1p
+    # band_segment(params, ceff, 0.0, y0).time_to(x) with b of that ceff:
+    # rate a*gamma and step y0 + b/a, or rate 0 and step gamma*b if a == 0.
+    a = (e + u_min - u_max) / spread
+    rate = 0.0 if a == 0.0 else a * gamma
+
+    def hit_time(b: float, x: float) -> float | None:
+        if x == y0:
+            return 0.0
+        step = gamma * b if a == 0.0 else y0 + b / a
+        if step == 0.0:
+            return None  # standing still
+        ratio = (x - y0) / step
+        if rate == 0.0:
+            tau = ratio
+        elif ratio <= -1.0:
+            return None
+        else:
+            tau = log1p(ratio) / rate
+        return 0.0 + tau if tau >= 0.0 else None
+
+    ends = [bisect_right(levels, b) for b in accumulate(bounds, max)]
+    ranges = [levels[lo:hi] for lo, hi in zip([0, *ends], [*ends, len(levels)])]
+    regimes = [k for k, part in enumerate(ranges, start=1) for _ in part]
+    durations: list[float | None] = [None] * (len(ranges[0]) + len(ranges[1]))
+    outlays: list[float | None] = [s * y0 / gamma for s in ranges[0]]
+
+    for s in ranges[1]:
+        ceff = c - s
+        sub_int = (u_max - ceff) / denom
         if sub_int - y0 <= 0.0:
             # Knife edge (up to rounding): the level balances forever.
-            return 2, None, knife_edge
-        low = params.band_low(ceff)
-        inner = sub_int * math.log((sub_int - low) / (sub_int - y0)) - (y0 - low)
-        return 2, None, level / gamma * (inv_a * inner + low)
+            outlays.append(knife_edge)
+            continue
+        low = (ceff - u_max) / e  # params.band_low(ceff)
+        inner = sub_int * log((sub_int - low) / (sub_int - y0)) - (y0 - low)
+        outlays.append(s / gamma * (inv_a * inner + low))
 
-    if level <= b3:
-        duration = band_segment(params, ceff, 0.0, y0).time_to(x_int)
+    for s in ranges[2]:
+        ceff = c - s
+        sub_int = (u_max - ceff) / denom
+        durations.append(hit_time((u_max - ceff) / spread, x_int))
         if y0 - sub_int <= 0.0:
-            return 3, duration, knife_edge
-        inner = sub_int * math.log((x_int - sub_int) / (y0 - sub_int)) + x_int - y0
-        return 3, duration, level / gamma * inv_a * inner
+            outlays.append(knife_edge)
+            continue
+        inner = sub_int * log((x_int - sub_int) / (y0 - sub_int)) + x_int - y0
+        outlays.append(s / gamma * inv_a * inner)
 
-    if level <= b4:
+    rest = 1.0 - x_int
+    for s in ranges[3]:
+        ceff = c - s
+        sub_int = (u_max - ceff) / denom
         # The subsidized band edge band_high(ceff), written so that it is
         # exactly y0 at b4: there the climb is all out of band and the
         # duration equals range 5's to the last bit.
-        edge = y0 + (b4 - level) / e
-        exit_time = band_segment(params, ceff, 0.0, y0).time_to(edge)
-        duration = None  # the subsidized path sits on its own fixed point
-        if exit_time is not None:
-            duration = exit_time + math.log((1.0 - edge) / (1.0 - x_int)) / gamma
+        edge = y0 + (bounds[3] - s) / e
+        exit_time = hit_time((u_max - ceff) / spread, edge)
+        # None: the subsidized path sits on its own fixed point.
+        durations.append(
+            None if exit_time is None else exit_time + log((1.0 - edge) / rest) / gamma
+        )
         if y0 - sub_int <= 0.0:
-            return 4, duration, knife_edge
+            outlays.append(knife_edge)
+            continue
         # In-band climb from y0 to the subsidized band edge, then the
         # climb toward 1 up to x_int.  log1p keeps the in-band term
         # accurate when externality is close to u_max - u_min.
         top = min(edge, x_int)
-        in_band = sub_int * math.log1p((top - y0) / (y0 - sub_int)) + top - y0
-        above = math.log1p((x_int - top) / (1.0 - x_int)) - (x_int - top)
-        return 4, duration, level / gamma * (inv_a * in_band + above)
+        in_band = sub_int * log1p((top - y0) / (y0 - sub_int)) + top - y0
+        above = log1p((x_int - top) / rest) - (x_int - top)
+        outlays.append(s / gamma * (inv_a * in_band + above))
 
-    climb = math.log((1.0 - y0) / (1.0 - x_int))
-    return 5, climb / gamma, level / gamma * (climb - (x_int - y0))
+    if ranges[4]:
+        climb = log((1.0 - y0) / rest)
+        net = climb - (x_int - y0)
+        durations += [climb / gamma] * len(ranges[4])
+        outlays += [s / gamma * net for s in ranges[4]]
+
+    if not all(map(math.isfinite, filter(None, chain(durations, outlays)))):
+        raise InvalidParameterError(
+            f"planner durations or outlays overflow at gamma = {gamma!r}"
+        )
+    return regimes, durations, outlays
 
 
 def linspace(start: float, stop: float, num: int) -> list[float]:
@@ -468,19 +514,12 @@ def sweep(
     inside = [b for b in bounds if 0.0 <= b <= params.cost]
     grid = sorted({*linspace(0.0, params.cost, grid_points), *inside})
 
-    rows: list[SubsidySweepRow] = []
-    for s in grid:
-        row, duration, outlay = _plan(params, y0, s, x_int, bounds)
-        rows.append(
-            SubsidySweepRow(
-                level=s,
-                normalized=s / params.externality,
-                feasible=duration is not None,
-                regime=row,
-                duration=duration,
-                cost=outlay,
-            )
-        )
+    regimes, durations, outlays = _plan_grid(params, y0, grid, x_int, bounds)
+    e = params.externality
+    rows = list(map(SubsidySweepRow._make, zip(
+        grid, [s / e for s in grid], [d is not None for d in durations],
+        regimes, durations, outlays,
+    )))
     return rows, pareto_frontier(rows)
 
 
@@ -506,22 +545,22 @@ def cost_sign_pattern(
     rows: Sequence[SubsidySweepRow], params: ModelParams, y0: float
 ) -> CostSignPattern:
     """Check the slope signs of the sweep's outlay against the expected
-    pattern, range by range."""
+    pattern, range by range.  The rows must be in increasing level order,
+    as ``sweep`` returns them."""
     b1, s_hat, b3, b4 = subsidy_interval_bounds(params, y0)
     # The fourth range starts at the feasibility threshold when the
     # analytic bounds interleave (s_hat can exceed the band-exit bound).
     lo4 = max(b3, s_hat)
     intervals = [(0.0, b1), (b1, s_hat), (s_hat, b3), (lo4, b4), (b4, params.cost)]
-    finite = [(r.level, r.cost) for r in rows if r.cost is not None]
+    levels = [r.level for r in rows if r.cost is not None]
+    costs = [r.cost for r in rows if r.cost is not None]
 
     verdicts: list[bool | None] = []
     switch_count: int | None = None
     for k, (lo, hi) in enumerate(intervals, start=1):
-        diffs = [
-            c2 - c1
-            for (s1, c1), (s2, c2) in zip(finite, finite[1:])
-            if s1 > lo and s2 < hi
-        ]
+        # The neighbouring pairs with s1 > lo and s2 < hi, in one slice.
+        first, stop = bisect_right(levels, lo), bisect_left(levels, hi)
+        diffs = list(map(sub, costs[first + 1:stop], costs[first:stop - 1]))
         if not diffs:
             verdicts.append(None)
             continue
@@ -543,8 +582,8 @@ def cost_sign_pattern(
             )
             verdicts.append(bool(nz) and never_rises_then_falls)
 
-    inside = [(s, v) for s, v in finite if lo4 <= s <= b4]
-    dip_level = min(inside, key=lambda pair: pair[1])[0] if inside else None
+    inside = range(bisect_left(levels, lo4), bisect_right(levels, b4))
+    dip_level = levels[min(inside, key=costs.__getitem__)] if inside else None
     return CostSignPattern(
         verdicts=tuple(verdicts),
         switch_count=switch_count,

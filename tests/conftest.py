@@ -53,9 +53,15 @@ def random_params(rng: np.random.Generator, case: int) -> ModelParams:
     raise RuntimeError(f"could not generate case-{case} parameters")
 
 
+def sample_times(sampled) -> list[float]:
+    """The oracle's sample times start_time + dt*i, one per level."""
+    return [sampled.start_time + sampled.dt * i for i in range(len(sampled.levels))]
+
+
 def max_gap(traj, sampled) -> float:
     """max |closed form - rk4| over the oracle's samples (NaN if any is NaN)."""
-    return np.max(np.abs(np.asarray(traj.values(sampled.times)) - np.asarray(sampled.levels)))
+    return np.max(np.abs(np.asarray(traj.values(sample_times(sampled)))
+                         - np.asarray(sampled.levels)))
 
 
 def random_start(rng: np.random.Generator, params: ModelParams) -> float:

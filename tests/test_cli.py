@@ -230,6 +230,29 @@ def test_sweep_requires_min_duration_kind(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("gamma, expected", [("5e-324", 2), ("1", 0)])
+def test_sweep_exits_2_when_durations_overflow(tmp_path, capsys, gamma, expected):
+    # Dividing by a subnormal gamma overflowed T_hat and S to inf and the
+    # slope checks printed VIOLATED with exit 0; now the input is refused.
+    # The same market at gamma = 1 writes finite cells and every check holds.
+    out = tmp_path / "sweep.csv"
+    code, stdout, stderr = run(
+        capsys, "sweep",
+        *sets("u_min=1", "u_max=2", "cost=2.5", "externality=3", f"gamma={gamma}",
+              "x0=0.1", "kind=min_duration", "sweep_points=8"),
+        "--output", str(out),
+    )
+    assert code == expected
+    if expected == 2:
+        assert stdout == "" and not out.exists()
+        assert stderr.count("\n") == 1 and "gamma" in stderr
+        return
+    _, rows = read_csv(out)
+    assert all(math.isfinite(float(r[4])) for r in rows)
+    assert all(math.isfinite(float(r[3])) for r in rows if r[2] == "true")
+    assert "VIOLATED" not in stdout
+
+
 def test_sweep_deterministic_bytes(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (a, b):
@@ -394,20 +417,30 @@ def test_csv_float_format_17_digits(tmp_path, capsys):
     assert rows[1][0] == "0.25"
 
 
-def test_sweep_csv_reproducible_from_library(tmp_path, capsys):
+def _assert_same_text(got: str, expected: str) -> None:
+    # A bool, not the strings, goes to the assert: pytest's diff of two
+    # long texts takes minutes.
+    same = got == expected
+    got_lines, want = got.split("\n"), expected.split("\n")
+    first = next((i for i, (a, b) in enumerate(zip(got_lines, want)) if a != b),
+                 min(len(got_lines), len(want)))
+    assert same, f"line {first}: {got_lines[first:first + 1]} != {want[first:first + 1]}"
+
+
+def _check_sweep_csv(tmp_path, capsys, x0, points):
     # The verb is a thin adapter: the same bytes fall out of direct
-    # library calls plus the CSV formatting rules.
+    # library calls plus the per-cell CSV formatting rules.
     from netadopt import ModelParams, sweep
     from netadopt.cli import _fmt
 
     out = tmp_path / "sweep.csv"
     code, _, _ = run(
         capsys, "sweep",
-        *sets(*PLANNER_KEYS, "x0=0", "kind=min_duration", "sweep_points=48"),
+        *sets(*PLANNER_KEYS, f"x0={x0}", "kind=min_duration", f"sweep_points={points}"),
         "--output", str(out),
     )
     assert code == 0
-    rows, frontier = sweep(ModelParams(1, 2, 2.5, 3, 1), 0.0, grid_points=48)
+    rows, frontier = sweep(ModelParams(1, 2, 2.5, 3, 1), x0, grid_points=points)
     on_frontier = {id(r) for r in frontier.frontier}
     lines = ["s,s_over_e,feasible,T_hat,S,regime,method,frontier"]
     for r in rows:
@@ -415,10 +448,25 @@ def test_sweep_csv_reproducible_from_library(tmp_path, capsys):
             r.level, r.normalized, r.feasible, r.duration, r.cost,
             r.regime, "closed_form", id(r) in on_frontier,
         )))
-    assert out.read_text() == "\n".join(lines) + "\n"
+    _assert_same_text(out.read_text(), "\n".join(lines) + "\n")
+    return rows
 
 
-def test_simulate_csv_reproducible_from_library(tmp_path, capsys):
+def test_sweep_csv_reproducible_from_library(tmp_path, capsys):
+    _check_sweep_csv(tmp_path, capsys, 0.0, 48)
+
+
+def test_sweep_csv_across_row_blocks(tmp_path, capsys):
+    # Rows are formatted a block at a time: two block boundaries, an
+    # infeasible range with inf cells and the constant range-5 duration.
+    from netadopt.cli import BLOCK_ROWS
+
+    rows = _check_sweep_csv(tmp_path, capsys, 0.125, 2100)
+    assert len(rows) > 2 * BLOCK_ROWS
+    assert {r.regime for r in rows} == {1, 2, 3, 4, 5}
+
+
+def _check_simulate_csv(tmp_path, capsys, window, t_end, dt, grid):
     # The grid t0 + i*dt up to t_end, the horizon, the window end and the
     # band-edge junctions, each once and in order, valued by the path.
     from netadopt import ModelParams, full_subsidy_analysis
@@ -427,21 +475,38 @@ def test_simulate_csv_reproducible_from_library(tmp_path, capsys):
     out = tmp_path / "traj.csv"
     code, stdout, _ = run(
         capsys, "simulate",
-        *sets(*TIPPING_KEYS, "x0=0.25", "kind=full", "T=2", "t_end=10", "dt=0.3"),
+        *sets(*TIPPING_KEYS, "x0=0.25", "kind=full", f"T={window}", f"t_end={t_end}",
+              f"dt={dt}"),
         "--output", str(out),
     )
     assert code == 0
     params = ModelParams(1, 2, 3, 3, 0.3333333333333333)
-    traj = full_subsidy_analysis(params, 0.0, 0.25, 2.0).trajectory
-    junctions = [b for b in traj.breakpoints if 0.0 < b <= 10.0]
-    assert junctions and traj.subsidy_end == 2.0
-    times = sorted({i * 0.3 for i in range(34)} | {10.0, 2.0, *junctions})
+    traj = full_subsidy_analysis(params, 0.0, 0.25, window).trajectory
+    junctions = [b for b in traj.breakpoints if 0.0 < b <= t_end]
+    assert junctions and traj.subsidy_end == window
+    times = sorted({*grid, t_end, window, *junctions})
     lines = ["t,x,phase"] + [
-        f"{_fmt(t)},{_fmt(traj.value(t))},{'subsidized' if t <= 2.0 else 'unsubsidized'}"
+        f"{_fmt(t)},{_fmt(traj.value(t))},{'subsidized' if t <= window else 'unsubsidized'}"
         for t in times
     ]
-    assert out.read_text() == "\n".join(lines) + "\n"
-    assert stdout.startswith(f"{len(times)} rows on [0, 10]\n")
+    _assert_same_text(out.read_text(), "\n".join(lines) + "\n")
+    assert stdout.startswith(f"{len(times)} rows on [0, {_fmt(t_end)}]\n")
+    return times
+
+
+def test_simulate_csv_reproducible_from_library(tmp_path, capsys):
+    _check_simulate_csv(tmp_path, capsys, 2.0, 10.0, 0.3, [i * 0.3 for i in range(34)])
+
+
+def test_simulate_csv_across_row_blocks(tmp_path, capsys):
+    # More than two blocks of rows, the window closing inside the second.
+    from netadopt.cli import BLOCK_ROWS
+
+    dt = 1 / 256
+    times = _check_simulate_csv(tmp_path, capsys, 5.0, 10.0, dt,
+                                [i * dt for i in range(2561)])
+    assert len(times) > 2 * BLOCK_ROWS
+    assert BLOCK_ROWS < times.index(5.0) < 2 * BLOCK_ROWS - 1
 
 
 def test_simulate_rows_stop_at_horizon(tmp_path, capsys):

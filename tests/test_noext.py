@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import sample_times
 
 from netadopt import (
     ConstantLevelSubsidy,
@@ -77,7 +78,7 @@ def test_required_duration_matches_first_passage():
         cls = ConstantLevelSubsidy(s, 50.0)
         sampled = integrate_ode(WIDE, cls, t_end=20.0, dt=1e-3)
         crossing = None
-        for t, x in zip(sampled.times, sampled.levels):
+        for t, x in zip(sample_times(sampled), sampled.levels):
             if x >= 0.5:
                 crossing = t
                 break

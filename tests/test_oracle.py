@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import sample_times
 
 from netadopt import (
     ConstantLevelSubsidy,
@@ -34,7 +35,7 @@ def test_integrate_full_subsidy_is_pure_climb():
     params = ModelParams(0.0, 1.0, 0.5, 0.0, 1.0)
     cls = ConstantLevelSubsidy(0.5, 50.0)
     sampled = integrate_ode(params, cls, t_end=5.0)
-    for t, x in zip(sampled.times, sampled.levels):
+    for t, x in zip(sample_times(sampled), sampled.levels):
         assert x == pytest.approx(1.0 - math.exp(-t), abs=1e-6)
 
 
@@ -103,7 +104,7 @@ def test_integrate_ode_matches_scalar_steps_bitwise(schedule, t0, x0, t_end):
     # The samples take at least two of the uniform ccdf's three branches.
     ceff = np.full(len(sampled.levels), PLANNER.cost)
     if schedule is not None:
-        times = np.asarray(sampled.times)
+        times = np.asarray(sample_times(sampled))
         ceff[(times >= schedule.start) & (times <= schedule.end)] -= schedule.level
     u = ceff - PLANNER.externality * np.asarray(sampled.levels)
     branches = [u <= PLANNER.u_min, (u > PLANNER.u_min) & (u < PLANNER.u_max),

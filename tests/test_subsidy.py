@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import max_gap, random_planner_setup
+from conftest import max_gap, random_planner_setup, sample_times
 
 from netadopt import (
     AssumptionViolationError,
     ConstantLevelSubsidy,
+    CostSignPattern,
     InfeasibleSubsidyError,
     InvalidParameterError,
     ModelParams,
@@ -30,7 +31,7 @@ from netadopt import (
 )
 from netadopt.closed_form import band_segment
 from netadopt.oracle import first_passage
-from netadopt.subsidy import linspace
+from netadopt.subsidy import FLAT_TOL, linspace
 
 TIPPING = ModelParams(1.0, 2.0, 3.0, 3.0, 1.0 / 3.0)  # interior 0.5, y0 below
 PLANNER = ModelParams(1.0, 2.0, 2.5, 3.0, 1.0)  # interior 0.25
@@ -222,7 +223,7 @@ def test_min_duration_matches_first_passage():
             PLANNER, subsidy_schedule=cls, x0=y0, t_end=30.0, dt=1e-3
         )
         crossed = None
-        for t, x in zip(sampled.times, sampled.levels):
+        for t, x in zip(sample_times(sampled), sampled.levels):
             if x >= 0.25:
                 crossed = t
                 break
@@ -427,6 +428,166 @@ def test_duration_uses_the_range_of_the_outlay_at_a_bound():
     assert min_duration(params, y0, b3) == expected
     rows, _ = sweep(params, y0)
     assert [(r.regime, r.duration) for r in rows if r.level == b3] == [(3, expected)]
+
+
+def _reference_plan(params, y0, level, x_int, bounds):
+    """The planner one level at a time, as a cascade over the four bounds:
+    the per-level form the range-by-range evaluator replaced, kept as the
+    reference that it must match bit for bit."""
+    c, e, gamma = params.cost, params.externality, params.gamma
+    spread = params.u_max - params.u_min
+    inv_a = spread / (e - spread)  # 1/a of the in-band dynamics
+    b1, s_hat, b3, b4 = bounds
+
+    if level <= b1:
+        return 1, None, level * y0 / gamma
+
+    ceff = c - level
+    sub_int = interior_equilibrium(ceff, params)
+    knife_edge = None if y0 > 0 else 0.0
+    if level <= s_hat:
+        if sub_int - y0 <= 0.0:
+            # Knife edge (up to rounding): the level balances forever.
+            return 2, None, knife_edge
+        low = params.band_low(ceff)
+        inner = sub_int * math.log((sub_int - low) / (sub_int - y0)) - (y0 - low)
+        return 2, None, level / gamma * (inv_a * inner + low)
+
+    if level <= b3:
+        duration = band_segment(params, ceff, 0.0, y0).time_to(x_int)
+        if y0 - sub_int <= 0.0:
+            return 3, duration, knife_edge
+        inner = sub_int * math.log((x_int - sub_int) / (y0 - sub_int)) + x_int - y0
+        return 3, duration, level / gamma * inv_a * inner
+
+    if level <= b4:
+        edge = y0 + (b4 - level) / e
+        exit_time = band_segment(params, ceff, 0.0, y0).time_to(edge)
+        duration = None  # the subsidized path sits on its own fixed point
+        if exit_time is not None:
+            duration = exit_time + math.log((1.0 - edge) / (1.0 - x_int)) / gamma
+        if y0 - sub_int <= 0.0:
+            return 4, duration, knife_edge
+        top = min(edge, x_int)
+        in_band = sub_int * math.log1p((top - y0) / (y0 - sub_int)) + top - y0
+        above = math.log1p((x_int - top) / (1.0 - x_int)) - (x_int - top)
+        return 4, duration, level / gamma * (inv_a * in_band + above)
+
+    climb = math.log((1.0 - y0) / (1.0 - x_int))
+    return 5, climb / gamma, level / gamma * (climb - (x_int - y0))
+
+
+def _reference_markets():
+    """Fixed bistable markets: random ones (every fourth at y0 = 0), the
+    clamped-bound market at y0 = 0 and PLANNER at both starts."""
+    rng = np.random.default_rng(2024)
+    markets = []
+    for i in range(40):
+        params, y0 = random_planner_setup(rng, positive_y0=bool(i % 2))
+        markets.append((params, 0.0 if i % 4 == 0 else y0))
+    clamped = ModelParams(
+        0.935609791532341, 1.685870423705207, 1.8797231588513614,
+        1.346491514237461, 1.099522908476864,
+    )
+    return markets + [(clamped, 0.0), (PLANNER, 0.0), (PLANNER, 0.125)]
+
+
+def test_sweep_matches_reference_cascade_bitwise():
+    seen = {"y0 = 0": 0, "y0 > 0": 0, "b3 < s_hat": 0, "sub_int - y0 == 0": 0,
+            "b1": 0, "s_hat": 0, "b3": 0, "b4": 0}
+    for params, y0 in _reference_markets():
+        bounds = subsidy_interval_bounds(params, y0)
+        x_int = interior_equilibrium(params.cost, params)
+        rows, _ = sweep(params, y0, grid_points=129)
+        for r in rows:
+            expected = _reference_plan(params, y0, r.level, x_int, bounds)
+            assert repr((r.regime, r.duration, r.cost)) == repr(expected)
+            assert repr(min_duration(params, y0, r.level)) == repr(r.duration)
+            result = min_duration_cost(params, y0, r.level)
+            assert repr((result.row, result.value)) == repr((r.regime, r.cost))
+            if bounds[0] < r.level <= bounds[3]:
+                sub_int = interior_equilibrium(params.cost - r.level, params)
+                seen["sub_int - y0 == 0"] += sub_int - y0 == 0.0
+        levels = {r.level for r in rows}
+        for name, bound in zip(("b1", "s_hat", "b3", "b4"), bounds):
+            seen[name] += bound in levels
+        seen["y0 = 0" if y0 == 0.0 else "y0 > 0"] += 1
+        seen["b3 < s_hat"] += bounds[2] < bounds[1]
+    assert all(seen.values()), seen
+
+
+def test_knife_edge_level_matches_reference_cascade():
+    # Just above min_subsidy, where y0 - sub_int rounds to <= 0 in range 3.
+    params = ModelParams(
+        0.681422225356519, 1.3677228018445504, 2.4477802459972486,
+        1.8913485043702145, 4.024480697946498,
+    )
+    y0 = 0.5106237380143381
+    bounds = subsidy_interval_bounds(params, y0)
+    x_int = interior_equilibrium(params.cost, params)
+    for level in (bounds[1], math.nextafter(bounds[1], math.inf), bounds[2], bounds[3]):
+        result = min_duration_cost(params, y0, level)
+        got = (result.row, min_duration(params, y0, level), result.value)
+        assert repr(got) == repr(_reference_plan(params, y0, level, x_int, bounds))
+
+
+def _reference_sign_pattern(rows, params, y0):
+    """cost_sign_pattern with each range's neighbouring pairs filtered out
+    of all pairs, and the dip taken over a filtered list: the five-pass
+    form that the bisected slices replaced."""
+    b1, s_hat, b3, b4 = subsidy_interval_bounds(params, y0)
+    lo4 = max(b3, s_hat)
+    intervals = [(0.0, b1), (b1, s_hat), (s_hat, b3), (lo4, b4), (b4, params.cost)]
+    finite = [(r.level, r.cost) for r in rows if r.cost is not None]
+    verdicts, switch_count = [], None
+    for k, (lo, hi) in enumerate(intervals, start=1):
+        diffs = [c2 - c1 for (s1, c1), (s2, c2) in zip(finite, finite[1:])
+                 if s1 > lo and s2 < hi]
+        if not diffs:
+            verdicts.append(None)
+        elif k in (1, 2):
+            flat = y0 == 0.0
+            verdicts.append(all(abs(d) <= FLAT_TOL if flat else d > 0 for d in diffs))
+        elif k == 3:
+            verdicts.append(all(d < 0 for d in diffs))
+        elif k == 5:
+            verdicts.append(all(d > 0 for d in diffs))
+        else:
+            nz = [1 if d > FLAT_TOL else -1 for d in diffs if abs(d) > FLAT_TOL]
+            switch_count = sum(1 for a, b in zip(nz, nz[1:]) if a != b)
+            verdicts.append(bool(nz) and (1, -1) not in zip(nz, nz[1:]))
+    inside = [(s, v) for s, v in finite if lo4 <= s <= b4]
+    dip_level = min(inside, key=lambda pair: pair[1])[0] if inside else None
+    return CostSignPattern(tuple(verdicts), switch_count, dip_level,
+                           all(v is not False for v in verdicts))
+
+
+def test_cost_sign_pattern_matches_reference():
+    # The sweeps of the reference markets, with rows dropped at random,
+    # and with random outlays (some None) so that every verdict is taken.
+    rng = np.random.default_rng(77)
+    verdicts = set()
+    for params, y0 in _reference_markets():
+        rows, _ = sweep(params, y0, grid_points=65)
+        kept = [r for r in rows if rng.uniform() < 0.8]
+        noisy = [r._replace(cost=None if u < 0.1 else float(u - 0.5))
+                 for r, u in zip(rows, rng.uniform(size=len(rows)))]
+        for sample in (rows, kept, noisy):
+            got = cost_sign_pattern(sample, params, y0)
+            assert got == _reference_sign_pattern(sample, params, y0)
+            verdicts.update(got.verdicts)
+    assert verdicts == {True, False, None}
+
+
+def test_overflowing_gamma_is_refused():
+    # Dividing by a subnormal gamma overflows every feasible duration.
+    params = ModelParams(1.0, 2.0, 2.5, 3.0, 5e-324)
+    with pytest.raises(InvalidParameterError, match="gamma"):
+        sweep(params, 0.1, grid_points=8)
+    with pytest.raises(InvalidParameterError, match="gamma"):
+        min_duration(params, 0.1, 2.0)
+    with pytest.raises(InvalidParameterError, match="gamma"):
+        min_duration_cost(params, 0.1, 2.0)
 
 
 def test_cost_matches_oracle_all_rows():
