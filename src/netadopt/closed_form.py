@@ -53,18 +53,23 @@ class Segment:
         Returns None when the level is never reached (wrong side of the
         limit, motion away from the target, or asymptotic approach only).
         """
-        if x == self.start_level:
-            return self.start_time
-        if self.step == 0.0:
-            return None  # standing still
-        ratio = (x - self.start_level) / self.step
-        if self.rate == 0.0:
-            tau = ratio
-        elif ratio <= -1.0:
-            return None
-        else:
-            tau = math.log1p(ratio) / self.rate
-        return self.start_time + tau if tau >= 0.0 else None
+        return hit_time(self.start_time, self.start_level, self.rate, self.step, x)
+
+
+def hit_time(t0: float, x0: float, rate: float, step: float, x: float) -> float | None:
+    """``Segment(t0, x0, rate, step).time_to(x)`` without building the segment."""
+    if x == x0:
+        return t0
+    if step == 0.0:
+        return None  # standing still
+    ratio = (x - x0) / step
+    if rate == 0.0:
+        tau = ratio
+    elif ratio <= -1.0:
+        return None
+    else:
+        tau = math.log1p(ratio) / rate
+    return t0 + tau if tau >= 0.0 else None
 
 
 @dataclass(frozen=True, slots=True)
@@ -154,12 +159,20 @@ def band_segment(
     For a != 0 it relaxes toward (or, with a > 0, away from) the fixed
     point -b/a; on the degenerate band a == 0 it drifts at speed gamma*b.
     """
+    rate, step = band_rate_step(params, effective_cost, x0)
+    return Segment(t0, x0, rate=rate, step=step)
+
+
+def band_rate_step(
+    params: ModelParams, effective_cost: float, x0: float
+) -> tuple[float, float]:
+    """(rate, step) of ``band_segment(params, effective_cost, t0, x0)``."""
     spread = params.u_max - params.u_min
     a = (params.externality + params.u_min - params.u_max) / spread
     b = (params.u_max - effective_cost) / spread
     if a == 0.0:
-        return Segment(t0, x0, rate=0.0, step=params.gamma * b)
-    return Segment(t0, x0, rate=a * params.gamma, step=x0 + b / a)
+        return 0.0, params.gamma * b
+    return a * params.gamma, x0 + b / a
 
 
 def unsubsidized_trajectory(

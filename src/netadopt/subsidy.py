@@ -16,9 +16,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain
 from operator import sub
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .closed_form import PiecewiseTrajectory, unsubsidized_trajectory
+from .closed_form import PiecewiseTrajectory, band_rate_step, hit_time, unsubsidized_trajectory
 from .errors import (
     AssumptionViolationError,
     InfeasibleSubsidyError,
@@ -289,8 +289,11 @@ def min_duration(params: ModelParams, y0: float, level: float) -> float | None:
     level cannot get there: level <= min_subsidy, or, within rounding of
     it, a subsidized path that rests on its own fixed point.  Constant in
     the level once the whole climb happens above the subsidized band.
+    Raises InvalidParameterError if the duration overflows (a tiny gamma).
     """
-    return _plan_level(params, y0, level)[1]
+    duration = _plan_level(params, y0, level)[1]
+    _require_finite([duration], "duration", params)
+    return duration
 
 
 def min_duration_trajectory(
@@ -357,9 +360,11 @@ def min_duration_cost(params: ModelParams, y0: float, level: float) -> CostResul
     fifth at the band edge.  Levels at or below min_subsidy pay for an
     unbounded window while the state settles back down; their outlay is
     still finite except exactly at min_subsidy with y0 > 0, reported as
-    value None.
+    value None.  Raises InvalidParameterError if the outlay overflows (a
+    tiny gamma).
     """
     row, _, outlay = _plan_level(params, y0, level)
+    _require_finite([outlay], "outlay", params)
     return CostResult(outlay, row=row)
 
 
@@ -375,6 +380,11 @@ def _plan_level(
     return regimes[0], durations[0], outlays[0]
 
 
+def _require_finite(values: Iterable[float | None], what: str, params: ModelParams) -> None:
+    if not all(map(math.isfinite, filter(None, values))):
+        raise InvalidParameterError(f"planner {what} overflow at gamma = {params.gamma!r}")
+
+
 def _plan_grid(
     params: ModelParams,
     y0: float,
@@ -386,35 +396,15 @@ def _plan_grid(
     levels.  The levels are split once against ``bounds`` into the five
     ranges (a level on a bound is in the lower one), and each range is
     evaluated with its own closed forms.  On ranges 1-2 (at or below
-    min_subsidy) no window tips the market.  Raises InvalidParameterError
-    when a duration or outlay overflows, as dividing by a tiny gamma can.
+    min_subsidy) no window tips the market.  A duration or outlay can
+    overflow to inf when gamma is tiny; the callers refuse those.
     """
     u_min, u_max = params.u_min, params.u_max
     c, e, gamma = params.cost, params.externality, params.gamma
     spread = u_max - u_min
     inv_a = spread / (e - spread)  # 1/a of the in-band dynamics
-    denom = u_max - (u_min + e)  # of interior_equilibrium
     knife_edge = None if y0 > 0 else 0.0
     log, log1p = math.log, math.log1p
-    # band_segment(params, ceff, 0.0, y0).time_to(x) with b of that ceff:
-    # rate a*gamma and step y0 + b/a, or rate 0 and step gamma*b if a == 0.
-    a = (e + u_min - u_max) / spread
-    rate = 0.0 if a == 0.0 else a * gamma
-
-    def hit_time(b: float, x: float) -> float | None:
-        if x == y0:
-            return 0.0
-        step = gamma * b if a == 0.0 else y0 + b / a
-        if step == 0.0:
-            return None  # standing still
-        ratio = (x - y0) / step
-        if rate == 0.0:
-            tau = ratio
-        elif ratio <= -1.0:
-            return None
-        else:
-            tau = log1p(ratio) / rate
-        return 0.0 + tau if tau >= 0.0 else None
 
     ends = [bisect_right(levels, b) for b in accumulate(bounds, max)]
     ranges = [levels[lo:hi] for lo, hi in zip([0, *ends], [*ends, len(levels)])]
@@ -424,19 +414,19 @@ def _plan_grid(
 
     for s in ranges[1]:
         ceff = c - s
-        sub_int = (u_max - ceff) / denom
+        sub_int = interior_equilibrium(ceff, params)
         if sub_int - y0 <= 0.0:
             # Knife edge (up to rounding): the level balances forever.
             outlays.append(knife_edge)
             continue
-        low = (ceff - u_max) / e  # params.band_low(ceff)
+        low = params.band_low(ceff)
         inner = sub_int * log((sub_int - low) / (sub_int - y0)) - (y0 - low)
         outlays.append(s / gamma * (inv_a * inner + low))
 
     for s in ranges[2]:
         ceff = c - s
-        sub_int = (u_max - ceff) / denom
-        durations.append(hit_time((u_max - ceff) / spread, x_int))
+        sub_int = interior_equilibrium(ceff, params)
+        durations.append(hit_time(0.0, y0, *band_rate_step(params, ceff, y0), x_int))
         if y0 - sub_int <= 0.0:
             outlays.append(knife_edge)
             continue
@@ -446,12 +436,12 @@ def _plan_grid(
     rest = 1.0 - x_int
     for s in ranges[3]:
         ceff = c - s
-        sub_int = (u_max - ceff) / denom
+        sub_int = interior_equilibrium(ceff, params)
         # The subsidized band edge band_high(ceff), written so that it is
         # exactly y0 at b4: there the climb is all out of band and the
         # duration equals range 5's to the last bit.
         edge = y0 + (bounds[3] - s) / e
-        exit_time = hit_time((u_max - ceff) / spread, edge)
+        exit_time = hit_time(0.0, y0, *band_rate_step(params, ceff, y0), edge)
         # None: the subsidized path sits on its own fixed point.
         durations.append(
             None if exit_time is None else exit_time + log((1.0 - edge) / rest) / gamma
@@ -472,11 +462,6 @@ def _plan_grid(
         net = climb - (x_int - y0)
         durations += [climb / gamma] * len(ranges[4])
         outlays += [s / gamma * net for s in ranges[4]]
-
-    if not all(map(math.isfinite, filter(None, chain(durations, outlays)))):
-        raise InvalidParameterError(
-            f"planner durations or outlays overflow at gamma = {gamma!r}"
-        )
     return regimes, durations, outlays
 
 
@@ -508,13 +493,15 @@ def sweep(
 
     The grid spans [0, cost] with the analytic boundary levels inserted
     exactly.  Rows keep the grid order; the frontier keeps the rows not
-    dominated in (duration, cost).
+    dominated in (duration, cost).  Raises InvalidParameterError if a
+    duration or outlay overflows (a tiny gamma).
     """
     x_int, bounds = _planner_bounds(params, y0)
     inside = [b for b in bounds if 0.0 <= b <= params.cost]
     grid = sorted({*linspace(0.0, params.cost, grid_points), *inside})
 
     regimes, durations, outlays = _plan_grid(params, y0, grid, x_int, bounds)
+    _require_finite(chain(durations, outlays), "durations or outlays", params)
     e = params.externality
     rows = list(map(SubsidySweepRow._make, zip(
         grid, [s / e for s in grid], [d is not None for d in durations],
@@ -545,8 +532,9 @@ def cost_sign_pattern(
     rows: Sequence[SubsidySweepRow], params: ModelParams, y0: float
 ) -> CostSignPattern:
     """Check the slope signs of the sweep's outlay against the expected
-    pattern, range by range.  The rows must be in increasing level order,
-    as ``sweep`` returns them."""
+    pattern, range by range.  The rows with an outlay must be in
+    nondecreasing level order, as ``sweep`` returns them; otherwise
+    raises InvalidParameterError."""
     b1, s_hat, b3, b4 = subsidy_interval_bounds(params, y0)
     # The fourth range starts at the feasibility threshold when the
     # analytic bounds interleave (s_hat can exceed the band-exit bound).
@@ -554,6 +542,8 @@ def cost_sign_pattern(
     intervals = [(0.0, b1), (b1, s_hat), (s_hat, b3), (lo4, b4), (b4, params.cost)]
     levels = [r.level for r in rows if r.cost is not None]
     costs = [r.cost for r in rows if r.cost is not None]
+    if levels != sorted(levels):
+        raise InvalidParameterError("cost_sign_pattern needs rows in level order")
 
     verdicts: list[bool | None] = []
     switch_count: int | None = None

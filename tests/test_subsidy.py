@@ -579,15 +579,34 @@ def test_cost_sign_pattern_matches_reference():
     assert verdicts == {True, False, None}
 
 
-def test_overflowing_gamma_is_refused():
-    # Dividing by a subnormal gamma overflows every feasible duration.
-    params = ModelParams(1.0, 2.0, 2.5, 3.0, 5e-324)
+@pytest.mark.parametrize("gamma, level", [(5e-324, 2.0), (1e-308, 2.0), (5e-324, 0.05)])
+def test_overflowing_gamma_is_refused(gamma, level):
+    # Dividing by a tiny gamma overflows each of these outlays to inf.  The
+    # range-5 duration overflows too at 5e-324 but not at 1e-308 (about
+    # 1.8e307), and the range-1 level has none: min_duration refuses only
+    # a duration that overflowed and otherwise returns the cascade's.
+    params = ModelParams(1.0, 2.0, 2.5, 3.0, gamma)
+    bounds = subsidy_interval_bounds(params, 0.1)
+    x_int = interior_equilibrium(params.cost, params)
+    _, duration, outlay = _reference_plan(params, 0.1, level, x_int, bounds)
+    assert outlay == math.inf
     with pytest.raises(InvalidParameterError, match="gamma"):
         sweep(params, 0.1, grid_points=8)
-    with pytest.raises(InvalidParameterError, match="gamma"):
-        min_duration(params, 0.1, 2.0)
-    with pytest.raises(InvalidParameterError, match="gamma"):
-        min_duration_cost(params, 0.1, 2.0)
+    with pytest.raises(InvalidParameterError, match="outlay overflow at gamma"):
+        min_duration_cost(params, 0.1, level)
+    if duration == math.inf:
+        with pytest.raises(InvalidParameterError, match="duration overflow at gamma"):
+            min_duration(params, 0.1, level)
+    else:
+        assert repr(min_duration(params, 0.1, level)) == repr(duration)
+
+
+def test_cost_sign_pattern_refuses_unsorted_rows():
+    rows, frontier = sweep(PLANNER, 0.125, grid_points=64)
+    with pytest.raises(InvalidParameterError, match="level order"):
+        cost_sign_pattern(rows[::-1], PLANNER, 0.125)
+    with pytest.raises(InvalidParameterError, match="level order"):
+        cost_sign_pattern(frontier.frontier, PLANNER, 0.125)
 
 
 def test_cost_matches_oracle_all_rows():
