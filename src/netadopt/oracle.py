@@ -39,6 +39,24 @@ class SampledTrajectory:
         return self.start_time + self.dt * (len(self.levels) - 1)
 
 
+def _rk4_step(
+    x: float, h: float, ceff: float, e: float, gamma: float,
+    u_min: float, u_max: float, spread: float,
+) -> float:
+    """One classical RK4 step of xdot = gamma*(ccdf(ceff - e*x) - x)."""
+
+    def slope(y: float) -> float:
+        u = ceff - e * y
+        return gamma * ((1.0 if u <= u_min else 0.0 if u >= u_max
+                         else (u_max - u) / spread) - y)
+
+    k1 = slope(x)
+    k2 = slope(x + 0.5 * h * k1)
+    k3 = slope(x + 0.5 * h * k2)
+    k4 = slope(x + h * k3)
+    return x + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+
+
 def integrate_ode(
     params: ModelParams,
     subsidy_schedule=None,
@@ -50,15 +68,27 @@ def integrate_ode(
     """Fixed-step RK4 samples of xdot = gamma*(ccdf(c - s(t) - e*x) - x).
 
     The effective cost is constant before, during and after the subsidy
-    window, so the integration runs phase by phase.  Steps that straddle
-    the window's start or end are split there, so each RK4 evaluation
-    sees a smooth field; the sample grid itself stays uniform.
+    window, so the integration runs phase by phase.  A phase ending at b
+    takes grid steps onto t0 + i*dt up to the last i <= n with
+    t0 + i*dt <= b (its grid range, found once), then one split step
+    onto b when b falls between grid times.  Each RK4 evaluation thus
+    sees a smooth field, and the sample grid itself stays uniform.
+
+    Every step is the classical one of ``_rk4_step``.  Once a grid step
+    starts on a clamp of the ccdf, the rest of its phase runs without
+    the ccdf's comparisons, bit for bit the same: with e == 0 the ccdf
+    is constant in x; with u = ceff - e*x <= u_min and x <= 1 (or
+    u >= u_max and x >= 0) it stays 1 (or 0) for every later stage.
+    The stages move x toward that value c, and with dt*gamma <= 1e-2
+    none passes it; as e >= 0 and rounding is monotone, a stage between
+    x and c has its u on the same side of the clamp as x.
 
     Args:
         params: Market parameters (supply cost, externality, gamma).
         subsidy_schedule: A ``ConstantLevelSubsidy``, or None for the
             plain dynamics.  Only its ``level``, ``start`` and ``end``
             attributes are read, so the oracle needs no planner import.
+        x0: Starting level, finite.
 
     Raises:
         InvalidStepError: when dt*gamma exceeds 1e-2, t_end <= t0, or the
@@ -92,43 +122,68 @@ def integrate_ode(
     cuts = sorted({b for b in (start, end) if t0 < b < t_end})
     levels = array("d", [x0]) * (n + 1)
 
-    # Integrate phase by phase with a tight loop: grid steps up to the
-    # phase end b, then one split step onto b when it falls between grid
-    # times.  Each step is xdot = gamma*(ccdf(ceff - e*x) - x) under
-    # classical RK4, with the uniform ccdf written out at every stage.
     edges = [t0, *cuts, t_end]
     x, t, i = x0, t0, 1
+    if x == 0.0 and math.copysign(1.0, x) < 0.0:
+        # A step of length 0 (t0 + i*dt == t0) leaves the state as it is,
+        # but RK4 arithmetic would turn -0.0 into 0.0: skip those steps.
+        while i <= n and t0 + i * dt == t0:
+            i += 1
     for a, b in zip(edges, edges[1:]):
         ceff = cost - (level if start <= 0.5 * (a + b) <= end else 0.0)
-        while True:
+        # The phase's last grid index: the largest j <= n with
+        # t0 + j*dt <= b, adjusted from an estimate with that expression.
+        j = min(n, max(i - 1, int((b - t0) / dt)))
+        while j < n and t0 + (j + 1) * dt <= b:
+            j += 1
+        while t0 + j * dt > b:
+            j -= 1
+        # Grid steps i..j: _rk4_step written out, as a call would cost a
+        # quarter of the step, until the state sits on a clamp.
+        for i in range(i, j + 1):
+            u = ceff - e * x
+            if u <= u_min and x <= 1.0 or u >= u_max and x >= 0.0 or e == 0.0:
+                break
             t_next = t0 + i * dt
-            on_grid = i <= n and t_next <= b
-            if not on_grid:
-                if t >= b:
-                    break
-                t_next = b
             h = t_next - t
-            if h != 0.0:
-                u = ceff - e * x
-                k1 = gamma * ((1.0 if u <= u_min else 0.0 if u >= u_max
-                               else (u_max - u) / spread) - x)
-                x2 = x + 0.5 * h * k1
-                u = ceff - e * x2
-                k2 = gamma * ((1.0 if u <= u_min else 0.0 if u >= u_max
-                               else (u_max - u) / spread) - x2)
-                x3 = x + 0.5 * h * k2
-                u = ceff - e * x3
-                k3 = gamma * ((1.0 if u <= u_min else 0.0 if u >= u_max
-                               else (u_max - u) / spread) - x3)
-                x4 = x + h * k3
-                u = ceff - e * x4
-                k4 = gamma * ((1.0 if u <= u_min else 0.0 if u >= u_max
-                               else (u_max - u) / spread) - x4)
-                x = x + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+            hh = 0.5 * h
+            k1 = gamma * ((1.0 if u <= u_min else 0.0 if u >= u_max
+                           else (u_max - u) / spread) - x)
+            x2 = x + hh * k1
+            u = ceff - e * x2
+            k2 = gamma * ((1.0 if u <= u_min else 0.0 if u >= u_max
+                           else (u_max - u) / spread) - x2)
+            x3 = x + hh * k2
+            u = ceff - e * x3
+            k3 = gamma * ((1.0 if u <= u_min else 0.0 if u >= u_max
+                           else (u_max - u) / spread) - x3)
+            x4 = x + h * k3
+            u = ceff - e * x4
+            k4 = gamma * ((1.0 if u <= u_min else 0.0 if u >= u_max
+                           else (u_max - u) / spread) - x4)
+            x = x + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
             t = t_next
-            if on_grid:
+            levels[i] = x
+        else:
+            i = j + 1
+        if i <= j:
+            # On a clamp: every later stage of the phase sees the ccdf value c.
+            c = 1.0 if u <= u_min else 0.0 if u >= u_max else (u_max - u) / spread
+            for i in range(i, j + 1):
+                t_next = t0 + i * dt
+                h = t_next - t
+                hh = 0.5 * h
+                k1 = gamma * (c - x)
+                k2 = gamma * (c - (x + hh * k1))
+                k3 = gamma * (c - (x + hh * k2))
+                k4 = gamma * (c - (x + h * k3))
+                x = x + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+                t = t_next
                 levels[i] = x
-                i += 1
+            i = j + 1
+        if t < b:
+            x = _rk4_step(x, b - t, ceff, e, gamma, u_min, u_max, spread)
+            t = b
     return SampledTrajectory(start_time=t0, dt=dt, levels=levels)
 
 

@@ -339,6 +339,12 @@ def _planner_bounds(
 ) -> tuple[float, tuple[float, float, float, float]]:
     """Check the planner regime; returns x_interior and the four bounds."""
     x_int = _require_planner_regime(params, y0)
+    if not x_int < 1.0:
+        # cost == u_min + externality (up to rounding): no finite window
+        # reaches a tipping level of full adoption.
+        raise AssumptionViolationError(
+            "cost < u_min + externality", f"the tipping level is {x_int}"
+        )
     c = params.cost
     e = params.externality
     # min_subsidy past its degenerate band, which the regime check excludes.

@@ -253,6 +253,22 @@ def test_sweep_exits_2_when_durations_overflow(tmp_path, capsys, gamma, expected
     assert "VIOLATED" not in stdout
 
 
+@pytest.mark.parametrize("verb", ["sweep", "simulate", "validate"])
+def test_planner_refuses_tipping_level_one(tmp_path, capsys, verb):
+    # cost == u_min + externality puts the tipping level at 1, where the
+    # planner's range 4-5 durations divided by zero with a traceback.
+    out = tmp_path / "out.csv"
+    code, stdout, stderr = run(
+        capsys, verb,
+        *sets("u_min=1", "u_max=2", "cost=4", "externality=3", "gamma=1", "x0=0",
+              "kind=min_duration", "s=3"),
+        "--output", str(out),
+    )
+    assert code == 3
+    assert stdout == "" and not out.exists()
+    assert stderr.count("\n") == 1 and "requires cost < u_min + externality" in stderr
+
+
 def test_sweep_deterministic_bytes(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (a, b):

@@ -91,24 +91,67 @@ def _reference_levels(params, schedule, t0, x0, t_end, dt):
     return np.array(levels)
 
 
-@pytest.mark.parametrize("schedule, t0, x0, t_end", [
-    (None, 0.0, 0.2, 6.0),  # no window: falls through the band toward 0
-    (ConstantLevelSubsidy(1.0, 1.5), 0.0, 0.0, 4.0),  # edges on grid times
-    (ConstantLevelSubsidy(0.7, 0.77031, start=0.30037), 0.1, 0.05, 3.0),  # between them
+NOEXT = ModelParams(0.0, 1.0, 0.5, 0.0, 1.0)
+# Only empty adoption is an equilibrium; full adoption holds only while
+# subsidized.
+LOWEXT = ModelParams(1.0, 2.0, 2.5, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("schedule, t0, x0, t_end, params, dt", [
+    # The first three keep their original ids.
+    pytest.param(None, 0.0, 0.2, 6.0, PLANNER, 1e-3,  # falls through the band toward 0
+                 id="None-0.0-0.2-6.0"),
+    pytest.param(ConstantLevelSubsidy(1.0, 1.5), 0.0, 0.0, 4.0, PLANNER, 1e-3,
+                 id="schedule1-0.0-0.0-4.0"),  # edges on grid times
+    pytest.param(ConstantLevelSubsidy(0.7, 0.77031, start=0.30037), 0.1, 0.05, 3.0,
+                 PLANNER, 1e-3, id="schedule2-0.1-0.05-3.0"),  # edges between them
+    # e = 0: the ccdf is constant in x within each phase.
+    pytest.param(ConstantLevelSubsidy(0.5, 1.0, start=0.5003), 0.0, 0.2, 3.0, NOEXT, 1e-3,
+                 id="no-externality"),
+    # Climbs through the band onto the top clamp.
+    pytest.param(None, 0.0, 0.3, 4.0, PLANNER, 1e-3, id="climb-to-top-clamp"),
+    # Climbs in the window, then falls onto the bottom clamp after it.
+    pytest.param(ConstantLevelSubsidy(0.35, 0.5), 0.0, 0.1, 3.0, PLANNER, 1e-3,
+                 id="fall-to-bottom-clamp"),
+    # Starts on a clamp: on the top one until the window ends, on the
+    # bottom one until it starts (-0.0 keeps its sign bit there).  The
+    # window start 0.009 lies just below the grid time 9*dt.
+    pytest.param(ConstantLevelSubsidy(1.0, 1.0), 0.0, 1.0, 3.0, LOWEXT, 1e-3,
+                 id="start-on-top-clamp"),
+    pytest.param(ConstantLevelSubsidy(2.0, 1.0, start=0.5003), 0.0, 0.0, 2.0, PLANNER, 1e-3,
+                 id="start-on-bottom-clamp"),
+    pytest.param(ConstantLevelSubsidy(2.0, 1.0, start=0.009), 0.0, -0.0, 2.0, PLANNER, 1e-3,
+                 id="start-on-bottom-clamp-negative-zero"),
+    # Starts past a clamp's side: above full adoption it leaves the top
+    # branch on its way down to 1, below 0 the bottom one on its way up.
+    pytest.param(None, 0.0, 2.0, 2.0, LOWEXT, 1e-3, id="start-above-one"),
+    pytest.param(ConstantLevelSubsidy(1.0, 3.0), 0.0, -1.0, 2.0, LOWEXT, 1e-3,
+                 id="start-below-zero"),
+    # Steps of length 0 (dt below the spacing of floats at t0) keep -0.0.
+    pytest.param(ConstantLevelSubsidy(2.0, 1e-15, start=1.0 + 1e-15), 1.0, -0.0,
+                 1.0 + 3e-15, PLANNER, 1e-17, id="zero-length-steps"),
+    # Far from 0, the grid's step lengths vary in their last bits.
+    pytest.param(ConstantLevelSubsidy(1.0, 1.5, start=1e6 + 0.3), 1e6, 0.05, 1e6 + 4.0,
+                 PLANNER, 1e-3, id="t0-1e6"),
+    pytest.param(ConstantLevelSubsidy(0.7, 0.77031, start=0.30037), 0.0, 0.3, 3.0,
+                 PLANNER, 1e-2, id="largest-step"),
+    # The window lies between two grid times: its phase has no grid step.
+    pytest.param(ConstantLevelSubsidy(2.0, 4e-4, start=0.1003), 0.0, 0.3, 2.0, PLANNER, 1e-3,
+                 id="window-within-one-step"),
 ])
-def test_integrate_ode_matches_scalar_steps_bitwise(schedule, t0, x0, t_end):
-    sampled = integrate_ode(PLANNER, subsidy_schedule=schedule, t0=t0, x0=x0,
-                            t_end=t_end, dt=1e-3)
-    expected = _reference_levels(PLANNER, schedule, t0, x0, t_end, 1e-3)
+def test_integrate_ode_matches_scalar_steps_bitwise(schedule, t0, x0, t_end, params, dt):
+    sampled = integrate_ode(params, subsidy_schedule=schedule, t0=t0, x0=x0,
+                            t_end=t_end, dt=dt)
+    expected = _reference_levels(params, schedule, t0, x0, t_end, dt)
     assert sampled.levels.tobytes() == expected.tobytes()
     # The samples take at least two of the uniform ccdf's three branches.
-    ceff = np.full(len(sampled.levels), PLANNER.cost)
+    ceff = np.full(len(sampled.levels), params.cost)
     if schedule is not None:
         times = np.asarray(sample_times(sampled))
         ceff[(times >= schedule.start) & (times <= schedule.end)] -= schedule.level
-    u = ceff - PLANNER.externality * np.asarray(sampled.levels)
-    branches = [u <= PLANNER.u_min, (u > PLANNER.u_min) & (u < PLANNER.u_max),
-                u >= PLANNER.u_max]
+    u = ceff - params.externality * np.asarray(sampled.levels)
+    branches = [u <= params.u_min, (u > params.u_min) & (u < params.u_max),
+                u >= params.u_max]
     assert sum(b.any() for b in branches) >= 2
 
 
