@@ -21,14 +21,13 @@ print(f"smallest level that can flip the market: {threshold}")
 rows, frontier = sweep(params, start)
 pattern = cost_sign_pattern(rows, params, start)
 print(f"outlay dips at level ~{pattern.dip_level:.3f} before rising again")
-print(f"{len(frontier.frontier)} of {len(rows)} grid levels are Pareto-efficient")
+print(f"{len(frontier)} of {len(rows)} grid levels are Pareto-efficient")
 print()
 print(f"{'level':>7} {'window':>9} {'outlay':>9} {'frontier':>9}")
-on_frontier = {id(r) for r in frontier.frontier}
 for row in rows[:: len(rows) // 16]:
     window = f"{row.duration:.4f}" if row.duration is not None else "inf"
     outlay = f"{row.cost:.4f}" if row.cost is not None else "inf"
-    print(f"{row.level:>7.3f} {window:>9} {outlay:>9} {str(id(row) in on_frontier):>9}")
+    print(f"{row.level:>7.3f} {window:>9} {outlay:>9} {str(row in frontier):>9}")
 
 with open("minimum_duration_sweep.csv", "w", newline="") as fh:
     writer = csv.writer(fh)
@@ -38,6 +37,6 @@ with open("minimum_duration_sweep.csv", "w", newline="") as fh:
             [row.level,
              row.duration if row.duration is not None else "inf",
              row.cost if row.cost is not None else "inf",
-             id(row) in on_frontier]
+             row in frontier]
         )
 print("\nfull sweep written to minimum_duration_sweep.csv")

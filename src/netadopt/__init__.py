@@ -15,7 +15,6 @@ from .errors import (
     InfeasibleSubsidyError,
     InvalidParameterError,
     InvalidStepError,
-    NotAnEquilibriumError,
     SingularParametersError,
 )
 from .model import (
@@ -25,7 +24,6 @@ from .model import (
     ModelParams,
     classify_equilibria,
     interior_equilibrium,
-    would_adopt,
 )
 from .oracle import SampledTrajectory, integrate_cost, integrate_ode
 from .subsidy import (
@@ -33,7 +31,6 @@ from .subsidy import (
     CostResult,
     CostSignPattern,
     FullSubsidyReport,
-    ParetoFrontier,
     SubsidySweepRow,
     cost_sign_pattern,
     full_subsidy_analysis,
@@ -64,8 +61,6 @@ __all__ = [
     "InvalidParameterError",
     "InvalidStepError",
     "ModelParams",
-    "NotAnEquilibriumError",
-    "ParetoFrontier",
     "PiecewiseTrajectory",
     "STABLE",
     "SampledTrajectory",
@@ -92,5 +87,4 @@ __all__ = [
     "subsidy_interval_bounds",
     "sweep",
     "unsubsidized_trajectory",
-    "would_adopt",
 ]

@@ -93,18 +93,20 @@ def _row_blocks(row: str, columns: Sequence[Sequence]) -> Iterator[str]:
 
 
 def _write_sweep(
-    path: Path, rows: Sequence[subsidy.SubsidySweepRow], frontier: subsidy.ParetoFrontier
+    path: Path, rows: Sequence[subsidy.SubsidySweepRow],
+    frontier: Sequence[subsidy.SubsidySweepRow],
 ) -> None:
     # Every outlay is a closed form; the method column keeps the layout.
     # An infeasible level has no duration or outlay: those cells read inf.
-    on_frontier = {id(r) for r in frontier.frontier}
+    # The grid's levels are distinct, so a level names its row.
+    on_frontier = {r.level for r in frontier}
     level, normalized, feasible, regime, duration, cost = zip(*rows) if rows else [()] * 6
     inf = math.inf
     columns = (
         level, normalized, list(map(_flag, feasible)),
         [inf if d is None else d for d in duration],
         [inf if v is None else v for v in cost],
-        regime, list(map(_flag, map(on_frontier.__contains__, map(id, rows)))),
+        regime, list(map(_flag, map(on_frontier.__contains__, level))),
     )
     _write_text(
         path,
@@ -243,7 +245,7 @@ def cmd_sweep(config: ScenarioConfig) -> int:
     s_hat = subsidy.min_subsidy(params, config.x0)
     pattern = subsidy.cost_sign_pattern(rows, params, config.x0)
     print(f"min feasible level: {_fmt(s_hat)} (normalized {_fmt(s_hat / params.externality)})")
-    print(f"frontier rows: {len(frontier.frontier)} of {len(rows)}")
+    print(f"frontier rows: {len(frontier)} of {len(rows)}")
     names = ("flat/rising", "rising", "falling", "falling then rising", "rising")
     verdicts = ", ".join(
         f"{name}={'ok' if v else 'empty' if v is None else 'VIOLATED'}"
@@ -282,11 +284,10 @@ def cmd_full_subsidy(config: ScenarioConfig) -> int:
 
 def cmd_noext(config: ScenarioConfig) -> int:
     params = config.params()
-    dist = params.affinity
     cls = subsidy.ConstantLevelSubsidy(config.s, config.T, start=config.t0)
     rows: list[tuple] = [
-        ("ccdf_at_cost", dist.ccdf(params.cost)),
-        ("ccdf_at_subsidized_cost", dist.ccdf(params.cost - config.s)),
+        ("ccdf_at_cost", params.ccdf(params.cost)),
+        ("ccdf_at_subsidized_cost", params.ccdf(params.cost - config.s)),
         ("cls_cost", subsidy.noext_subsidy_cost(params, cls, config.x0)),
         ("cost_decreasing_condition", subsidy.noext_cost_decreasing_condition(params, config.s)),
     ]
@@ -373,6 +374,8 @@ def cmd_validate(config: ScenarioConfig) -> int:
         # Past the window the state sits on the basin boundary, where any
         # numerical perturbation is amplified; compare inside the window.
         t_end = traj.subsidy_end
+    if t_end <= t0:
+        raise InvalidParameterError("t_end must exceed t0")
     # Align the sample grid to the horizon so no step overruns it.
     dt = _whole_steps(t_end - t0, dt, 8, oracle.MAX_STEPS)
 

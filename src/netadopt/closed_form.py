@@ -1,6 +1,6 @@
 """Exact piecewise trajectories of the adoption dynamics.
 
-The dynamics xdot = gamma * (would_adopt(x) - x) are piecewise linear in
+The dynamics xdot = gamma * (ccdf(cost - e*x) - x) are piecewise linear in
 x: below the band [band_low, band_high] the level decays exponentially
 toward 0, above it it rises exponentially toward 1, and inside it follows
 a linear ODE whose fixed point is the interior equilibrium.  A trajectory
@@ -8,7 +8,7 @@ is therefore an ordered list of segments x0 + step * expm1(rate * tau),
 glued at the exact band-crossing times; on the degenerate band
 (externality == u_max - u_min) the in-band segment has rate 0 and drifts
 linearly.  Written from the start level, a segment stays accurate when
-the in-band fixed point is huge, and ``time_to`` inverts it with log1p.
+the in-band fixed point is huge, and ``hit_time`` inverts it with log1p.
 Without network effects the band is empty and the path is a single
 exponential.
 """
@@ -47,17 +47,13 @@ class Segment:
             return self.start_level + self.step * tau
         return self.start_level + self.step * math.expm1(self.rate * tau)
 
-    def time_to(self, x: float) -> float | None:
-        """First time >= start_time at which the segment reaches x.
-
-        Returns None when the level is never reached (wrong side of the
-        limit, motion away from the target, or asymptotic approach only).
-        """
-        return hit_time(self.start_time, self.start_level, self.rate, self.step, x)
-
 
 def hit_time(t0: float, x0: float, rate: float, step: float, x: float) -> float | None:
-    """``Segment(t0, x0, rate, step).time_to(x)`` without building the segment."""
+    """First time >= t0 at which ``Segment(t0, x0, rate, step)`` reaches x.
+
+    Returns None when the level is never reached (wrong side of the
+    limit, motion away from the target, or asymptotic approach only).
+    """
     if x == x0:
         return t0
     if step == 0.0:
@@ -150,23 +146,15 @@ class PiecewiseTrajectory:
         return out
 
 
-def band_segment(
-    params: ModelParams, effective_cost: float, t0: float, x0: float
-) -> Segment:
-    """In-band piece from (t0, x0) of xdot = gamma * (a*x + b), where
-    a = (e + u_min - u_max)/(u_max - u_min) and b = (u_max - c)/(u_max - u_min).
+def band_rate_step(
+    params: ModelParams, effective_cost: float, x0: float
+) -> tuple[float, float]:
+    """(rate, step) of the in-band segment from x0 of xdot = gamma * (a*x + b),
+    where a = (e + u_min - u_max)/(u_max - u_min) and b = (u_max - c)/(u_max - u_min).
 
     For a != 0 it relaxes toward (or, with a > 0, away from) the fixed
     point -b/a; on the degenerate band a == 0 it drifts at speed gamma*b.
     """
-    rate, step = band_rate_step(params, effective_cost, x0)
-    return Segment(t0, x0, rate=rate, step=step)
-
-
-def band_rate_step(
-    params: ModelParams, effective_cost: float, x0: float
-) -> tuple[float, float]:
-    """(rate, step) of ``band_segment(params, effective_cost, t0, x0)``."""
     spread = params.u_max - params.u_min
     a = (params.externality + params.u_min - params.u_max) / spread
     b = (params.u_max - effective_cost) / spread
@@ -200,23 +188,22 @@ def unsubsidized_trajectory(
     ceff = params.cost if effective_cost is None else effective_cost
     gamma = params.gamma
     e = params.externality
-    dist = params.affinity
     if e == 0.0:
-        return PiecewiseTrajectory((Segment(t0, x0, rate=-gamma, step=x0 - dist.ccdf(ceff)),))
+        return PiecewiseTrajectory((Segment(t0, x0, rate=-gamma, step=x0 - params.ccdf(ceff)),))
     low = params.band_low(ceff)
     high = params.band_high(ceff)
 
     segments: list[Segment] = []
     t, x = t0, x0
     while True:
-        f = gamma * (dist.ccdf(ceff - e * x) - x)
+        f = gamma * (params.ccdf(ceff - e * x) - x)
         if x < low or (x == low and f < 0):
             segments.append(Segment(t, x, rate=-gamma, step=x))  # toward 0
             break
         if x > high or (x == high and f > 0):
             segments.append(Segment(t, x, rate=-gamma, step=x - 1.0))  # toward 1
             break
-        seg = band_segment(params, ceff, t, x)
+        seg = Segment(t, x, *band_rate_step(params, ceff, x))
         if f == 0.0 or seg.step == 0.0:
             # Fixed point (possibly the unstable interior one): stays put.
             # On the singular line every in-band level is one, even where
@@ -224,7 +211,7 @@ def unsubsidized_trajectory(
             segments.append(Segment(t, x, rate=-gamma, step=0.0))
             break
         target = high if f > 0 else low
-        t_exit = seg.time_to(target)
+        t_exit = hit_time(t, x, seg.rate, seg.step, target)
         if t_exit is None:
             segments.append(seg)
             break  # converges to the interior fixed point inside the band

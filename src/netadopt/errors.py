@@ -9,10 +9,6 @@ class SingularParametersError(ValueError):
     """The interior equilibrium is undefined (u_max equals u_min + externality)."""
 
 
-class NotAnEquilibriumError(ValueError):
-    """A level handed to a stability query is not a fixed point of the dynamics."""
-
-
 class AssumptionViolationError(ValueError):
     """A subsidy planner was invoked outside its supported regime.
 

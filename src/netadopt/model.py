@@ -5,8 +5,9 @@ A unit population of potential subscribers is described by the fraction
 per-unit-time affinity drawn uniformly from [u_min, u_max]; a user would
 adopt whenever affinity plus the network benefit ``externality * x``
 exceeds the subscription cost.  The fraction that *would* adopt at level
-``x`` is the map ``would_adopt``; its fixed points are the equilibria of
-the dynamics, classified into four regimes by ``classify_equilibria``.
+``x`` is ``params.ccdf(cost - externality * x)``; its fixed points are the
+equilibria of the dynamics, classified into four regimes by
+``classify_equilibria``.
 """
 
 from __future__ import annotations
@@ -15,43 +16,14 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
-from .errors import (
-    InvalidParameterError,
-    NotAnEquilibriumError,
-    SingularParametersError,
-)
+from .errors import InvalidParameterError, SingularParametersError
 
 Stability = Literal["stable", "unstable"]
 STABLE: Stability = "stable"
 UNSTABLE: Stability = "unstable"
 
-# Fixed points built from closed forms are exact up to rounding; levels
-# supplied by callers arrive through text and get a looser check.
+# Fixed points built from closed forms are exact up to rounding.
 CONSTRUCTED_EQUILIBRIUM_TOL = 1e-12
-USER_EQUILIBRIUM_TOL = 1e-9
-
-
-@dataclass(frozen=True, slots=True)
-class UniformAffinity:
-    """Affinities spread uniformly over [u_min, u_max]."""
-
-    u_min: float
-    u_max: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.u_min) and math.isfinite(self.u_max)):
-            raise InvalidParameterError("affinity bounds must be finite")
-        if not self.u_min < self.u_max:
-            raise InvalidParameterError(
-                f"u_min must be < u_max, got [{self.u_min}, {self.u_max}]"
-            )
-
-    def ccdf(self, u: float) -> float:
-        if u <= self.u_min:
-            return 1.0
-        if u >= self.u_max:
-            return 0.0
-        return (self.u_max - u) / (self.u_max - self.u_min)
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,13 +62,18 @@ class ModelParams:
         if self.cost < 0:
             raise InvalidParameterError("cost must be >= 0")
 
-    @property
-    def affinity(self) -> UniformAffinity:
-        return UniformAffinity(self.u_min, self.u_max)
+    def ccdf(self, u: float) -> float:
+        """Fraction of users whose affinity exceeds u."""
+        if u <= self.u_min:
+            return 1.0
+        if u >= self.u_max:
+            return 0.0
+        return (self.u_max - u) / (self.u_max - self.u_min)
 
     @property
     def band_slope(self) -> float:
-        """Slope of ``would_adopt`` inside the band where it is not saturated."""
+        """Slope of ``ccdf(cost - externality * x)`` in x inside the band
+        where it is not saturated."""
         return self.externality / (self.u_max - self.u_min)
 
     def band_low(self, effective_cost: float | None = None) -> float:
@@ -132,22 +109,6 @@ class EquilibriumReport:
     band_low: float | None
     band_high: float | None
 
-    @property
-    def levels(self) -> tuple[float, ...]:
-        return tuple(level for level, _ in self.equilibria)
-
-    @property
-    def stable_levels(self) -> tuple[float, ...]:
-        return tuple(level for level, s in self.equilibria if s == STABLE)
-
-
-def would_adopt(x: float, params: ModelParams) -> float:
-    """Fraction of users with positive net utility at adoption level x.
-
-    Continuous and nondecreasing in x; defined for all real x.
-    """
-    return params.affinity.ccdf(params.cost - params.externality * x)
-
 
 def interior_equilibrium(effective_cost: float, params: ModelParams) -> float:
     """Fixed point of the unsaturated dynamics at the given effective cost.
@@ -168,7 +129,7 @@ def interior_equilibrium(effective_cost: float, params: ModelParams) -> float:
 
 
 def _local_slope(x_bar: float, params: ModelParams) -> float:
-    """Largest one-sided slope of would_adopt at x_bar."""
+    """Largest one-sided slope of ccdf(cost - externality * x) at x_bar."""
     if params.externality == 0.0:
         return 0.0
     low = params.band_low()
@@ -176,23 +137,6 @@ def _local_slope(x_bar: float, params: ModelParams) -> float:
     slope_right = params.band_slope if low <= x_bar < high else 0.0
     slope_left = params.band_slope if low < x_bar <= high else 0.0
     return max(slope_left, slope_right)
-
-
-def stability_of(x_bar: float, params: ModelParams) -> Stability:
-    """Stability of an equilibrium level.
-
-    Stable iff the local slope of ``would_adopt`` at ``x_bar`` is below 1;
-    at kinks of the map the larger one-sided slope decides.
-
-    Raises:
-        NotAnEquilibriumError: when x_bar is not a fixed point within 1e-9.
-    """
-    residual = would_adopt(x_bar, params) - x_bar
-    if abs(residual) > USER_EQUILIBRIUM_TOL:
-        raise NotAnEquilibriumError(
-            f"{x_bar} is not an equilibrium (residual {residual:.3e})"
-        )
-    return STABLE if _local_slope(x_bar, params) < 1.0 else UNSTABLE
 
 
 def classify_equilibria(params: ModelParams) -> EquilibriumReport:

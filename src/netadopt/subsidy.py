@@ -96,14 +96,6 @@ class SubsidySweepRow(NamedTuple):
     cost: float | None
 
 
-@dataclass(frozen=True, slots=True)
-class ParetoFrontier:
-    """Non-dominated sweep rows in (duration, cost), and the rest."""
-
-    frontier: tuple[SubsidySweepRow, ...]
-    dominated: tuple[SubsidySweepRow, ...]
-
-
 # ---------------------------------------------------------------------------
 # No-externality analytics
 # ---------------------------------------------------------------------------
@@ -128,7 +120,7 @@ def noext_required_duration(
     _require_no_externality(params)
     if target == y0:
         return 0.0
-    resting = params.affinity.ccdf(params.cost - level)
+    resting = params.ccdf(params.cost - level)
     if y0 < target < resting or resting < target < y0:
         return math.log((resting - y0) / (resting - target)) / params.gamma
     return None
@@ -137,7 +129,7 @@ def noext_required_duration(
 def noext_subsidy_cost(params: ModelParams, cls: ConstantLevelSubsidy, y0: float) -> float:
     """Provider outlay of a constant level subsidy without network effects."""
     _require_no_externality(params)
-    resting = params.affinity.ccdf(params.cost - cls.level)
+    resting = params.ccdf(params.cost - cls.level)
     t, gamma = cls.duration, params.gamma
     return cls.level * (
         resting * t - (resting - y0) * (1.0 - math.exp(-gamma * t)) / gamma
@@ -151,7 +143,7 @@ def noext_cost_at_target(
     duration = noext_required_duration(params, y0, level, target)
     if duration is None:
         return None
-    resting = params.affinity.ccdf(params.cost - level)
+    resting = params.ccdf(params.cost - level)
     return level * (resting * duration - (target - y0) / params.gamma)
 
 
@@ -494,13 +486,13 @@ def linspace(start: float, stop: float, num: int) -> list[float]:
 
 def sweep(
     params: ModelParams, y0: float, grid_points: int = 512
-) -> tuple[list[SubsidySweepRow], ParetoFrontier]:
+) -> tuple[list[SubsidySweepRow], tuple[SubsidySweepRow, ...]]:
     """Evaluate the minimum-duration planner over a grid of levels.
 
     The grid spans [0, cost] with the analytic boundary levels inserted
-    exactly.  Rows keep the grid order; the frontier keeps the rows not
-    dominated in (duration, cost).  Raises InvalidParameterError if a
-    duration or outlay overflows (a tiny gamma).
+    exactly.  Returns the rows in grid order and their ``pareto_frontier``,
+    the rows not dominated in (duration, cost).  Raises
+    InvalidParameterError if a duration or outlay overflows (a tiny gamma).
     """
     x_int, bounds = _planner_bounds(params, y0)
     inside = [b for b in bounds if 0.0 <= b <= params.cost]
@@ -525,7 +517,7 @@ class CostSignPattern:
     where the outlay is identically zero there), falling on the third,
     falling-then-rising on the fourth, rising on the fifth.
     ``switch_count`` counts slope sign changes inside the fourth range and
-    ``dip_level`` is its empirical outlay minimizer.
+    ``dip_level`` is its empirical outlay minimizer, a feasible level.
     """
 
     verdicts: tuple[bool | None, ...]
@@ -578,7 +570,9 @@ def cost_sign_pattern(
             )
             verdicts.append(bool(nz) and never_rises_then_falls)
 
-    inside = range(bisect_left(levels, lo4), bisect_right(levels, b4))
+    # The row at b3 is in range 3; one at s_hat is not feasible.
+    start = bisect_left(levels, b3) if b3 > s_hat else bisect_right(levels, s_hat)
+    inside = range(start, bisect_right(levels, b4))
     dip_level = levels[min(inside, key=costs.__getitem__)] if inside else None
     return CostSignPattern(
         verdicts=tuple(verdicts),
@@ -588,8 +582,8 @@ def cost_sign_pattern(
     )
 
 
-def pareto_frontier(rows: Sequence[SubsidySweepRow]) -> ParetoFrontier:
-    """Split rows into the (duration, cost) frontier and the dominated rest.
+def pareto_frontier(rows: Sequence[SubsidySweepRow]) -> tuple[SubsidySweepRow, ...]:
+    """The rows on the (duration, cost) frontier, by increasing duration.
 
     A row dominates another when it is no worse in both objectives and
     strictly better in one; exact ties keep the smallest level.  Rows
@@ -600,11 +594,7 @@ def pareto_frontier(rows: Sequence[SubsidySweepRow]) -> ParetoFrontier:
     frontier: list[SubsidySweepRow] = []
     best_cost = math.inf
     for row in ranked:
-        if frontier and row.duration == frontier[-1].duration and row.cost == frontier[-1].cost:
-            continue  # exact tie collapses to the smallest level
         if row.cost < best_cost:
             frontier.append(row)
             best_cost = row.cost
-    frontier_ids = {id(r) for r in frontier}
-    dominated = tuple(r for r in rows if id(r) not in frontier_ids)
-    return ParetoFrontier(frontier=tuple(frontier), dominated=dominated)
+    return tuple(frontier)

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 from conftest import max_gap, random_params, random_planner_setup, random_start
+from reference import brute_force_equilibria, finite_diff
 
 from netadopt import (
     ConstantLevelSubsidy,
@@ -32,7 +33,6 @@ from netadopt import (
     sweep,
     unsubsidized_trajectory,
 )
-from netadopt.oracle import brute_force_equilibria, finite_diff
 
 TIPPING = ModelParams(1.0, 2.0, 3.0, 3.0, 1.0 / 3.0)
 PLANNER = ModelParams(1.0, 2.0, 2.5, 3.0, 1.0)

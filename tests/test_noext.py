@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from conftest import sample_times
+from reference import finite_diff
 
 from netadopt import (
     ConstantLevelSubsidy,
@@ -18,7 +19,6 @@ from netadopt import (
     noext_subsidy_cost,
     subsidized_trajectory,
 )
-from netadopt.oracle import finite_diff
 
 WIDE = ModelParams(1.0, 6.0, 3.0, 0.0, 1.0)  # ccdf(cost) = 0.6
 UNIT_MARKET = ModelParams(0.0, 1.0, 0.5, 0.0, 1.0)
@@ -126,7 +126,7 @@ def test_cost_duration_substitution_identity():
         params = ModelParams(u_min, u_max, c, 0.0, gamma)
         y0 = rng.uniform(0.0, 0.3)
         s = rng.uniform(0.1, c)
-        resting = params.affinity.ccdf(c - s)
+        resting = params.ccdf(c - s)
         if resting <= y0 + 0.05:
             continue
         target = rng.uniform(y0 + 0.02, resting - 0.02)

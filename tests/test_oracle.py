@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from conftest import sample_times
+from reference import brute_force_equilibria, finite_diff, first_passage
 
 from netadopt import (
     ConstantLevelSubsidy,
@@ -15,7 +16,6 @@ from netadopt import (
     min_duration,
     min_duration_cost,
 )
-from netadopt.oracle import brute_force_equilibria, finite_diff, first_passage
 
 TIPPING = ModelParams(1.0, 2.0, 3.0, 3.0, 1.0 / 3.0)
 PLANNER = ModelParams(1.0, 2.0, 2.5, 3.0, 1.0)
@@ -67,7 +67,7 @@ def _rk4_const_cost(ccdf, ceff, e, gamma, x, h):
 
 def _reference_levels(params, schedule, t0, x0, t_end, dt):
     """Reference: the phase-by-phase scalar-step loop, one call per step."""
-    ccdf = params.affinity.ccdf
+    ccdf = params.ccdf
     n = max(1, round((t_end - t0) / dt))
     t_end = t0 + n * dt
     level, start, end = (

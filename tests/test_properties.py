@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from conftest import max_gap, random_params, random_planner_setup, random_start
+from reference import brute_force_equilibria, finite_diff, would_adopt
 
 from netadopt import (
     ConstantLevelSubsidy,
@@ -23,10 +24,8 @@ from netadopt import (
     subsidized_trajectory,
     subsidy_interval_bounds,
     unsubsidized_trajectory,
-    would_adopt,
 )
-from netadopt.closed_form import band_segment
-from netadopt.oracle import brute_force_equilibria, finite_diff
+from netadopt.closed_form import Segment, band_rate_step, hit_time
 
 
 def max_oracle_gap(params, traj, schedule, t0, x0, t_end, dt=None):
@@ -49,7 +48,7 @@ def test_classify_matches_brute_force():
             assert stab == bstab
         # Constructed equilibria are fixed points to machine accuracy, and
         # the bistable label comes exactly with the three-point pattern.
-        for level in report.levels:
+        for level, _ in report.equilibria:
             assert abs(would_adopt(level, params) - level) <= 1e-12
         tristable = (
             len(report.equilibria) == 3
@@ -98,14 +97,15 @@ def test_band_time_level_round_trip():
         low, high = params.band_low(), params.band_high()
         x0 = float(rng.uniform(low, high))
         target = float(rng.uniform(low, high))
-        seg = band_segment(params, params.cost, 0.0, x0)
-        t = seg.time_to(target)
+        rate, step = band_rate_step(params, params.cost, x0)
+        seg = Segment(0.0, x0, rate, step)
+        t = hit_time(0.0, x0, rate, step, target)
         if t is not None:
             assert seg.value(t) == pytest.approx(target, abs=1e-9)
         # And in the time direction: hit the level reached at a given time.
         t_probe = float(rng.uniform(0.0, 2.0 / params.gamma))
         level = seg.value(t_probe)
-        back = seg.time_to(level)
+        back = hit_time(0.0, x0, rate, step, level)
         if t_probe == 0.0 or level != x0:
             assert back == pytest.approx(t_probe, abs=1e-9)
 
@@ -118,7 +118,7 @@ def test_long_run_level_is_a_stable_equilibrium():
         traj = unsubsidized_trajectory(params, 0.0, x0)
         horizon = 60.0 / params.gamma
         level = traj.value(horizon)
-        stable = classify_equilibria(params).stable_levels
+        stable = [s for s, kind in classify_equilibria(params).equilibria if kind == "stable"]
         assert min(abs(level - s) for s in stable) <= 1e-9
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from conftest import max_gap, random_planner_setup, sample_times
+from reference import first_passage
 
 from netadopt import (
     AssumptionViolationError,
@@ -14,6 +15,7 @@ from netadopt import (
     InfeasibleSubsidyError,
     InvalidParameterError,
     ModelParams,
+    SubsidySweepRow,
     cost_sign_pattern,
     full_subsidy_analysis,
     integrate_cost,
@@ -29,8 +31,7 @@ from netadopt import (
     sweep,
     unsubsidized_trajectory,
 )
-from netadopt.closed_form import band_segment
-from netadopt.oracle import first_passage
+from netadopt.closed_form import band_rate_step, hit_time
 from netadopt.subsidy import FLAT_TOL, linspace
 
 TIPPING = ModelParams(1.0, 2.0, 3.0, 3.0, 1.0 / 3.0)  # interior 0.5, y0 below
@@ -372,7 +373,7 @@ def test_range4_meets_range5_exactly_at_b4():
         assert min_duration_cost(params, y0, b4).row == 4
         assert min_duration(params, y0, b4) == min_duration(params, y0, params.cost)
         rows, frontier = sweep(params, y0, grid_points=257)
-        assert not [r.level for r in frontier.frontier if r.regime == 5]
+        assert not [r.level for r in frontier if r.regime == 5]
 
 
 def test_min_duration_knife_edge_is_infeasible():
@@ -424,7 +425,7 @@ def test_duration_uses_the_range_of_the_outlay_at_a_bound():
     assert b3 == 0.486074148430436
     assert min_duration_cost(params, y0, b3).row == 3
     x_int = interior_equilibrium(params.cost, params)
-    expected = band_segment(params, params.cost - b3, 0.0, y0).time_to(x_int)
+    expected = hit_time(0.0, y0, *band_rate_step(params, params.cost - b3, y0), x_int)
     assert min_duration(params, y0, b3) == expected
     rows, _ = sweep(params, y0)
     assert [(r.regime, r.duration) for r in rows if r.level == b3] == [(3, expected)]
@@ -454,7 +455,7 @@ def _reference_plan(params, y0, level, x_int, bounds):
         return 2, None, level / gamma * (inv_a * inner + low)
 
     if level <= b3:
-        duration = band_segment(params, ceff, 0.0, y0).time_to(x_int)
+        duration = hit_time(0.0, y0, *band_rate_step(params, ceff, y0), x_int)
         if y0 - sub_int <= 0.0:
             return 3, duration, knife_edge
         inner = sub_int * math.log((x_int - sub_int) / (y0 - sub_int)) + x_int - y0
@@ -462,7 +463,7 @@ def _reference_plan(params, y0, level, x_int, bounds):
 
     if level <= b4:
         edge = y0 + (b4 - level) / e
-        exit_time = band_segment(params, ceff, 0.0, y0).time_to(edge)
+        exit_time = hit_time(0.0, y0, *band_rate_step(params, ceff, y0), edge)
         duration = None  # the subsidized path sits on its own fixed point
         if exit_time is not None:
             duration = exit_time + math.log((1.0 - edge) / (1.0 - x_int)) / gamma
@@ -556,7 +557,9 @@ def _reference_sign_pattern(rows, params, y0):
             nz = [1 if d > FLAT_TOL else -1 for d in diffs if abs(d) > FLAT_TOL]
             switch_count = sum(1 for a, b in zip(nz, nz[1:]) if a != b)
             verdicts.append(bool(nz) and (1, -1) not in zip(nz, nz[1:]))
-    inside = [(s, v) for s, v in finite if lo4 <= s <= b4]
+    # The dip is a feasible level: b3's row is in range 3, s_hat's is not.
+    inside = [(s, v) for s, v in finite
+              if (b3 <= s if b3 > s_hat else s_hat < s) and s <= b4]
     dip_level = min(inside, key=lambda pair: pair[1])[0] if inside else None
     return CostSignPattern(tuple(verdicts), switch_count, dip_level,
                            all(v is not False for v in verdicts))
@@ -606,7 +609,7 @@ def test_cost_sign_pattern_refuses_unsorted_rows():
     with pytest.raises(InvalidParameterError, match="level order"):
         cost_sign_pattern(rows[::-1], PLANNER, 0.125)
     with pytest.raises(InvalidParameterError, match="level order"):
-        cost_sign_pattern(frontier.frontier, PLANNER, 0.125)
+        cost_sign_pattern(frontier, PLANNER, 0.125)
 
 
 def test_cost_matches_oracle_all_rows():
@@ -688,20 +691,19 @@ def test_sweep_grid_and_flags():
         assert r.feasible == (r.level > 0.5)
         if not r.feasible:
             assert r.duration is None
-    assert len(frontier.frontier) >= 1
-    assert len(frontier.frontier) + len(frontier.dominated) == len(rows)
+    assert len(frontier) >= 1
+    assert set(frontier) <= set(rows)
 
 
 def test_sweep_frontier_contains_cheapest():
     rows, frontier = sweep(PLANNER, 0.0)
     feasible = [r for r in rows if r.duration is not None and r.cost is not None]
     cheapest = min(feasible, key=lambda r: r.cost)
-    assert any(r.level == cheapest.level for r in frontier.frontier)
+    assert any(r.level == cheapest.level for r in frontier)
 
 
 def test_frontier_strict_tradeoff():
-    _, frontier = sweep(PLANNER, 0.125)
-    rows = frontier.frontier
+    _, rows = sweep(PLANNER, 0.125)
     for a in rows:
         for b in rows:
             if a is b:
@@ -710,24 +712,33 @@ def test_frontier_strict_tradeoff():
 
 
 def test_frontier_matches_exhaustive_domination():
-    rows, frontier = sweep(PLANNER, 0.0, grid_points=41)
-    feasible = [r for r in rows if r.duration is not None and r.cost is not None]
+    # (level, duration, cost): levels 1.2 and 0.9 tie exactly, 1.0 and
+    # 2.0 are dominated, 0.2 has no window.
+    tie_rows = [
+        SubsidySweepRow(s, s / 3.0, d is not None, 4, d, c)
+        for s, d, c in ((1.2, 2.0, 1.0), (1.5, 1.0, 3.0), (0.9, 2.0, 1.0),
+                        (1.0, 2.0, 1.5), (2.0, 3.0, 1.0), (0.2, None, 0.1))
+    ]
+    tie_frontier = pareto_frontier(tie_rows)
+    assert [r.level for r in tie_frontier] == [1.5, 0.9]  # the tie keeps 0.9 only
+    for rows, frontier in (sweep(PLANNER, 0.0, grid_points=41), (tie_rows, tie_frontier)):
+        feasible = [r for r in rows if r.duration is not None and r.cost is not None]
 
-    def dominated(r):
-        return any(
-            (o.duration <= r.duration and o.cost < r.cost)
-            or (o.duration < r.duration and o.cost <= r.cost)
-            for o in feasible
-        )
+        def dominated(r):
+            return any(
+                (o.duration <= r.duration and o.cost < r.cost)
+                or (o.duration < r.duration and o.cost <= r.cost)
+                for o in feasible
+            )
 
-    expected = {r.level for r in feasible if not dominated(r)}
-    got = {r.level for r in frontier.frontier}
-    # Exact (duration, cost) ties may collapse onto one representative.
-    assert got <= expected
-    kept = [(r.duration, r.cost) for r in frontier.frontier]
-    for level in expected - got:
-        row = next(r for r in feasible if r.level == level)
-        assert (row.duration, row.cost) in kept
+        expected = {r.level for r in feasible if not dominated(r)}
+        got = {r.level for r in frontier}
+        # Exact (duration, cost) ties collapse onto their smallest level.
+        assert got <= expected
+        kept = {(r.duration, r.cost): r.level for r in frontier}
+        for level in expected - got:
+            row = next(r for r in feasible if r.level == level)
+            assert kept[row.duration, row.cost] < level
 
 
 def test_cost_sign_pattern_example():
@@ -738,6 +749,23 @@ def test_cost_sign_pattern_example():
         assert pattern.switch_count == 1
         assert pattern.dip_level is not None
         assert 0.75 <= pattern.dip_level <= (1.5 if y0 == 0.0 else 1.125)
+
+
+def test_cost_dip_is_a_feasible_level():
+    # Where b3 < s_hat the fourth range starts at s_hat, whose row is not
+    # feasible; at y0 = 0 its outlay of 0 undercut every feasible row.
+    rng = np.random.default_rng(2024)
+    b3_below_s_hat = 0
+    for _ in range(40):
+        params, y_pos = random_planner_setup(rng, positive_y0=True)
+        for y0 in (0.0, y_pos):
+            rows, _ = sweep(params, y0, grid_points=129)
+            _, s_hat, b3, _ = subsidy_interval_bounds(params, y0)
+            b3_below_s_hat += b3 < s_hat
+            dip = cost_sign_pattern(rows, params, y0).dip_level
+            assert dip is not None
+            assert [r.feasible for r in rows if r.level == dip] == [True]
+    assert b3_below_s_hat >= 20
 
 
 def test_planner_validation():
