@@ -339,16 +339,18 @@ def _max_gap(a: array, b: array) -> float:
     return gap
 
 
-def _path_gap(traj: PiecewiseTrajectory, sampled: oracle.SampledTrajectory) -> float:
-    """max |closed form - rk4| over the oracle's samples.  The path is
-    evaluated a block at a time, so no full-length list of times or
-    levels is held."""
+def _path_gap(traj: PiecewiseTrajectory, sampled: oracle.SampledTrajectory,
+              stride: int) -> float:
+    """max |closed form - rk4| over every ``stride``-th oracle level, at
+    the oracle's own times.  The path is evaluated a block at a time, so
+    no full-length list of times or levels is held."""
     levels, t0, dt = sampled.levels, sampled.start_time, sampled.dt
     gap = 0.0
-    for lo in range(0, len(levels), BLOCK_ROWS):
-        hi = min(lo + BLOCK_ROWS, len(levels))
-        times = [t0 + dt * i for i in range(lo, hi)]
-        gap = _block_gap(gap, levels[lo:hi], traj.values(times))
+    span = BLOCK_ROWS * stride
+    for lo in range(0, len(levels), span):
+        hi = min(lo + span, len(levels))
+        times = [t0 + dt * i for i in range(lo, hi, stride)]
+        gap = _block_gap(gap, levels[lo:hi:stride], traj.values(times))
     return gap
 
 
@@ -365,10 +367,11 @@ def _whole_steps(span: float, dt: float, at_least: int, max_steps: int) -> float
 
 def cmd_validate(config: ScenarioConfig) -> int:
     params = config.params()
+    gamma = params.gamma
     failures: list[str] = []
     traj, schedule, analytic_cost = _resolve_scenario(config, params)
     t0 = config.t0
-    dt = config.run_dt()
+    dt = oracle.STEP_SCALE / gamma if config.dt is None else config.run_dt()
     t_end = config.run_t_end()
     if config.kind == "min_duration" and traj.subsidy_end is not None:
         # Past the window the state sits on the basin boundary, where any
@@ -376,45 +379,63 @@ def cmd_validate(config: ScenarioConfig) -> int:
         t_end = traj.subsidy_end
     if t_end <= t0:
         raise InvalidParameterError("t_end must exceed t0")
-    # Align the sample grid to the horizon so no step overruns it.
+    # dt sets only the samples, aligned to the horizon so no step overruns
+    # it.  The oracle takes the fewest whole substeps per sample interval
+    # that keep h*gamma <= STEP_SCALE, and the check compares every
+    # stride-th level.
     dt = _whole_steps(t_end - t0, dt, 8, oracle.MAX_STEPS)
+    ratio = dt * gamma / oracle.STEP_SCALE
+    if ratio <= oracle.MAX_STEPS:
+        stride = max(1, math.ceil(ratio * (1 - 1e-12)))
+        h = dt / stride
+    else:  # one sample interval alone (or an infinite count) is refused
+        stride, h = 1, oracle.STEP_SCALE / gamma
 
+    # Every run is integrated before any check prints, so that a run too
+    # long for the oracle is refused with no partial report.
     sampled = oracle.integrate_ode(
-        params, subsidy_schedule=schedule, t0=t0, x0=config.x0, t_end=t_end, dt=dt
+        params, subsidy_schedule=schedule, t0=t0, x0=config.x0, t_end=t_end, dt=h
     )
+    runs = [sampled]
     window = None
     window_dt = 0.0 if analytic_cost is None else _whole_steps(
-        schedule.duration, dt, 1000, oracle.MAX_STEPS)
+        schedule.duration, h, 1000, oracle.MAX_STEPS)
     if window_dt > 0.0:
-        # Integrated before any check prints, so that a window too long
-        # for the oracle is refused with no partial report.  A window of
-        # length 0, or one so short that its step underflows, pays nothing.
+        # A window of length 0, or one so short that its step underflows,
+        # pays nothing.
         window = oracle.integrate_ode(
             params, subsidy_schedule=schedule, t0=t0, x0=config.x0,
             t_end=schedule.end, dt=window_dt,
         )
-    _check("trajectory max |closed form - rk4|", _path_gap(traj, sampled),
-           TRAJECTORY_TOL, failures)
+        runs.append(window)
 
     smooth_end = t_end
     for b in traj.breakpoints:
         if b > t0:
             smooth_end = min(smooth_end, b)
             break
-    if smooth_end - t0 >= 8 * dt:
-        m = math.floor((smooth_end - t0) / dt)
-        smooth_end = t0 + m * dt
+    m = math.floor((smooth_end - t0) / h) if smooth_end - t0 >= 8 * h else 0
+    if m:
         half, quarter = (
             oracle.integrate_ode(
                 params, subsidy_schedule=schedule, t0=t0, x0=config.x0,
-                t_end=smooth_end, dt=dt / k,
-            ).levels
+                t_end=t0 + m * h, dt=h / k,
+            )
             for k in (2, 4)
         )
-        # The run at dt up to smooth_end is the main run's prefix, bit for
-        # bit: both take the same steps and split them at the same window end.
-        d1 = _max_gap(sampled.levels[:m + 1], half[::2])
-        d2 = _max_gap(half, quarter[::2])
+        runs += [half, quarter]
+
+    print(f"oracle step {h:.6g} (h*gamma {h * gamma:.3g}): runs {len(runs)}, "
+          f"RK4 steps {sum(len(r.levels) - 1 for r in runs)}, "
+          f"kink splits {sum(r.splits for r in runs)}")
+    _check("trajectory max |closed form - rk4|", _path_gap(traj, sampled, stride),
+           TRAJECTORY_TOL, failures)
+    if m:
+        # The run at h up to the last grid time before the first junction
+        # is the main run's prefix, bit for bit: both take the same steps
+        # and split them at the same window end.
+        d1 = _max_gap(sampled.levels[:m + 1], half.levels[::2])
+        d2 = _max_gap(half.levels, quarter.levels[::2])
         # Deviations at the rounding floor carry no order information.
         ok = d1 < 1e-12 or d2 < 1e-15 or d1 / d2 >= 8.0
         _verdict(f"rk4 self-convergence (factor {d1 / max(d2, 1e-300):.1f})", ok, failures)

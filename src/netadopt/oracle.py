@@ -4,6 +4,14 @@ Fixed-step RK4 integration of the raw dynamics and composite-Simpson
 cost integration over the samples, as ``validate`` runs them.  Nothing
 here touches the closed-form machinery, so agreement between the two
 routes is meaningful.
+
+The field gamma*(ccdf(ceff - e*x) - x) is affine on each of the uniform
+ccdf's three branches (the top clamp, the band, the bottom clamp) and
+has a kink where they meet.  RK4 keeps its fourth order only while a
+step stays on one branch, so a step that crosses a kink is split there:
+the oracle finds the crossing from its own field, at the clamp levels
+(ceff - u_min)/e and (ceff - u_max)/e (event location; Hairer, Norsett
+& Wanner, Solving ODEs I, II.6).
 """
 
 from __future__ import annotations
@@ -15,19 +23,24 @@ from dataclasses import dataclass
 from .errors import InvalidStepError
 from .model import ModelParams
 
-DEFAULT_STEP_SCALE = 1e-3  # dt * gamma for default integrations
-MAX_STEP_SCALE = 1e-2
+STEP_SCALE = 1e-2  # dt * gamma: the default oracle step, and the largest
 DEFAULT_HORIZON_SCALE = 60.0  # (t_end - t0) * gamma for limit checks
 MAX_STEPS = 10**7  # per run; the samples alone take 80 MB there
+BISECTIONS = 48  # locate a kink to h/2**48, below rounding at h*gamma <= 1e-2
 
 
 @dataclass(frozen=True, eq=False)
 class SampledTrajectory:
-    """Uniformly sampled adoption path."""
+    """Uniformly sampled adoption path.
+
+    ``splits`` counts the kinks of the ccdf at which the oracle split a
+    step on its way.
+    """
 
     start_time: float
     dt: float
     levels: array  # array('d'), one level per sample
+    splits: int = 0
 
     def __post_init__(self) -> None:
         if self.dt <= 0:
@@ -38,22 +51,60 @@ class SampledTrajectory:
         return self.start_time + self.dt * (len(self.levels) - 1)
 
 
-def _rk4_step(
+def _kink_step(
     x: float, h: float, ceff: float, e: float, gamma: float,
     u_min: float, u_max: float, spread: float,
-) -> float:
-    """One classical RK4 step of xdot = gamma*(ccdf(ceff - e*x) - x)."""
+) -> tuple[float, int]:
+    """One RK4 step of length h, split at each kink the state crosses.
 
-    def slope(y: float) -> float:
+    Returns the new state and the number of kinks located.  The branch
+    is named by its ccdf value: 1.0 or 0.0 on a clamp, None in the band.
+    """
+
+    def branch(y: float) -> float | None:
         u = ceff - e * y
-        return gamma * ((1.0 if u <= u_min else 0.0 if u >= u_max
-                         else (u_max - u) / spread) - y)
+        return 1.0 if u <= u_min else 0.0 if u >= u_max else None
 
-    k1 = slope(x)
-    k2 = slope(x + 0.5 * h * k1)
-    k3 = slope(x + 0.5 * h * k2)
-    k4 = slope(x + h * k3)
-    return x + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+    def step(c: float | None, y: float, tau: float) -> float:
+        # Classical RK4 with every stage on branch c.
+        hh = 0.5 * tau
+        if c is None:
+            k1 = gamma * ((u_max - (ceff - e * y)) / spread - y)
+            y2 = y + hh * k1
+            k2 = gamma * ((u_max - (ceff - e * y2)) / spread - y2)
+            y3 = y + hh * k2
+            k3 = gamma * ((u_max - (ceff - e * y3)) / spread - y3)
+            y4 = y + tau * k3
+            k4 = gamma * ((u_max - (ceff - e * y4)) / spread - y4)
+        else:
+            k1 = gamma * (c - y)
+            k2 = gamma * (c - (y + hh * k1))
+            k3 = gamma * (c - (y + hh * k2))
+            k4 = gamma * (c - (y + tau * k3))
+        return y + tau * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+
+    c = branch(x)
+    y = step(c, x, h)
+    splits = 0
+    # A 1-D autonomous path is monotone and the branches are ordered, so
+    # a step meets at most two kinks.
+    while splits < 2 and branch(y) != c:
+        # The fixed-branch map is monotone in tau: bisect for the first
+        # time its state leaves branch c, step there, go on from the new
+        # branch for the rest of the step.
+        lo, hi = 0.0, h
+        for _ in range(BISECTIONS):
+            mid = 0.5 * (lo + hi)
+            if branch(step(c, x, mid)) == c:
+                lo = mid
+            else:
+                hi = mid
+        x = step(c, x, hi)
+        h -= hi
+        splits += 1
+        c = branch(x)
+        y = step(c, x, h)
+    return y, splits
 
 
 def integrate_ode(
@@ -69,18 +120,28 @@ def integrate_ode(
     The effective cost is constant before, during and after the subsidy
     window, so the integration runs phase by phase.  A phase ending at b
     takes grid steps onto t0 + i*dt up to the last i <= n with
-    t0 + i*dt <= b (its grid range, found once), then one split step
-    onto b when b falls between grid times.  Each RK4 evaluation thus
-    sees a smooth field, and the sample grid itself stays uniform.
+    t0 + i*dt <= b (its grid range, found once), then one shorter step
+    onto b when b falls between grid times.  The sample grid stays
+    uniform.
 
-    Every step is the classical one of ``_rk4_step``.  Once a grid step
-    starts on a clamp of the ccdf, the rest of its phase runs without
-    the ccdf's comparisons, bit for bit the same: with e == 0 the ccdf
-    is constant in x; with u = ceff - e*x <= u_min and x <= 1 (or
-    u >= u_max and x >= 0) it stays 1 (or 0) for every later stage.
-    The stages move x toward that value c, and with dt*gamma <= 1e-2
-    none passes it; as e >= 0 and rounding is monotone, a stage between
-    x and c has its u on the same side of the clamp as x.
+    Each step evaluates its four stages on the ccdf branch where it
+    starts, whose field is affine, so no stage needs a comparison.  The
+    branch is checked once, at the step's end.  On a change the step is
+    split at the kink (``_kink_step``): a bisection of the fixed-branch
+    RK4 map finds when the state reaches the clamp level, the step runs
+    to there, and it finishes on the new branch.  Every RK4 evaluation
+    thus sees an affine field, and the order is 4 across kinks too.
+
+    Once a grid step starts on a clamp that the state cannot leave, the
+    rest of its phase runs without the end-of-step check, bit for bit
+    the same: with e == 0 the ccdf is constant in x; with
+    u = ceff - e*x <= u_min and x <= 1 (or u >= u_max and x >= 0) the
+    clamp's value c is 1 (or 0) and every stage moves x toward c.  With
+    dt*gamma <= 1e-2 each stage and the step's end advance x by at most
+    about 1e-2 of its distance to c, so none reaches past c (c is a
+    float, and rounding to nearest never crosses it); as e >= 0 and
+    rounding is monotone, the end's u stays on x's side of the clamp,
+    and the end again satisfies the condition.
 
     Args:
         params: Market parameters (supply cost, externality, gamma).
@@ -88,6 +149,7 @@ def integrate_ode(
             plain dynamics.  Only its ``level``, ``start`` and ``end``
             attributes are read, so the oracle needs no planner import.
         x0: Starting level, finite.
+        dt: The step; ``STEP_SCALE/gamma`` by default.
 
     Raises:
         InvalidStepError: when dt*gamma exceeds 1e-2, t_end <= t0, or the
@@ -95,11 +157,11 @@ def integrate_ode(
     """
     gamma = params.gamma
     if dt is None:
-        dt = DEFAULT_STEP_SCALE / gamma
+        dt = STEP_SCALE / gamma
     if t_end is None:
         t_end = t0 + DEFAULT_HORIZON_SCALE / gamma
-    if dt <= 0 or dt * gamma > MAX_STEP_SCALE * (1 + 1e-12):
-        raise InvalidStepError(f"need 0 < dt*gamma <= {MAX_STEP_SCALE}, got {dt * gamma}")
+    if dt <= 0 or dt * gamma > STEP_SCALE * (1 + 1e-12):
+        raise InvalidStepError(f"need 0 < dt*gamma <= {STEP_SCALE}, got {dt * gamma}")
     if t_end <= t0:
         raise InvalidStepError("t_end must exceed t0")
     steps = (t_end - t0) / dt
@@ -123,6 +185,7 @@ def integrate_ode(
 
     edges = [t0, *cuts, t_end]
     x, t, i = x0, t0, 1
+    splits = 0
     if x == 0.0 and math.copysign(1.0, x) < 0.0:
         # A step of length 0 (t0 + i*dt == t0) leaves the state as it is,
         # but RK4 arithmetic would turn -0.0 into 0.0: skip those steps.
@@ -137,53 +200,62 @@ def integrate_ode(
             j += 1
         while t0 + j * dt > b:
             j -= 1
-        # Grid steps i..j: _rk4_step written out, as a call would cost a
-        # quarter of the step, until the state sits on a clamp.
-        for i in range(i, j + 1):
+        while i <= j:
             u = ceff - e * x
             if u <= u_min and x <= 1.0 or u >= u_max and x >= 0.0 or e == 0.0:
-                break
-            t_next = t0 + i * dt
-            h = t_next - t
-            hh = 0.5 * h
-            k1 = gamma * ((1.0 if u <= u_min else 0.0 if u >= u_max
-                           else (u_max - u) / spread) - x)
-            x2 = x + hh * k1
-            u = ceff - e * x2
-            k2 = gamma * ((1.0 if u <= u_min else 0.0 if u >= u_max
-                           else (u_max - u) / spread) - x2)
-            x3 = x + hh * k2
-            u = ceff - e * x3
-            k3 = gamma * ((1.0 if u <= u_min else 0.0 if u >= u_max
-                           else (u_max - u) / spread) - x3)
-            x4 = x + h * k3
-            u = ceff - e * x4
-            k4 = gamma * ((1.0 if u <= u_min else 0.0 if u >= u_max
-                           else (u_max - u) / spread) - x4)
-            x = x + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-            t = t_next
-            levels[i] = x
-        else:
-            i = j + 1
-        if i <= j:
-            # On a clamp: every later stage of the phase sees the ccdf value c.
-            c = 1.0 if u <= u_min else 0.0 if u >= u_max else (u_max - u) / spread
-            for i in range(i, j + 1):
+                # On a clamp it cannot leave: every later stage of the
+                # phase sees the ccdf value c.
+                c = 1.0 if u <= u_min else 0.0 if u >= u_max else (u_max - u) / spread
+                for i in range(i, j + 1):
+                    t_next = t0 + i * dt
+                    h = t_next - t
+                    hh = 0.5 * h
+                    k1 = gamma * (c - x)
+                    k2 = gamma * (c - (x + hh * k1))
+                    k3 = gamma * (c - (x + hh * k2))
+                    k4 = gamma * (c - (x + h * k3))
+                    x = x + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+                    t = t_next
+                    levels[i] = x
+            elif u_min < u < u_max:
+                # In the band: the stages of _kink_step written out (a
+                # call per step costs about 40% more on band-heavy runs),
+                # until a step's end leaves the band; that step is redone
+                # with the split.
+                for i in range(i, j + 1):
+                    t_next = t0 + i * dt
+                    h = t_next - t
+                    hh = 0.5 * h
+                    k1 = gamma * ((u_max - (ceff - e * x)) / spread - x)
+                    x2 = x + hh * k1
+                    k2 = gamma * ((u_max - (ceff - e * x2)) / spread - x2)
+                    x3 = x + hh * k2
+                    k3 = gamma * ((u_max - (ceff - e * x3)) / spread - x3)
+                    x4 = x + h * k3
+                    k4 = gamma * ((u_max - (ceff - e * x4)) / spread - x4)
+                    y = x + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+                    t = t_next
+                    if u_min < ceff - e * y < u_max:
+                        levels[i] = x = y
+                        continue
+                    x, k = _kink_step(x, h, ceff, e, gamma, u_min, u_max, spread)
+                    splits += k
+                    levels[i] = x
+                    break
+            else:
+                # On a clamp outside [0, 1]: x moves toward 1 (or 0) and
+                # may cross into the band.
                 t_next = t0 + i * dt
-                h = t_next - t
-                hh = 0.5 * h
-                k1 = gamma * (c - x)
-                k2 = gamma * (c - (x + hh * k1))
-                k3 = gamma * (c - (x + hh * k2))
-                k4 = gamma * (c - (x + h * k3))
-                x = x + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+                x, k = _kink_step(x, t_next - t, ceff, e, gamma, u_min, u_max, spread)
+                splits += k
                 t = t_next
                 levels[i] = x
-            i = j + 1
+            i += 1
         if t < b:
-            x = _rk4_step(x, b - t, ceff, e, gamma, u_min, u_max, spread)
+            x, k = _kink_step(x, b - t, ceff, e, gamma, u_min, u_max, spread)
+            splits += k
             t = b
-    return SampledTrajectory(start_time=t0, dt=dt, levels=levels)
+    return SampledTrajectory(start_time=t0, dt=dt, levels=levels, splits=splits)
 
 
 def _composite_simpson(y: array, dx: float) -> float:

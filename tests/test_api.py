@@ -1,6 +1,7 @@
 """The public surface of the package, pinned so that a change shows in review."""
 
 import ast
+import sys
 from pathlib import Path
 
 import netadopt
@@ -66,3 +67,20 @@ def test_every_public_name_has_a_shipped_caller():
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 used.add(node.attr)
     assert sorted(set(netadopt.__all__) - used) == []
+
+
+def test_oracle_imports_only_the_stdlib_errors_and_model():
+    # The oracle is the closed forms' independent check: it may import the
+    # standard library, the errors and the market model, and nothing else
+    # (no closed_form, no subsidy, no third-party module).
+    tree = ast.parse((ROOT / "src" / "netadopt" / "oracle.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    local = {name for name in imported if name.startswith(".")}
+    assert local and local <= {".errors", ".model"}
+    assert sorted(n for n in imported - local
+                  if n.split(".")[0] not in sys.stdlib_module_names) == []

@@ -340,13 +340,83 @@ def test_validate_passes_on_tipping_scenario(tmp_path, capsys):
     assert "PASS" in stdout and "FAIL" not in stdout
 
 
-def test_validate_fails_on_huge_step(tmp_path, capsys):
+def test_validate_fails_on_a_shifted_segment(capsys, monkeypatch):
+    # At the largest step, dt*gamma = 1e-2, the oracle agrees with a correct
+    # closed form; shifting the path's first, in-band segment by 2e-6 fails
+    # the trajectory check and nothing else.
+    from netadopt import PiecewiseTrajectory
+
+    keys = (*TIPPING_KEYS, "x0=0.6", "t_end=20", "dt=0.03")
+    code, stdout, _ = run(capsys, "validate", *sets(*keys))
+    assert code == 0 and stdout.endswith("all checks passed\n")
+    values = PiecewiseTrajectory.values
+
+    def shifted(self, times):
+        junction = self.segments[1].start_time
+        return [x + 2e-6 if t < junction else x
+                for t, x in zip(times, values(self, times))]
+
+    monkeypatch.setattr(PiecewiseTrajectory, "values", shifted)
+    code, stdout, _ = run(capsys, "validate", *sets(*keys))
+    assert code == 1
+    assert "trajectory max |closed form - rk4| = 2.000e-06 (tol 1e-06): FAIL" in stdout
+    assert stdout.endswith("FAILED: 1 check(s)\n")
+
+
+def test_validate_passes_where_a_step_crosses_a_kink(capsys):
+    # RK4 stepping across a kink of the ccdf has low-order error: before
+    # the oracle split such steps, this correct closed form failed at
+    # dt = 0.01 with a gap of 3.99e-6.
     code, stdout, _ = run(
         capsys, "validate",
-        *sets(*TIPPING_KEYS, "x0=0.6", "t_end=20", "dt=0.03"),
+        *sets("u_min=1", "u_max=2", "cost=3", "externality=3.890047096581447", "gamma=1",
+              "x0=0.1", "kind=cls", "s=1.2", "T=1", "t_end=5", "dt=0.01"),
     )
-    assert code == 1
-    assert "FAIL" in stdout
+    assert code == 0 and stdout.endswith("all checks passed\n")
+    assert stdout.startswith(
+        "oracle step 0.01 (h*gamma 0.01): runs 3, RK4 steps 596, kink splits 1\n")
+    gap = re.search(r"rk4\| = (\S+) ", stdout).group(1)
+    assert float(gap) <= 1e-7
+
+
+def test_validate_samples_at_dt_and_substeps_the_oracle(capsys, monkeypatch):
+    # dt sets only the samples: the README market at dt = 0.05
+    # (dt*gamma = 0.0167) runs the oracle at two substeps per sample and
+    # compares every second level; without dt, both steps are 0.01/gamma.
+    from netadopt import oracle
+
+    steps = []
+    original = oracle.integrate_ode
+
+    def recording(params, **kwargs):
+        steps.append(kwargs["dt"])
+        return original(params, **kwargs)
+
+    monkeypatch.setattr(oracle, "integrate_ode", recording)
+    for dt, h, line in ((("dt=0.05",), 0.025, "oracle step 0.025 (h*gamma 0.00833): runs 4, "),
+                        ((), 0.03, "oracle step 0.03 (h*gamma 0.01): runs 4, ")):
+        steps.clear()
+        code, stdout, _ = run(capsys, "validate", *_TIPPING_CALL, *sets(*dt))
+        assert code == 0 and stdout.endswith("all checks passed\n")
+        assert stdout.startswith(line)
+        assert steps[0] == pytest.approx(h, rel=1e-12)
+        assert steps[2:] == [steps[0] / 2, steps[0] / 4]
+
+
+@pytest.mark.parametrize("gamma", ["1e-300", "1", "1e300"])
+@pytest.mark.parametrize("dt", ["1e308", "5e-324"])
+def test_validate_extreme_sample_steps(capsys, dt, gamma):
+    # The substep count dt*gamma/1e-2 overflows to inf at dt = 1e308 on a
+    # long horizon; each case ends in exit 0, or exit 2 with one line.
+    keys = ("u_min=1", "u_max=2", "cost=3", "externality=3", f"gamma={gamma}", "x0=0.25",
+            f"dt={dt}")
+    for extra in ((), ("t_end=1e308",)):
+        code, stdout, stderr = run(capsys, "validate", *sets(*keys, *extra))
+        if code == 0:
+            assert stderr == "" and stdout.endswith("all checks passed\n")
+        else:
+            assert (code, stdout) == (2, ""), (extra, stdout)
+            assert stderr.count("\n") == 1 and "exceeds the limit of 10000000" in stderr
 
 
 def test_validate_min_duration_verdicts(tmp_path, capsys):

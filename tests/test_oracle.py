@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import sample_times
+from conftest import max_gap, random_params, random_start, sample_times
 from reference import brute_force_equilibria, finite_diff, first_passage
 
 from netadopt import (
@@ -15,6 +15,7 @@ from netadopt import (
     integrate_ode,
     min_duration,
     min_duration_cost,
+    subsidized_trajectory,
 )
 
 TIPPING = ModelParams(1.0, 2.0, 3.0, 3.0, 1.0 / 3.0)
@@ -51,23 +52,59 @@ def test_integrate_step_validation():
             integrate_ode(TIPPING, t_end=t_end, dt=0.01)
 
 
-def _rk4_const_cost(ccdf, ceff, e, gamma, x, h):
-    """Reference: one RK4 step of xdot = gamma*(ccdf(ceff - e*x) - x)."""
-    if h == 0.0:
-        return x
-    k1 = gamma * (ccdf(ceff - e * x) - x)
+def _branch(params, ceff, x):
+    """The ccdf's branch at level x, named by its value there: 1.0 or 0.0
+    on a clamp, None in the band."""
+    u = ceff - params.externality * x
+    return 1.0 if u <= params.u_min else 0.0 if u >= params.u_max else None
+
+
+def _rk4_on_branch(params, ceff, c, x, h):
+    """Reference: one RK4 step of xdot = gamma*(ccdf - x), every stage on branch c."""
+    e, gamma, u_max = params.externality, params.gamma, params.u_max
+
+    def f(y):
+        p = c if c is not None else (u_max - (ceff - e * y)) / (u_max - params.u_min)
+        return gamma * (p - y)
+
+    k1 = f(x)
     x2 = x + 0.5 * h * k1
-    k2 = gamma * (ccdf(ceff - e * x2) - x2)
+    k2 = f(x2)
     x3 = x + 0.5 * h * k2
-    k3 = gamma * (ccdf(ceff - e * x3) - x3)
+    k3 = f(x3)
     x4 = x + h * k3
-    k4 = gamma * (ccdf(ceff - e * x4) - x4)
+    k4 = f(x4)
     return x + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
 
 
+def _split_step(params, ceff, x, h):
+    """Reference: one RK4 step on the branch where it starts; a step that
+    ends on another branch is cut where it leaves (48 bisections of its
+    length) and finished on the new one.  Returns the state and the cuts."""
+    if h == 0.0:
+        return x, 0
+    c = _branch(params, ceff, x)
+    y = _rk4_on_branch(params, ceff, c, x, h)
+    cuts = 0
+    while cuts < 2 and _branch(params, ceff, y) != c:
+        lo, hi = 0.0, h
+        for _ in range(48):
+            mid = 0.5 * (lo + hi)
+            if _branch(params, ceff, _rk4_on_branch(params, ceff, c, x, mid)) == c:
+                lo = mid
+            else:
+                hi = mid
+        x = _rk4_on_branch(params, ceff, c, x, hi)
+        h -= hi
+        cuts += 1
+        c = _branch(params, ceff, x)
+        y = _rk4_on_branch(params, ceff, c, x, h)
+    return y, cuts
+
+
 def _reference_levels(params, schedule, t0, x0, t_end, dt):
-    """Reference: the phase-by-phase scalar-step loop, one call per step."""
-    ccdf = params.ccdf
+    """Reference: the phase-by-phase scalar-step loop, one call per step.
+    Returns the levels and the cuts of each step."""
     n = max(1, round((t_end - t0) / dt))
     t_end = t0 + n * dt
     level, start, end = (
@@ -76,74 +113,88 @@ def _reference_levels(params, schedule, t0, x0, t_end, dt):
     )
     edges = [t0, *sorted({b for b in (start, end) if t0 < b < t_end}), t_end]
     levels = [x0]
+    cuts = []
     x, t, i = x0, t0, 1
     for a, b in zip(edges, edges[1:]):
         ceff = params.cost - (level if start <= 0.5 * (a + b) <= end else 0.0)
         while i <= n and t0 + i * dt <= b:
-            x = _rk4_const_cost(ccdf, ceff, params.externality, params.gamma, x,
-                                t0 + i * dt - t)
+            x, k = _split_step(params, ceff, x, t0 + i * dt - t)
+            cuts.append(k)
             t = t0 + i * dt
             levels.append(x)
             i += 1
         if t < b:
-            x = _rk4_const_cost(ccdf, ceff, params.externality, params.gamma, x, b - t)
+            x, k = _split_step(params, ceff, x, b - t)
+            cuts.append(k)
             t = b
-    return np.array(levels)
+    return np.array(levels), cuts
 
 
 NOEXT = ModelParams(0.0, 1.0, 0.5, 0.0, 1.0)
 # Only empty adoption is an equilibrium; full adoption holds only while
 # subsidized.
 LOWEXT = ModelParams(1.0, 2.0, 2.5, 1.0, 1.0)
+# The band [1.5, 1.501] is narrower than one step of a path falling from 2.
+NARROW = ModelParams(1.0, 1.001, 2.501, 1.0, 1.0)
 
 
-@pytest.mark.parametrize("schedule, t0, x0, t_end, params, dt", [
+# kinks: the kinks each crossing step is split at, in order.
+@pytest.mark.parametrize("schedule, t0, x0, t_end, params, dt, kinks", [
     # The first three keep their original ids.
     pytest.param(None, 0.0, 0.2, 6.0, PLANNER, 1e-3,  # falls through the band toward 0
-                 id="None-0.0-0.2-6.0"),
+                 (1,), id="None-0.0-0.2-6.0"),
     pytest.param(ConstantLevelSubsidy(1.0, 1.5), 0.0, 0.0, 4.0, PLANNER, 1e-3,
-                 id="schedule1-0.0-0.0-4.0"),  # edges on grid times
+                 (1,), id="schedule1-0.0-0.0-4.0"),  # edges on grid times
     pytest.param(ConstantLevelSubsidy(0.7, 0.77031, start=0.30037), 0.1, 0.05, 3.0,
-                 PLANNER, 1e-3, id="schedule2-0.1-0.05-3.0"),  # edges between them
+                 PLANNER, 1e-3, (1, 1), id="schedule2-0.1-0.05-3.0"),  # edges between them
     # e = 0: the ccdf is constant in x within each phase.
     pytest.param(ConstantLevelSubsidy(0.5, 1.0, start=0.5003), 0.0, 0.2, 3.0, NOEXT, 1e-3,
-                 id="no-externality"),
+                 (), id="no-externality"),
     # Climbs through the band onto the top clamp.
-    pytest.param(None, 0.0, 0.3, 4.0, PLANNER, 1e-3, id="climb-to-top-clamp"),
+    pytest.param(None, 0.0, 0.3, 4.0, PLANNER, 1e-3, (1,), id="climb-to-top-clamp"),
     # Climbs in the window, then falls onto the bottom clamp after it.
     pytest.param(ConstantLevelSubsidy(0.35, 0.5), 0.0, 0.1, 3.0, PLANNER, 1e-3,
-                 id="fall-to-bottom-clamp"),
+                 (), id="fall-to-bottom-clamp"),
     # Starts on a clamp: on the top one until the window ends, on the
     # bottom one until it starts (-0.0 keeps its sign bit there).  The
     # window start 0.009 lies just below the grid time 9*dt.
     pytest.param(ConstantLevelSubsidy(1.0, 1.0), 0.0, 1.0, 3.0, LOWEXT, 1e-3,
-                 id="start-on-top-clamp"),
+                 (1,), id="start-on-top-clamp"),
     pytest.param(ConstantLevelSubsidy(2.0, 1.0, start=0.5003), 0.0, 0.0, 2.0, PLANNER, 1e-3,
-                 id="start-on-bottom-clamp"),
+                 (), id="start-on-bottom-clamp"),
     pytest.param(ConstantLevelSubsidy(2.0, 1.0, start=0.009), 0.0, -0.0, 2.0, PLANNER, 1e-3,
-                 id="start-on-bottom-clamp-negative-zero"),
+                 (), id="start-on-bottom-clamp-negative-zero"),
     # Starts past a clamp's side: above full adoption it leaves the top
     # branch on its way down to 1, below 0 the bottom one on its way up.
-    pytest.param(None, 0.0, 2.0, 2.0, LOWEXT, 1e-3, id="start-above-one"),
+    pytest.param(None, 0.0, 2.0, 2.0, LOWEXT, 1e-3, (1,), id="start-above-one"),
     pytest.param(ConstantLevelSubsidy(1.0, 3.0), 0.0, -1.0, 2.0, LOWEXT, 1e-3,
-                 id="start-below-zero"),
+                 (1,), id="start-below-zero"),
     # Steps of length 0 (dt below the spacing of floats at t0) keep -0.0.
     pytest.param(ConstantLevelSubsidy(2.0, 1e-15, start=1.0 + 1e-15), 1.0, -0.0,
-                 1.0 + 3e-15, PLANNER, 1e-17, id="zero-length-steps"),
+                 1.0 + 3e-15, PLANNER, 1e-17, (), id="zero-length-steps"),
     # Far from 0, the grid's step lengths vary in their last bits.
     pytest.param(ConstantLevelSubsidy(1.0, 1.5, start=1e6 + 0.3), 1e6, 0.05, 1e6 + 4.0,
-                 PLANNER, 1e-3, id="t0-1e6"),
+                 PLANNER, 1e-3, (1,), id="t0-1e6"),
     pytest.param(ConstantLevelSubsidy(0.7, 0.77031, start=0.30037), 0.0, 0.3, 3.0,
-                 PLANNER, 1e-2, id="largest-step"),
+                 PLANNER, 1e-2, (), id="largest-step"),
     # The window lies between two grid times: its phase has no grid step.
     pytest.param(ConstantLevelSubsidy(2.0, 4e-4, start=0.1003), 0.0, 0.3, 2.0, PLANNER, 1e-3,
-                 id="window-within-one-step"),
+                 (1,), id="window-within-one-step"),
+    # Kinks crossed at the largest step: from the band onto the top clamp;
+    # from the top clamp into the band and on to the bottom clamp; and,
+    # with a band narrower than one step, both clamps within one step.
+    pytest.param(None, 0.0, 0.3, 4.0, PLANNER, 1e-2, (1,), id="band-to-clamp"),
+    pytest.param(None, 0.0, 2.0, 4.0, LOWEXT, 1e-2, (1, 1), id="clamp-to-band"),
+    pytest.param(None, 0.0, 2.0, 3.0, NARROW, 1e-2, (2,), id="two-clamps-in-one-step"),
 ])
-def test_integrate_ode_matches_scalar_steps_bitwise(schedule, t0, x0, t_end, params, dt):
+def test_integrate_ode_matches_scalar_steps_bitwise(schedule, t0, x0, t_end, params, dt,
+                                                    kinks):
     sampled = integrate_ode(params, subsidy_schedule=schedule, t0=t0, x0=x0,
                             t_end=t_end, dt=dt)
-    expected = _reference_levels(params, schedule, t0, x0, t_end, dt)
+    expected, cuts = _reference_levels(params, schedule, t0, x0, t_end, dt)
     assert sampled.levels.tobytes() == expected.tobytes()
+    assert tuple(k for k in cuts if k) == kinks
+    assert sampled.splits == sum(kinks)
     # The samples take at least two of the uniform ccdf's three branches.
     ceff = np.full(len(sampled.levels), params.cost)
     if schedule is not None:
@@ -153,6 +204,32 @@ def test_integrate_ode_matches_scalar_steps_bitwise(schedule, t0, x0, t_end, par
     branches = [u <= params.u_min, (u > params.u_min) & (u < params.u_max),
                 u >= params.u_max]
     assert sum(b.any() for b in branches) >= 2
+
+
+def test_kink_split_keeps_fourth_order_on_random_windows():
+    # Seeded windows over the four regimes, kept when the path crosses a
+    # kink of the ccdf.  At the largest step, dt*gamma = 1e-2, the oracle
+    # meets the closed form within 1e-7, and halving the step cuts the gap
+    # by at least 8x: the split keeps RK4's fourth order across kinks.
+    rng = np.random.default_rng(20261019)
+    crossed = 0
+    for i in range(160):
+        params = random_params(rng, 1 + i % 4)
+        x0 = random_start(rng, params)
+        gamma = params.gamma
+        cls = ConstantLevelSubsidy(float(rng.uniform(0.2, 0.9)) * params.cost,
+                                   float(rng.uniform(0.5, 3.0)) / gamma,
+                                   start=float(rng.uniform(0.0, 1.0)) / gamma)
+        runs = [integrate_ode(params, subsidy_schedule=cls, t0=cls.start, x0=x0,
+                              t_end=cls.end + 8.0 / gamma, dt=k * 1e-2 / gamma)
+                for k in (1.0, 0.5)]
+        if not runs[0].splits:
+            continue
+        crossed += 1
+        traj = subsidized_trajectory(params, cls, x0)
+        coarse, fine = (max_gap(traj, r) for r in runs)
+        assert coarse <= 1e-7 and coarse >= 8.0 * fine, (i, coarse, fine)
+    assert crossed >= 30
 
 
 def test_rk4_self_convergence():
