@@ -7,9 +7,13 @@ routes is meaningful.
 
 The field gamma*(ccdf(ceff - e*x) - x) is affine on each of the uniform
 ccdf's three branches (the top clamp, the band, the bottom clamp) and
-has a kink where they meet.  RK4 keeps its fourth order only while a
-step stays on one branch, so a step that crosses a kink is split there:
-the oracle finds the crossing from its own field, at the clamp levels
+has a kink where they meet.  On one branch, with f(x) = lam*x + mu,
+RK4's four stages sum exactly to x + h*P(h*lam)*f(x), where
+P(z) = 1 + z/2 + z**2/6 + z**3/24 is its stability polynomial (Hairer &
+Wanner, Solving ODEs II, IV.2), so a step evaluates the field once and
+scales it by a factor.  RK4 keeps its fourth order only while a step
+stays on one branch, so a step that crosses a kink is split there: the
+oracle finds the crossing from its own field, at the clamp levels
 (ceff - u_min)/e and (ceff - u_max)/e (event location; Hairer, Norsett
 & Wanner, Solving ODEs I, II.6).
 """
@@ -51,6 +55,13 @@ class SampledTrajectory:
         return self.start_time + self.dt * (len(self.levels) - 1)
 
 
+def _factor(h: float, slope: float) -> float:
+    """h*P(h*slope): an RK4 step of length h on an affine field of this
+    slope adds the factor times the field at x."""
+    z = h * slope
+    return h * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z * (1.0 / 24.0))))
+
+
 def _kink_step(
     x: float, h: float, ceff: float, e: float, gamma: float,
     u_min: float, u_max: float, spread: float,
@@ -60,28 +71,17 @@ def _kink_step(
     Returns the new state and the number of kinks located.  The branch
     is named by its ccdf value: 1.0 or 0.0 on a clamp, None in the band.
     """
+    lam = gamma * (e / spread - 1.0)  # the field's slope in the band
 
     def branch(y: float) -> float | None:
         u = ceff - e * y
         return 1.0 if u <= u_min else 0.0 if u >= u_max else None
 
     def step(c: float | None, y: float, tau: float) -> float:
-        # Classical RK4 with every stage on branch c.
-        hh = 0.5 * tau
+        # Classical RK4 with every stage on branch c, as one evaluation.
         if c is None:
-            k1 = gamma * ((u_max - (ceff - e * y)) / spread - y)
-            y2 = y + hh * k1
-            k2 = gamma * ((u_max - (ceff - e * y2)) / spread - y2)
-            y3 = y + hh * k2
-            k3 = gamma * ((u_max - (ceff - e * y3)) / spread - y3)
-            y4 = y + tau * k3
-            k4 = gamma * ((u_max - (ceff - e * y4)) / spread - y4)
-        else:
-            k1 = gamma * (c - y)
-            k2 = gamma * (c - (y + hh * k1))
-            k3 = gamma * (c - (y + hh * k2))
-            k4 = gamma * (c - (y + tau * k3))
-        return y + tau * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+            return y + _factor(tau, lam) * (gamma * ((u_max - (ceff - e * y)) / spread - y))
+        return y + _factor(tau, -gamma) * (gamma * (c - y))
 
     c = branch(x)
     y = step(c, x, h)
@@ -121,27 +121,35 @@ def integrate_ode(
     window, so the integration runs phase by phase.  A phase ending at b
     takes grid steps onto t0 + i*dt up to the last i <= n with
     t0 + i*dt <= b (its grid range, found once), then one shorter step
-    onto b when b falls between grid times.  The sample grid stays
-    uniform.
+    onto b when b falls between grid times; the next phase's first step
+    runs from b to the grid.  The sample grid stays uniform.  A step
+    from a grid time has length dt, whatever the spacing of the floats
+    t0 + i*dt; only the steps from or onto a phase edge are shorter.
 
-    Each step evaluates its four stages on the ccdf branch where it
-    starts, whose field is affine, so no stage needs a comparison.  The
-    branch is checked once, at the step's end.  On a change the step is
-    split at the kink (``_kink_step``): a bisection of the fixed-branch
-    RK4 map finds when the state reaches the clamp level, the step runs
-    to there, and it finishes on the new branch.  Every RK4 evaluation
-    thus sees an affine field, and the order is 4 across kinks too.
+    Each step runs on the ccdf branch where it starts, whose field is
+    affine with slope lam: -gamma on a clamp, gamma*(e/spread - 1) in the
+    band.  Its four RK4 stages sum to one evaluation of the field times
+    h*P(h*lam) (see the module docstring).  A grid step's factor depends
+    only on dt and the branch, so it is computed once per run; a shorter
+    step computes its own.  The branch is checked once, at the step's
+    end.  On a change the step is split at the kink (``_kink_step``): a
+    bisection of the fixed-branch RK4 map finds when the state reaches
+    the clamp level, the step runs to there, and it finishes on the new
+    branch.  Every step thus sees an affine field, and the order is 4
+    across kinks too.
 
     Once a grid step starts on a clamp that the state cannot leave, the
     rest of its phase runs without the end-of-step check, bit for bit
     the same: with e == 0 the ccdf is constant in x; with
     u = ceff - e*x <= u_min and x <= 1 (or u >= u_max and x >= 0) the
-    clamp's value c is 1 (or 0) and every stage moves x toward c.  With
-    dt*gamma <= 1e-2 each stage and the step's end advance x by at most
-    about 1e-2 of its distance to c, so none reaches past c (c is a
-    float, and rounding to nearest never crosses it); as e >= 0 and
-    rounding is monotone, the end's u stays on x's side of the clamp,
-    and the end again satisfies the condition.
+    clamp's value c is 1 (or 0).  A step adds q*(gamma*(c - x)) to x,
+    and q*gamma = dt*gamma*P(-dt*gamma) lies in (0, 1e-2] for
+    dt*gamma <= 1e-2, so even with the rounding of its three products
+    the added term has the sign of c - x and is smaller than it: the
+    exact sum lies between x and c, and rounding to nearest never
+    crosses the float c.  As e >= 0 and rounding is monotone, the end's
+    u stays on x's side of the clamp, and the end again satisfies the
+    condition.
 
     Args:
         params: Market parameters (supply cost, externality, gamma).
@@ -152,8 +160,9 @@ def integrate_ode(
         dt: The step; ``STEP_SCALE/gamma`` by default.
 
     Raises:
-        InvalidStepError: when dt*gamma exceeds 1e-2, t_end <= t0, or the
-            run would take more than MAX_STEPS steps.
+        InvalidStepError: when dt*gamma exceeds 1e-2, t_end <= t0, x0 or
+            the run's last level is not finite, or the run would take
+            more than MAX_STEPS steps.
     """
     gamma = params.gamma
     if dt is None:
@@ -164,6 +173,8 @@ def integrate_ode(
         raise InvalidStepError(f"need 0 < dt*gamma <= {STEP_SCALE}, got {dt * gamma}")
     if t_end <= t0:
         raise InvalidStepError("t_end must exceed t0")
+    if not math.isfinite(x0):
+        raise InvalidStepError(f"x0 must be finite, got {x0}")
     steps = (t_end - t0) / dt
     if not steps <= MAX_STEPS:  # also refuses an overflow to inf
         raise InvalidStepError(
@@ -182,15 +193,12 @@ def integrate_ode(
         start, end = float(subsidy_schedule.start), float(subsidy_schedule.end)
     cuts = sorted({b for b in (start, end) if t0 < b < t_end})
     levels = array("d", [x0]) * (n + 1)
+    clamp_q = _factor(dt, -gamma)
+    band_q = _factor(dt, gamma * (e / spread - 1.0))
 
     edges = [t0, *cuts, t_end]
-    x, t, i = x0, t0, 1
+    x, t, i = x0, t0, 1  # t: the time of x
     splits = 0
-    if x == 0.0 and math.copysign(1.0, x) < 0.0:
-        # A step of length 0 (t0 + i*dt == t0) leaves the state as it is,
-        # but RK4 arithmetic would turn -0.0 into 0.0: skip those steps.
-        while i <= n and t0 + i * dt == t0:
-            i += 1
     for a, b in zip(edges, edges[1:]):
         ceff = cost - (level if start <= 0.5 * (a + b) <= end else 0.0)
         # The phase's last grid index: the largest j <= n with
@@ -200,61 +208,52 @@ def integrate_ode(
             j += 1
         while t0 + j * dt > b:
             j -= 1
+        if i <= j and t > t0 + (i - 1) * dt:
+            # x sits on the phase's start a, between grid times.
+            x, k = _kink_step(x, t0 + i * dt - t, ceff, e, gamma, u_min, u_max, spread)
+            splits += k
+            levels[i] = x
+            i += 1
         while i <= j:
             u = ceff - e * x
             if u <= u_min and x <= 1.0 or u >= u_max and x >= 0.0 or e == 0.0:
-                # On a clamp it cannot leave: every later stage of the
+                # On a clamp it cannot leave: every later step of the
                 # phase sees the ccdf value c.
                 c = 1.0 if u <= u_min else 0.0 if u >= u_max else (u_max - u) / spread
                 for i in range(i, j + 1):
-                    t_next = t0 + i * dt
-                    h = t_next - t
-                    hh = 0.5 * h
-                    k1 = gamma * (c - x)
-                    k2 = gamma * (c - (x + hh * k1))
-                    k3 = gamma * (c - (x + hh * k2))
-                    k4 = gamma * (c - (x + h * k3))
-                    x = x + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-                    t = t_next
+                    x = x + clamp_q * (gamma * (c - x))
                     levels[i] = x
             elif u_min < u < u_max:
-                # In the band: the stages of _kink_step written out (a
-                # call per step costs about 40% more on band-heavy runs),
-                # until a step's end leaves the band; that step is redone
-                # with the split.
+                # In the band: _kink_step's step written out (a call per
+                # step costs about 40% more on band-heavy runs), each
+                # step's end u reused by the next, until a step's end
+                # leaves the band; that step is redone with the split.
                 for i in range(i, j + 1):
-                    t_next = t0 + i * dt
-                    h = t_next - t
-                    hh = 0.5 * h
-                    k1 = gamma * ((u_max - (ceff - e * x)) / spread - x)
-                    x2 = x + hh * k1
-                    k2 = gamma * ((u_max - (ceff - e * x2)) / spread - x2)
-                    x3 = x + hh * k2
-                    k3 = gamma * ((u_max - (ceff - e * x3)) / spread - x3)
-                    x4 = x + h * k3
-                    k4 = gamma * ((u_max - (ceff - e * x4)) / spread - x4)
-                    y = x + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-                    t = t_next
-                    if u_min < ceff - e * y < u_max:
+                    y = x + band_q * (gamma * ((u_max - u) / spread - x))
+                    u = ceff - e * y
+                    if u_min < u < u_max:
                         levels[i] = x = y
                         continue
-                    x, k = _kink_step(x, h, ceff, e, gamma, u_min, u_max, spread)
+                    x, k = _kink_step(x, dt, ceff, e, gamma, u_min, u_max, spread)
                     splits += k
                     levels[i] = x
                     break
             else:
                 # On a clamp outside [0, 1]: x moves toward 1 (or 0) and
                 # may cross into the band.
-                t_next = t0 + i * dt
-                x, k = _kink_step(x, t_next - t, ceff, e, gamma, u_min, u_max, spread)
+                x, k = _kink_step(x, dt, ceff, e, gamma, u_min, u_max, spread)
                 splits += k
-                t = t_next
                 levels[i] = x
             i += 1
+        t = max(t, t0 + (i - 1) * dt)  # a or the last grid time reached
         if t < b:
             x, k = _kink_step(x, b - t, ceff, e, gamma, u_min, u_max, spread)
             splits += k
             t = b
+    if not math.isfinite(x):
+        # A step adds a term to x, and a float sum with a NaN or infinite
+        # operand is not finite: so is every level after a non-finite one.
+        raise InvalidStepError(f"oracle level is not finite at t_end, got {x}")
     return SampledTrajectory(start_time=t0, dt=dt, levels=levels, splits=splits)
 
 

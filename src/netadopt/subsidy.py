@@ -132,7 +132,7 @@ def noext_subsidy_cost(params: ModelParams, cls: ConstantLevelSubsidy, y0: float
     resting = params.ccdf(params.cost - cls.level)
     t, gamma = cls.duration, params.gamma
     return cls.level * (
-        resting * t - (resting - y0) * (1.0 - math.exp(-gamma * t)) / gamma
+        resting * t - (resting - y0) * -math.expm1(-gamma * t) / gamma
     )
 
 
@@ -244,7 +244,7 @@ def full_subsidy_analysis(
 
     cls = ConstantLevelSubsidy(level=c, duration=duration, start=t0)
     trajectory = subsidized_trajectory(params, cls, y0)
-    outlay = c * (duration - one_minus * (1.0 - math.exp(-gamma * duration)) / gamma)
+    outlay = c * (duration - one_minus * -math.expm1(-gamma * duration) / gamma)
     return FullSubsidyReport(
         to_band_low=to_band_low,
         to_interior=to_interior,

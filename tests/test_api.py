@@ -84,3 +84,25 @@ def test_oracle_imports_only_the_stdlib_errors_and_model():
     assert local and local <= {".errors", ".model"}
     assert sorted(n for n in imported - local
                   if n.split(".")[0] not in sys.stdlib_module_names) == []
+
+
+def test_oracle_reads_only_the_market_fields():
+    # The oracle builds its field from the five numbers of a market: it
+    # reads no other attribute of ModelParams and calls no model function
+    # (not the ccdf, the band edges or slope, nor the interior point).
+    model = ast.parse((ROOT / "src" / "netadopt" / "model.py").read_text())
+    functions = {node.name for node in ast.walk(model)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    tree = ast.parse((ROOT / "src" / "netadopt" / "oracle.py").read_text())
+    fields = {"u_min", "u_max", "cost", "externality", "gamma"}
+    read, called = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            if isinstance(node.value, ast.Name) and node.value.id == "params":
+                read.add(node.attr)
+            if node.attr in functions:
+                called.add(node.attr)
+        elif isinstance(node, ast.Name) and node.id in functions:
+            called.add(node.id)
+    assert read and read <= fields, sorted(read - fields)
+    assert called == set()

@@ -185,6 +185,19 @@ def test_validate_noext_cls_cost_check(tmp_path, capsys):
         assert "cost |analytic - quadrature|" in stdout
 
 
+def test_validate_outlays_at_small_gamma(capsys):
+    # At a small gamma*T the outlays' 1 - exp(-gamma*T) cancels, and
+    # dividing by gamma made the gap to the quadrature 6e-5 (2.7 at
+    # gamma = 1e-300, 1.7e-4 for the window without network effects).
+    full = ("u_min=1", "u_max=2", "cost=3", "externality=3", "x0=0.1", "kind=full")
+    noext = ("u_min=1", "u_max=2", "cost=1.5", "externality=0", "x0=0.1", "kind=cls",
+             "s=0.3")
+    for keys in ((*full, "gamma=1e-12"), (*full, "gamma=1e-300"), (*noext, "gamma=1e-15")):
+        code, stdout, stderr = run(capsys, "validate", *sets(*keys, "T=1", "t_end=3"))
+        assert (code, stderr) == (0, ""), keys
+        assert "cost |analytic - quadrature|" in stdout and stdout.endswith("all checks passed\n")
+
+
 def test_validate_zero_length_window(tmp_path, capsys):
     # A window of length 0 pays nothing: the outlay check compares the
     # analytic outlay against 0 instead of integrating an empty window.
