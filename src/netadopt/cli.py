@@ -16,6 +16,7 @@ import os
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
+from dataclasses import replace
 from itertools import chain
 from operator import sub
 from pathlib import Path
@@ -134,13 +135,9 @@ def _resolve_scenario(config: ScenarioConfig, params: ModelParams):
     """The scenario's path, its subsidy window (None without one), and the
     window's analytic outlay (None where no closed form prices it)."""
     t0, x0 = config.t0, config.x0
-    if not 0.0 <= x0 <= 1.0:
-        raise InvalidParameterError(f"x0 must lie in [0, 1], got {x0}")
     if config.kind == "none":
         return closed_form.unsubsidized_trajectory(params, t0, x0), None, None
     if config.kind == "min_duration":
-        if t0 != 0.0:
-            raise InvalidParameterError("min_duration scenarios start at t0 = 0")
         traj = subsidy.min_duration_trajectory(params, x0, config.s)
         window = subsidy.ConstantLevelSubsidy(config.s, traj.subsidy_end)
         return traj, window, subsidy.min_duration_cost(params, x0, config.s).value
@@ -227,7 +224,8 @@ def cmd_simulate(config: ScenarioConfig) -> int:
         raise InvalidParameterError("t_end must exceed t0")
     if config.kind == "min_duration" and traj.subsidy_end is not None:
         t_end = min(t_end, traj.subsidy_end)
-    times = _sample_times(traj, config.t0, t_end, config.run_dt())
+    dt = 1e-3 / params.gamma if config.dt is None else config.dt
+    times = _sample_times(traj, config.t0, t_end, dt)
     path = _resolve_output(config.output, "trajectory.csv")
     _write_text(path, ["t", "x", "phase"], _path_text(traj, times))
     print(f"{len(times)} rows on [{_fmt(config.t0)}, {_fmt(t_end)}]")
@@ -239,7 +237,7 @@ def cmd_sweep(config: ScenarioConfig) -> int:
     if config.kind != "min_duration":
         raise InvalidParameterError("sweep requires kind = min_duration")
     params = config.params()
-    rows, frontier = subsidy.sweep(params, config.x0, grid_points=config.run_sweep_points())
+    rows, frontier = subsidy.sweep(params, config.x0, grid_points=config.sweep_points)
     path = _resolve_output(config.output, "sweep.csv")
     _write_sweep(path, rows, frontier)
     s_hat = subsidy.min_subsidy(params, config.x0)
@@ -369,21 +367,24 @@ def cmd_validate(config: ScenarioConfig) -> int:
     params = config.params()
     gamma = params.gamma
     failures: list[str] = []
+    # The dynamics are autonomous and the report prints no times, so the
+    # checks run in local time, from t = 0: next to a large t0 the float
+    # times would be too coarse for the oracle's grid.
+    t_end = config.run_t_end() - config.t0
+    config = replace(config, t0=0.0)
     traj, schedule, analytic_cost = _resolve_scenario(config, params)
-    t0 = config.t0
-    dt = oracle.STEP_SCALE / gamma if config.dt is None else config.run_dt()
-    t_end = config.run_t_end()
+    dt = oracle.STEP_SCALE / gamma if config.dt is None else config.dt
     if config.kind == "min_duration" and traj.subsidy_end is not None:
         # Past the window the state sits on the basin boundary, where any
         # numerical perturbation is amplified; compare inside the window.
         t_end = traj.subsidy_end
-    if t_end <= t0:
+    if t_end <= 0.0:
         raise InvalidParameterError("t_end must exceed t0")
     # dt sets only the samples, aligned to the horizon so no step overruns
     # it.  The oracle takes the fewest whole substeps per sample interval
     # that keep h*gamma <= STEP_SCALE, and the check compares every
     # stride-th level.
-    dt = _whole_steps(t_end - t0, dt, 8, oracle.MAX_STEPS)
+    dt = _whole_steps(t_end, dt, 8, oracle.MAX_STEPS)
     ratio = dt * gamma / oracle.STEP_SCALE
     if ratio <= oracle.MAX_STEPS:
         stride = max(1, math.ceil(ratio * (1 - 1e-12)))
@@ -394,7 +395,7 @@ def cmd_validate(config: ScenarioConfig) -> int:
     # Every run is integrated before any check prints, so that a run too
     # long for the oracle is refused with no partial report.
     sampled = oracle.integrate_ode(
-        params, subsidy_schedule=schedule, t0=t0, x0=config.x0, t_end=t_end, dt=h
+        params, subsidy_schedule=schedule, x0=config.x0, t_end=t_end, dt=h
     )
     runs = [sampled]
     window = None
@@ -404,22 +405,22 @@ def cmd_validate(config: ScenarioConfig) -> int:
         # A window of length 0, or one so short that its step underflows,
         # pays nothing.
         window = oracle.integrate_ode(
-            params, subsidy_schedule=schedule, t0=t0, x0=config.x0,
+            params, subsidy_schedule=schedule, x0=config.x0,
             t_end=schedule.end, dt=window_dt,
         )
         runs.append(window)
 
     smooth_end = t_end
     for b in traj.breakpoints:
-        if b > t0:
+        if b > 0.0:
             smooth_end = min(smooth_end, b)
             break
-    m = math.floor((smooth_end - t0) / h) if smooth_end - t0 >= 8 * h else 0
+    m = math.floor(smooth_end / h) if smooth_end >= 8 * h else 0
     if m:
         half, quarter = (
             oracle.integrate_ode(
-                params, subsidy_schedule=schedule, t0=t0, x0=config.x0,
-                t_end=t0 + m * h, dt=h / k,
+                params, subsidy_schedule=schedule, x0=config.x0,
+                t_end=m * h, dt=h / k,
             )
             for k in (2, 4)
         )
@@ -446,7 +447,7 @@ def cmd_validate(config: ScenarioConfig) -> int:
                COST_TOL, failures)
 
     if config.kind == "min_duration":
-        rows, _ = subsidy.sweep(params, config.x0, grid_points=config.run_sweep_points())
+        rows, _ = subsidy.sweep(params, config.x0, grid_points=config.sweep_points)
         durations = [r.duration for r in rows if r.duration is not None]
         drift = max(
             (b - a for a, b in zip(durations, durations[1:])), default=0.0
@@ -614,6 +615,17 @@ def _reproduce_4(out_dir: Path) -> list[Path]:
 # ---------------------------------------------------------------------------
 
 
+# The verbs that read a scenario config: (handler, help).
+VERBS = {
+    "equilibria": (cmd_equilibria, "classify the equilibrium set"),
+    "simulate": (cmd_simulate, "emit an exact trajectory as CSV"),
+    "sweep": (cmd_sweep, "minimum-duration subsidy sweep with Pareto frontier"),
+    "full-subsidy": (cmd_full_subsidy, "full-cost subsidy thresholds, outcome, and cost"),
+    "noext": (cmd_noext, "no-externality subsidy analytics"),
+    "validate": (cmd_validate, "closed-form vs numeric-oracle agreement checks"),
+}
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="scenario config file (key = value lines)")
     parser.add_argument(
@@ -630,14 +642,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     f"(config schema: {REFERENCE_PATH})",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb, help_text in (
-        ("equilibria", "classify the equilibrium set"),
-        ("simulate", "emit an exact trajectory as CSV"),
-        ("sweep", "minimum-duration subsidy sweep with Pareto frontier"),
-        ("full-subsidy", "full-cost subsidy thresholds, outcome, and cost"),
-        ("noext", "no-externality subsidy analytics"),
-        ("validate", "closed-form vs numeric-oracle agreement checks"),
-    ):
+    for verb, (_, help_text) in VERBS.items():
         p = sub.add_parser(verb, help=help_text)
         _add_common(p)
     p = sub.add_parser("reproduce", help="write the bundled scenario data files")
@@ -663,16 +668,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.verb == "reproduce":
             return cmd_reproduce(args.example_id, args.output)
-        config = _config_from_args(args)
-        handler = {
-            "equilibria": cmd_equilibria,
-            "simulate": cmd_simulate,
-            "sweep": cmd_sweep,
-            "full-subsidy": cmd_full_subsidy,
-            "noext": cmd_noext,
-            "validate": cmd_validate,
-        }[args.verb]
-        return handler(config)
+        return VERBS[args.verb][0](_config_from_args(args))
     except (InvalidParameterError, SingularParametersError, InvalidStepError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -54,27 +54,6 @@ class ScenarioConfig:
             gamma=self.gamma,
         )
 
-    # The run controls are checked where a verb reads them, so that a
-    # verb which ignores a key also ignores a bad value for it.
-
-    def run_dt(self) -> float:
-        if self.dt is None:
-            return 1e-3 / self.params().gamma
-        if self.dt <= 0:
-            raise InvalidParameterError(f"dt must be > 0, got {self.dt!r}")
-        return self.dt
-
-    def run_sweep_points(self) -> int:
-        if self.sweep_points < 0:
-            raise InvalidParameterError(
-                f"sweep_points must be >= 0, got {self.sweep_points}"
-            )
-        if self.sweep_points > MAX_SWEEP_POINTS:
-            raise InvalidParameterError(
-                f"sweep_points must be <= {MAX_SWEEP_POINTS}, got {self.sweep_points}"
-            )
-        return self.sweep_points
-
     def run_t_end(self) -> float:
         return (
             self.t_end
@@ -144,10 +123,23 @@ def load_config(
         pairs.update(read_config_file(path))
     if overrides:
         pairs.update(overrides)
-    values = parse_assignments(pairs)
-    config = ScenarioConfig(**values)
+    config = ScenarioConfig(**parse_assignments(pairs))
+    # Every key whose meaning does not depend on the verb is checked here,
+    # so that every verb refuses a bad value alike.
+    if not 0.0 <= config.x0 <= 1.0:
+        raise InvalidParameterError(f"x0 must lie in [0, 1], got {config.x0}")
     if config.T < 0:
         raise InvalidParameterError("T must be >= 0")
+    if config.dt is not None and config.dt <= 0:
+        raise InvalidParameterError(f"dt must be > 0, got {config.dt!r}")
+    if config.sweep_points < 0:
+        raise InvalidParameterError(f"sweep_points must be >= 0, got {config.sweep_points}")
+    if config.sweep_points > MAX_SWEEP_POINTS:
+        raise InvalidParameterError(
+            f"sweep_points must be <= {MAX_SWEEP_POINTS}, got {config.sweep_points}"
+        )
+    if config.kind == "min_duration" and config.t0 != 0.0:
+        raise InvalidParameterError("min_duration scenarios start at t0 = 0")
     return config
 
 

@@ -277,30 +277,20 @@ def _composite_simpson(y: array, dx: float) -> float:
 
 
 def integrate_cost(sampled: SampledTrajectory, subsidy_schedule) -> float:
-    """Total provider outlay: level times the integral of x(t) over the window.
+    """Total provider outlay: level times the composite-Simpson integral of
+    x(t) over the window.
 
-    ``subsidy_schedule`` is a constant level subsidy or None.  The
-    integral is split at the window end; a window end falling between
-    samples is closed with a trapezoid on the interpolated remainder.
+    ``subsidy_schedule`` is a constant level subsidy or None.  ``sampled``
+    must be the run over exactly the window, as ``integrate_ode`` returns
+    it for t0 = start and t_end = end: it starts where the window opens
+    and takes round(duration/dt) steps.  Any other run raises
+    InvalidStepError.
     """
     if subsidy_schedule is None or subsidy_schedule.level == 0.0:
         return 0.0
-    levels, t0, dt = sampled.levels, sampled.start_time, sampled.dt
-    hi = min(subsidy_schedule.end, sampled.end_time)
-    lo = max(subsidy_schedule.start, t0)
-    if hi <= lo:
-        return 0.0
-    i_lo = int(math.ceil((lo - t0) / dt - 1e-9))
-    i_hi = int(math.floor((hi - t0) / dt + 1e-9))
-    total = _composite_simpson(levels[i_lo : i_hi + 1], dt)
-    # The level at a window edge is interpolated in np.interp's arithmetic.
-    t_hi = t0 + dt * i_hi
-    if t_hi < hi:  # partial trailing interval
-        slope = (levels[i_hi + 1] - levels[i_hi]) / (t0 + dt * (i_hi + 1) - t_hi)
-        total += 0.5 * (levels[i_hi] + (slope * (hi - t_hi) + levels[i_hi])) * (hi - t_hi)
-    t_lo = t0 + dt * i_lo
-    if t_lo > lo:  # partial leading interval
-        t_j = t0 + dt * (i_lo - 1)
-        slope = (levels[i_lo] - levels[i_lo - 1]) / (t_lo - t_j)
-        total += 0.5 * (slope * (lo - t_j) + levels[i_lo - 1] + levels[i_lo]) * (t_lo - lo)
-    return subsidy_schedule.level * total
+    levels, dt = sampled.levels, sampled.dt
+    steps = subsidy_schedule.duration / dt
+    if sampled.start_time != subsidy_schedule.start or not (
+            math.isfinite(steps) and len(levels) - 1 == round(steps)):
+        raise InvalidStepError("integrate_cost needs the run over exactly the window")
+    return subsidy_schedule.level * _composite_simpson(levels, dt)

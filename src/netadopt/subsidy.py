@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, compress
 from operator import sub
 from typing import Iterable, NamedTuple, Sequence
 
@@ -47,6 +47,10 @@ class ConstantLevelSubsidy:
             raise InvalidParameterError("subsidy level must be finite and >= 0")
         if not (math.isfinite(self.duration) and self.duration >= 0):
             raise InvalidParameterError("subsidy duration must be finite and >= 0")
+        if self.duration > 0 and self.start + self.duration == self.start:
+            raise InvalidParameterError(
+                f"subsidy window of {self.duration!r} rounds away at start {self.start!r}"
+            )
 
     @property
     def end(self) -> float:
@@ -60,8 +64,9 @@ class FullSubsidyReport:
     The three thresholds are the durations at which the fully subsidized
     path reaches, in order, the lower band edge, the interior (tipping)
     equilibrium, and the upper band edge.  Each is None when that level
-    is never reached.  Whether ``duration`` exceeds ``to_interior``
-    decides the long-run outcome.
+    is never reached, and 0.0 when the start already lies at or above
+    it.  Whether ``duration`` exceeds ``to_interior`` decides the
+    long-run outcome.
     """
 
     to_band_low: float | None
@@ -190,7 +195,10 @@ def subsidized_trajectory(
 
 
 def _require_planner_regime(params: ModelParams, y0: float) -> float:
-    """Validate the bistable regime and low starting level; returns x_interior."""
+    """Validate the starting level, the bistable regime and a start below
+    the tipping level; returns x_interior."""
+    if not 0.0 <= y0 <= 1.0:
+        raise InvalidParameterError(f"y0 must lie in [0, 1], got {y0}")
     u_min, u_max = params.u_min, params.u_max
     c, e = params.cost, params.externality
     if not u_max <= c:
@@ -199,8 +207,6 @@ def _require_planner_regime(params: ModelParams, y0: float) -> float:
         raise AssumptionViolationError(
             "cost <= u_min + externality", f"{c} > {u_min + e}"
         )
-    if not 0.0 <= y0 <= 1.0:
-        raise AssumptionViolationError("0 <= y0 <= 1", f"y0={y0}")
     x_int = interior_equilibrium(c, params)
     if not y0 < x_int:
         raise AssumptionViolationError(
@@ -212,7 +218,7 @@ def _require_planner_regime(params: ModelParams, y0: float) -> float:
 def _log_duration(numerator: float, denominator: float, gamma: float) -> float | None:
     if denominator <= 0 or numerator <= 0:
         return None
-    return math.log(numerator / denominator) / gamma
+    return max(0.0, math.log(numerator / denominator) / gamma)
 
 
 def full_subsidy_analysis(
@@ -512,12 +518,13 @@ def sweep(
 class CostSignPattern:
     """How outlay moves with the level across its five analytic ranges.
 
-    ``verdicts`` holds one entry per range (None when the range has no
-    interior grid pairs): rising on the first two (flat when y0 == 0,
-    where the outlay is identically zero there), falling on the third,
-    falling-then-rising on the fourth, rising on the fifth.
+    ``verdicts`` holds one entry per range (None when the range has
+    fewer than two priced rows): rising on the first two (flat when
+    y0 == 0, where the outlay is identically zero there), falling on the
+    third, falling-then-rising on the fourth, rising on the fifth.
     ``switch_count`` counts slope sign changes inside the fourth range and
-    ``dip_level`` is its empirical outlay minimizer, a feasible level.
+    ``dip_level`` is the level of the cheapest feasible row, the lowest
+    one on a tie.
     """
 
     verdicts: tuple[bool | None, ...]
@@ -530,54 +537,44 @@ def cost_sign_pattern(
     rows: Sequence[SubsidySweepRow], params: ModelParams, y0: float
 ) -> CostSignPattern:
     """Check the slope signs of the sweep's outlay against the expected
-    pattern, range by range.  The rows with an outlay must be in
-    nondecreasing level order, as ``sweep`` returns them; otherwise
+    pattern, range by range.  A range is the run of rows with that
+    ``regime``, as the planner assigned it (a level on a bound is in the
+    lower range), so ``params`` is not read.  The rows with an outlay must
+    be in nondecreasing level order, as ``sweep`` returns them; otherwise
     raises InvalidParameterError."""
-    b1, s_hat, b3, b4 = subsidy_interval_bounds(params, y0)
-    # The fourth range starts at the feasibility threshold when the
-    # analytic bounds interleave (s_hat can exceed the band-exit bound).
-    lo4 = max(b3, s_hat)
-    intervals = [(0.0, b1), (b1, s_hat), (s_hat, b3), (lo4, b4), (b4, params.cost)]
-    levels = [r.level for r in rows if r.cost is not None]
-    costs = [r.cost for r in rows if r.cost is not None]
-    if levels != sorted(levels):
+    priced = [r for r in rows if r.cost is not None]
+    levels, _, feasible, regimes, _, costs = zip(*priced) if priced else [()] * 6
+    if list(levels) != sorted(levels):
         raise InvalidParameterError("cost_sign_pattern needs rows in level order")
 
     verdicts: list[bool | None] = []
     switch_count: int | None = None
-    for k, (lo, hi) in enumerate(intervals, start=1):
-        # The neighbouring pairs with s1 > lo and s2 < hi, in one slice.
-        first, stop = bisect_right(levels, lo), bisect_left(levels, hi)
+    for k in range(1, 6):
+        # The neighbouring pairs of the range, in one slice.
+        first, stop = bisect_left(regimes, k), bisect_right(regimes, k)
         diffs = list(map(sub, costs[first + 1:stop], costs[first:stop - 1]))
         if not diffs:
             verdicts.append(None)
             continue
-        if k in (1, 2):
-            if y0 == 0.0:
-                verdicts.append(all(abs(d) <= FLAT_TOL for d in diffs))
-            else:
-                verdicts.append(all(d > 0 for d in diffs))
-        elif k == 3:
+        if k == 3:
             verdicts.append(all(d < 0 for d in diffs))
-        elif k == 5:
-            verdicts.append(all(d > 0 for d in diffs))
+        elif k == 4:
+            # The slope signs past FLAT_TOL may fall and then rise, never
+            # the other way round.
+            nz = [1 if d > FLAT_TOL else -1 for d in diffs if abs(d) > FLAT_TOL]
+            switch_count = sum(a != b for a, b in zip(nz, nz[1:]))
+            verdicts.append(bool(nz) and (1, -1) not in zip(nz, nz[1:]))
+        elif k < 3 and y0 == 0.0:
+            verdicts.append(all(abs(d) <= FLAT_TOL for d in diffs))
         else:
-            signs = [1 if d > FLAT_TOL else (-1 if d < -FLAT_TOL else 0) for d in diffs]
-            nz = [s for s in signs if s != 0]
-            switch_count = sum(1 for a, b in zip(nz, nz[1:]) if a != b)
-            never_rises_then_falls = all(
-                not (a == 1 and b == -1) for a, b in zip(nz, nz[1:])
-            )
-            verdicts.append(bool(nz) and never_rises_then_falls)
+            verdicts.append(all(d > 0 for d in diffs))
 
-    # The row at b3 is in range 3; one at s_hat is not feasible.
-    start = bisect_left(levels, b3) if b3 > s_hat else bisect_right(levels, s_hat)
-    inside = range(start, bisect_right(levels, b4))
-    dip_level = levels[min(inside, key=costs.__getitem__)] if inside else None
+    # The cheapest feasible row; on a tie, the lowest level.
+    dip = min(zip(compress(costs, feasible), compress(levels, feasible)), default=None)
     return CostSignPattern(
         verdicts=tuple(verdicts),
         switch_count=switch_count,
-        dip_level=dip_level,
+        dip_level=None if dip is None else dip[1],
         all_ok=all(v is not False for v in verdicts),
     )
 

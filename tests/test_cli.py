@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import os
 import re
@@ -7,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from netadopt.cli import main
 
@@ -656,13 +660,13 @@ def test_zero_or_negative_dt_is_invalid_input(tmp_path, capsys):
             )
             assert code == 2
             assert stderr == f"error: dt must be > 0, got {float(dt)!r}\n"
-    # A verb that never reads dt keeps ignoring it.
-    code, _, _ = run(
+    # load_config checks dt once, so a verb that never reads it refuses it too.
+    code, _, stderr = run(
         capsys, "sweep", *sets(*PLANNER_KEYS, "x0=0", "kind=min_duration",
                                "sweep_points=8", "dt=0"),
         "--output", str(tmp_path / "sweep.csv"),
     )
-    assert code == 0
+    assert (code, stderr) == (2, "error: dt must be > 0, got 0.0\n")
 
 
 def test_negative_sweep_points_is_invalid_input(tmp_path, capsys):
@@ -970,3 +974,123 @@ def test_oversized_outputs_are_invalid_input(tmp_path, capsys):
         assert code == 2
         assert "rows exceeds the limit of 1000000" in stderr
     assert not out.exists()
+
+
+CONFIG_VERBS = ("equilibria", "simulate", "sweep", "full-subsidy", "noext", "validate")
+
+
+@pytest.mark.parametrize("verb", CONFIG_VERBS)
+@pytest.mark.parametrize("bad, message", [
+    (("x0=5",), "x0 must lie in [0, 1], got 5.0"),
+    (("x0=-1",), "x0 must lie in [0, 1], got -1.0"),
+    (("dt=0",), "dt must be > 0, got 0.0"),
+    (("sweep_points=-1",), "sweep_points must be >= 0, got -1"),
+    (("sweep_points=1000001",), "sweep_points must be <= 1000000, got 1000001"),
+    (("T=-1",), "T must be >= 0"),
+    (("kind=min_duration", "t0=1"), "min_duration scenarios start at t0 = 0"),
+])
+def test_every_verb_refuses_a_bad_key_alike(tmp_path, capsys, verb, bad, message):
+    # load_config checks each key whose meaning does not depend on the
+    # verb, so a verb that ignores the key refuses a bad value for it too.
+    code, stdout, stderr = run(
+        capsys, verb, *sets(*TIPPING_KEYS, "x0=0.25", *bad),
+        "--output", str(tmp_path / "out.csv"),
+    )
+    assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_full_subsidy_threshold_below_the_start(tmp_path, capsys):
+    # The start 0.45 lies above the lower band edge 1/3, which it reaches
+    # at once: the duration was -0.19237189264745599.
+    out = tmp_path / "full.csv"
+    code, stdout, _ = run(
+        capsys, "full-subsidy",
+        *sets("u_min=1", "u_max=2", "cost=3", "externality=3", "gamma=1", "x0=0.45",
+              "T=0.5"),
+        "--output", str(out),
+    )
+    assert code == 0
+    assert stdout.startswith("thresholds: 0, ")
+    assert "duration_to_band_low,0\n" in out.read_text()
+
+
+@pytest.mark.parametrize("verb", ["simulate", "full-subsidy"])
+def test_window_that_rounds_away_is_invalid_input(tmp_path, capsys, verb):
+    # At t0 = 1e308 the end t0 + T rounds onto t0: the path was never
+    # subsidized, yet full-subsidy charged it a cost of 1.29.
+    code, stdout, stderr = run(
+        capsys, verb,
+        *sets(*TIPPING_KEYS, "x0=0.1", "kind=full", "T=1", "t0=1e308", "t_end=1e308"),
+        "--output", str(tmp_path / "out.csv"),
+    )
+    assert (code, stdout) == (2, "")
+    assert stderr.count("\n") == 1 and "rounds away at start 1e+308" in stderr
+
+
+@pytest.mark.parametrize("t0", ["1e6", "1e12", "1e15"])
+@pytest.mark.parametrize("kind", [("kind=full",), ("kind=cls", "s=1.2")])
+def test_validate_runs_in_local_time(capsys, t0, kind):
+    # The dynamics are autonomous: a late start checks the same path as a
+    # start at 0.  In absolute time the closed form, evaluated at the
+    # float times t0 + dt*i, missed the oracle by 5e-5 at t0 = 1e12 (and
+    # kind=cls exited 2 from t0 = 1e6 on).
+    keys = ("u_min=1", "u_max=2", "cost=3", "externality=3", "gamma=1", "x0=0.1", "T=1",
+            *kind)
+    code, late, stderr = run(capsys, "validate",
+                             *sets(*keys, f"t0={t0}", f"t_end={float(t0) + 5!r}"))
+    assert (code, stderr) == (0, "")
+    code, early, _ = run(capsys, "validate", *sets(*keys, "t_end=5"))
+    assert code == 0 and late == early
+
+
+_EDGE_VALUES = ("0", "0.0", "-0.0", "-1", "5e-324", "1e308", "-1e308", "1.5")
+_PLAIN_VALUES = ("0.25", "1")
+_MARKETS = (TIPPING_KEYS, PLANNER_KEYS, SINGULAR_KEYS[:5],
+            ("u_min=0", "u_max=1", "cost=0.5", "externality=0", "gamma=1"))
+_RUN_KEYS = ("t0", "x0", "s", "T", "target", "t_end", "dt", "sweep_points")
+
+
+@st.composite
+def _fuzzed_call(draw):
+    """A config verb on a bundled market with at most one model key at an
+    edge value or dropped, sometimes moved onto the singular line
+    externality == u_max - u_min, and up to four run keys at edge or plain
+    values.  The work per call is bounded here: every run value is at most
+    1.5 or an extreme, so a horizon holds either a few thousand steps or
+    too many to run, which a verb refuses before it starts; simulate,
+    whose default horizon writes 60k rows, always gets a t_end."""
+    verb = draw(st.sampled_from(CONFIG_VERBS))
+    pairs = dict(p.split("=") for p in draw(st.sampled_from(_MARKETS)))
+    for key in draw(st.sets(st.sampled_from(sorted(pairs)), max_size=1)):
+        value = draw(st.sampled_from((None, *_EDGE_VALUES)))
+        if value is None:
+            del pairs[key]
+        else:
+            pairs[key] = value
+    if draw(st.integers(0, 3)) == 0:
+        pairs["externality"] = repr(float(pairs.get("u_max", 2)) - float(pairs.get("u_min", 1)))
+    keys = draw(st.sets(st.sampled_from(_RUN_KEYS), max_size=4))
+    if verb == "simulate":
+        keys.add("t_end")
+    values = st.sampled_from(_EDGE_VALUES + _PLAIN_VALUES)
+    pairs.update((k, draw(values)) for k in sorted(keys))
+    kinds = ("min_duration",) if verb == "sweep" else ("none", "cls", "full", "min_duration")
+    pairs["kind"] = draw(st.sampled_from(kinds))
+    return verb, [f"{k}={v}" for k, v in pairs.items()]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(call=_fuzzed_call())
+def test_fuzzed_main_ends_in_a_documented_exit_code(tmp_path, call):
+    verb, pairs = call
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([verb, *sets(*pairs), "--output", str(tmp_path / "out.csv")])
+    stdout, stderr = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3), (verb, pairs)
+    if code == 1:
+        assert verb == "validate" and re.search(r"FAILED: \d+ check\(s\)\n\Z", stdout)
+    assert stderr == "" or re.fullmatch(r"error: [^\n]+\n", stderr), (verb, pairs, stderr)
+    assert (code in (2, 3)) == (stderr != ""), (verb, pairs, code, stderr)

@@ -11,6 +11,7 @@ from netadopt import (
     InvalidParameterError,
     InvalidStepError,
     ModelParams,
+    SampledTrajectory,
     full_subsidy_analysis,
     integrate_cost,
     integrate_ode,
@@ -354,12 +355,23 @@ def test_integrate_cost_noext_window():
 
 
 def test_integrate_cost_unaligned_window():
-    # Window end between samples: trapezoid remainder keeps it accurate.
+    # The outlay is Simpson over the run of exactly the window; a run past
+    # the window's end, from another start, or of another step count than
+    # round(duration/dt) is refused rather than clipped.
     params = ModelParams(0.0, 1.0, 0.5, 0.0, 1.0)
     cls = ConstantLevelSubsidy(0.5, 0.7703)
-    sampled = integrate_ode(params, subsidy_schedule=cls, t_end=2.0, dt=1e-3)
+    window = integrate_ode(params, subsidy_schedule=cls, t_end=cls.end, dt=cls.duration / 1000)
     exact = 0.5 * (0.7703 - (1 - math.exp(-0.7703)))
-    assert integrate_cost(sampled, cls) == pytest.approx(exact, abs=1e-6)
+    assert integrate_cost(window, cls) == pytest.approx(exact, abs=1e-6)
+    late = ConstantLevelSubsidy(0.5, 0.7703, start=0.5)
+    huge = ConstantLevelSubsidy(0.5, 1e308)  # duration/dt overflows to inf
+    for run, schedule in (
+        (integrate_ode(params, subsidy_schedule=cls, t_end=2.0, dt=1e-3), cls),
+        (window, late),
+        (SampledTrajectory(0.0, 1e-300, window.levels), huge),
+    ):
+        with pytest.raises(InvalidStepError, match="exactly the window"):
+            integrate_cost(run, schedule)
 
 
 def test_brute_force_equilibria_sets():

@@ -534,16 +534,13 @@ def test_knife_edge_level_matches_reference_cascade():
 
 def _reference_sign_pattern(rows, params, y0):
     """cost_sign_pattern with each range's neighbouring pairs filtered out
-    of all pairs, and the dip taken over a filtered list: the five-pass
-    form that the bisected slices replaced."""
-    b1, s_hat, b3, b4 = subsidy_interval_bounds(params, y0)
-    lo4 = max(b3, s_hat)
-    intervals = [(0.0, b1), (b1, s_hat), (s_hat, b3), (lo4, b4), (b4, params.cost)]
-    finite = [(r.level, r.cost) for r in rows if r.cost is not None]
+    of all pairs by the rows' ``regime``, and the dip taken over a
+    filtered list: the five-pass form of the regime rule."""
+    finite = [r for r in rows if r.cost is not None]
     verdicts, switch_count = [], None
-    for k, (lo, hi) in enumerate(intervals, start=1):
-        diffs = [c2 - c1 for (s1, c1), (s2, c2) in zip(finite, finite[1:])
-                 if s1 > lo and s2 < hi]
+    for k in range(1, 6):
+        diffs = [b.cost - a.cost for a, b in zip(finite, finite[1:])
+                 if a.regime == b.regime == k]
         if not diffs:
             verdicts.append(None)
         elif k in (1, 2):
@@ -557,10 +554,9 @@ def _reference_sign_pattern(rows, params, y0):
             nz = [1 if d > FLAT_TOL else -1 for d in diffs if abs(d) > FLAT_TOL]
             switch_count = sum(1 for a, b in zip(nz, nz[1:]) if a != b)
             verdicts.append(bool(nz) and (1, -1) not in zip(nz, nz[1:]))
-    # The dip is a feasible level: b3's row is in range 3, s_hat's is not.
-    inside = [(s, v) for s, v in finite
-              if (b3 <= s if b3 > s_hat else s_hat < s) and s <= b4]
-    dip_level = min(inside, key=lambda pair: pair[1])[0] if inside else None
+    # The dip is the cheapest feasible level, the lowest one on a tie.
+    feasible = [(r.cost, r.level) for r in finite if r.feasible]
+    dip_level = min(feasible)[1] if feasible else None
     return CostSignPattern(tuple(verdicts), switch_count, dip_level,
                            all(v is not False for v in verdicts))
 
@@ -785,3 +781,30 @@ def test_subsidized_trajectory_validation():
     # The path starts where the window opens.
     late = subsidized_trajectory(TIPPING, ConstantLevelSubsidy(1.0, 1.0, start=2.0), 0.25)
     assert (late.start_time, late.subsidy_end) == (2.0, 3.0)
+
+
+def test_full_subsidy_threshold_already_passed_takes_no_time():
+    # y0 = 0.45 lies above the lower band edge 1/3: log((1 - y0)/(1 - 1/3))
+    # is negative, and the threshold is reached at once.
+    params = ModelParams(1.0, 2.0, 3.0, 3.0, 1.0)
+    report = full_subsidy_analysis(params, 0.0, 0.45, 0.5)
+    assert report.to_band_low == 0.0
+    assert report.to_interior == pytest.approx(math.log(0.55 / 0.5), abs=1e-15)
+    assert report.to_band_high > report.to_interior
+
+
+def test_window_end_rounding_onto_its_start_is_refused():
+    with pytest.raises(InvalidParameterError, match="rounds away"):
+        ConstantLevelSubsidy(1.0, 1.0, start=1e308)
+    # A window of length 0 has no end to lose.
+    assert ConstantLevelSubsidy(1.0, 0.0, start=1e308).end == 1e308
+
+
+def test_planner_refuses_a_start_outside_the_unit_interval():
+    # An impossible start is invalid input, as in unsubsidized_trajectory,
+    # not an unsupported regime (exit 2, not 3).
+    for y0 in (-0.1, 1.5):
+        with pytest.raises(InvalidParameterError, match="y0 must lie in \\[0, 1\\]"):
+            min_subsidy(PLANNER, y0)
+        with pytest.raises(InvalidParameterError, match="y0 must lie in \\[0, 1\\]"):
+            full_subsidy_analysis(TIPPING, 0.0, y0, 1.0)
