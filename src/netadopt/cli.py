@@ -11,6 +11,7 @@ regime).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -426,9 +427,10 @@ def cmd_validate(config: ScenarioConfig) -> int:
         )
         runs += [half, quarter]
 
+    settled = sum(r.settled for r in runs)
     print(f"oracle step {h:.6g} (h*gamma {h * gamma:.3g}): runs {len(runs)}, "
-          f"RK4 steps {sum(len(r.levels) - 1 for r in runs)}, "
-          f"kink splits {sum(r.splits for r in runs)}")
+          f"RK4 steps {sum(len(r.levels) - 1 for r in runs) - settled}, "
+          f"settled {settled}, kink splits {sum(r.splits for r in runs)}")
     _check("trajectory max |closed form - rk4|", _path_gap(traj, sampled, stride),
            TRAJECTORY_TOL, failures)
     if m:
@@ -635,7 +637,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output", help="output file path")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused after it:
+    parsing leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="netadopt",
         description="Adoption dynamics and cost-subsidy planning "

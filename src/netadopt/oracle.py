@@ -31,6 +31,7 @@ STEP_SCALE = 1e-2  # dt * gamma: the default oracle step, and the largest
 DEFAULT_HORIZON_SCALE = 60.0  # (t_end - t0) * gamma for limit checks
 MAX_STEPS = 10**7  # per run; the samples alone take 80 MB there
 BISECTIONS = 48  # locate a kink to h/2**48, below rounding at h*gamma <= 1e-2
+CHUNK = 256  # steps between checks for a fixed point; samples per block of its fill
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,13 +39,15 @@ class SampledTrajectory:
     """Uniformly sampled adoption path.
 
     ``splits`` counts the kinks of the ccdf at which the oracle split a
-    step on its way.
+    step on its way, and ``settled`` the samples it copied from a fixed
+    point of its step rather than stepped to.
     """
 
     start_time: float
     dt: float
     levels: array  # array('d'), one level per sample
     splits: int = 0
+    settled: int = 0
 
     def __post_init__(self) -> None:
         if self.dt <= 0:
@@ -151,6 +154,21 @@ def integrate_ode(
     u stays on x's side of the clamp, and the end again satisfies the
     condition.
 
+    Once a grid step returns its input, the rest of its phase is filled
+    with that value, bit for bit the same.  Within a phase a grid step
+    is one map F of x's value: the branch, and so the formula, follows
+    from the value.  The sign of a zero x does not matter either: from
+    x = +-0.0 the term c - x (in the band p - x, with p =
+    (u_max - u)/spread >= 0) is c (or p) itself, so the step adds the
+    same term d, +0.0 or positive, and +-0.0 + d is d.  So when
+    F(x) == x, y = F(x) has x's value and F(y) = F(x) = y: every
+    later step of the phase returns y.  The fill writes y, not x: from
+    -0.0 the step returns +0.0, which compares equal.  The check runs
+    once per CHUNK steps on a clamp or in the band (once per step off
+    [0, 1]), only after a step without a kink split, so ``splits`` stays
+    exact.  The fill writes CHUNK samples at a time, so it needs no
+    memory in proportion to its length.
+
     Args:
         params: Market parameters (supply cost, externality, gamma).
         subsidy_schedule: A ``ConstantLevelSubsidy``, or None for the
@@ -198,7 +216,7 @@ def integrate_ode(
 
     edges = [t0, *cuts, t_end]
     x, t, i = x0, t0, 1  # t: the time of x
-    splits = 0
+    splits = settled = 0
     for a, b in zip(edges, edges[1:]):
         ceff = cost - (level if start <= 0.5 * (a + b) <= end else 0.0)
         # The phase's last grid index: the largest j <= n with
@@ -215,12 +233,13 @@ def integrate_ode(
             levels[i] = x
             i += 1
         while i <= j:
+            k, last = 0, min(j, i + CHUNK - 1)  # k: kink splits; last: the chunk's end
             u = ceff - e * x
             if u <= u_min and x <= 1.0 or u >= u_max and x >= 0.0 or e == 0.0:
                 # On a clamp it cannot leave: every later step of the
                 # phase sees the ccdf value c.
                 c = 1.0 if u <= u_min else 0.0 if u >= u_max else (u_max - u) / spread
-                for i in range(i, j + 1):
+                for i in range(i, last + 1):
                     x = x + clamp_q * (gamma * (c - x))
                     levels[i] = x
             elif u_min < u < u_max:
@@ -228,22 +247,30 @@ def integrate_ode(
                 # step costs about 40% more on band-heavy runs), each
                 # step's end u reused by the next, until a step's end
                 # leaves the band; that step is redone with the split.
-                for i in range(i, j + 1):
+                for i in range(i, last + 1):
                     y = x + band_q * (gamma * ((u_max - u) / spread - x))
                     u = ceff - e * y
                     if u_min < u < u_max:
                         levels[i] = x = y
                         continue
                     x, k = _kink_step(x, dt, ceff, e, gamma, u_min, u_max, spread)
-                    splits += k
                     levels[i] = x
                     break
             else:
                 # On a clamp outside [0, 1]: x moves toward 1 (or 0) and
                 # may cross into the band.
                 x, k = _kink_step(x, dt, ceff, e, gamma, u_min, u_max, spread)
-                splits += k
                 levels[i] = x
+            splits += k
+            if not k and i < j and x == levels[i - 1]:
+                # The last step returned its input: so does every later
+                # step of the phase.  Fill them with its output.
+                block = array("d", [x]) * min(CHUNK, j - i)
+                for lo in range(i + 1, j + 1, CHUNK):
+                    hi = min(lo + CHUNK, j + 1)
+                    levels[lo:hi] = block[:hi - lo]
+                settled += j - i
+                i = j
             i += 1
         t = max(t, t0 + (i - 1) * dt)  # a or the last grid time reached
         if t < b:
@@ -254,7 +281,8 @@ def integrate_ode(
         # A step adds a term to x, and a float sum with a NaN or infinite
         # operand is not finite: so is every level after a non-finite one.
         raise InvalidStepError(f"oracle level is not finite at t_end, got {x}")
-    return SampledTrajectory(start_time=t0, dt=dt, levels=levels, splits=splits)
+    return SampledTrajectory(start_time=t0, dt=dt, levels=levels, splits=splits,
+                             settled=settled)
 
 
 def _composite_simpson(y: array, dx: float) -> float:

@@ -194,11 +194,15 @@ def subsidized_trajectory(
     return PiecewiseTrajectory(kept + after.segments, subsidy_end=switch)
 
 
+def _require_start(y0: float) -> None:
+    if not 0.0 <= y0 <= 1.0:
+        raise InvalidParameterError(f"y0 must lie in [0, 1], got {y0}")
+
+
 def _require_planner_regime(params: ModelParams, y0: float) -> float:
     """Validate the starting level, the bistable regime and a start below
     the tipping level; returns x_interior."""
-    if not 0.0 <= y0 <= 1.0:
-        raise InvalidParameterError(f"y0 must lie in [0, 1], got {y0}")
+    _require_start(y0)
     u_min, u_max = params.u_min, params.u_max
     c, e = params.cost, params.externality
     if not u_max <= c:
@@ -270,6 +274,7 @@ def min_subsidy(params: ModelParams, y0: float) -> float:
     band (externality == u_max - u_min) any positive level works.
     """
     if params.externality + params.u_min - params.u_max == 0.0:
+        _require_start(y0)
         u_min, u_max, c = params.u_min, params.u_max, params.cost
         if not (u_max <= c <= u_min + params.externality):
             raise AssumptionViolationError(

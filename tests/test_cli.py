@@ -391,9 +391,69 @@ def test_validate_passes_where_a_step_crosses_a_kink(capsys):
     )
     assert code == 0 and stdout.endswith("all checks passed\n")
     assert stdout.startswith(
-        "oracle step 0.01 (h*gamma 0.01): runs 3, RK4 steps 596, kink splits 1\n")
+        "oracle step 0.01 (h*gamma 0.01): runs 3, RK4 steps 596, settled 0, kink splits 1\n")
     gap = re.search(r"rk4\| = (\S+) ", stdout).group(1)
     assert float(gap) <= 1e-7
+
+
+def test_validate_reports_the_settled_samples(capsys, monkeypatch):
+    # Climbing onto the top clamp, the oracle's state stops changing in
+    # floating point short of 1, and the oracle copies the rest of each
+    # run rather than stepping it.  The line counts those samples apart
+    # from the RK4 steps; together they are every sample after the first.
+    from netadopt import oracle
+
+    runs = []
+    original = oracle.integrate_ode
+
+    def recording(params, **kwargs):
+        runs.append(original(params, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(oracle, "integrate_ode", recording)
+    code, stdout, _ = run(capsys, "validate", *sets(*PLANNER_KEYS, "x0=0.6"))
+    assert code == 0 and stdout.endswith("all checks passed\n")
+    steps, settled = map(int, re.search(r"RK4 steps (\d+), settled (\d+),", stdout).groups())
+    assert settled == sum(r.settled for r in runs) > 0
+    assert steps + settled == sum(len(r.levels) - 1 for r in runs)
+
+
+def test_in_process_calls_do_not_affect_each_other(tmp_path, capsys):
+    # main() builds its parser once per process.  Neither an override nor
+    # an argparse refusal in one call may reach the next: each call's
+    # stdout and CSV equal those of the call in a new interpreter.
+    from netadopt.cli import _build_parser
+
+    out = tmp_path / "out.csv"
+    call = ["simulate", *sets(*TIPPING_KEYS, "x0=0.25", "t_end=3", "dt=0.1"),
+            "--output", str(out)]
+    proc = subprocess.run([sys.executable, "-m", "netadopt", *call],
+                          capture_output=True, text=True)
+    fresh = (proc.returncode, proc.stdout, out.read_bytes())
+    assert fresh[0] == 0
+
+    def in_process(*extra):
+        out.unlink(missing_ok=True)
+        code, stdout, _ = run(capsys, *call, *extra)
+        return code, stdout, out.read_bytes()
+
+    # A first call with keys the second lacks, which would change its CSV.
+    assert in_process(*sets("kind=cls", "s=2", "T=1")) != fresh
+    assert in_process() == fresh
+    for refused in (["bogus"], ["reproduce", "9"], ["simulate", "--bogus"]):
+        with pytest.raises(SystemExit) as exc:
+            main(refused)
+        assert exc.value.code == 2
+        assert in_process() == fresh
+    assert _build_parser() is _build_parser()
+    assert _build_parser().parse_args(["simulate"]).set == []
+    # A library-only import builds no parser.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import netadopt.cli as cli\nprint(cli._build_parser.cache_info().currsize)"],
+        capture_output=True, text=True,
+    )
+    assert proc.stdout == "0\n", proc.stderr
 
 
 def test_validate_samples_at_dt_and_substeps_the_oracle(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -146,66 +147,86 @@ NOEXT = ModelParams(0.0, 1.0, 0.5, 0.0, 1.0)
 LOWEXT = ModelParams(1.0, 2.0, 2.5, 1.0, 1.0)
 # The band [1.5, 1.501] is narrower than one step of a path falling from 2.
 NARROW = ModelParams(1.0, 1.001, 2.501, 1.0, 1.0)
+# Regime 2: one stable equilibrium, 0.5, inside the band.
+REGIME2 = ModelParams(1.0, 2.0, 1.75, 0.5, 1.0)
 
 
 # kinks: the kinks each crossing step is split at, in order.
-@pytest.mark.parametrize("schedule, t0, x0, t_end, params, dt, kinks", [
+@pytest.mark.parametrize("schedule, t0, x0, t_end, params, dt, kinks, settles", [
     # The first three keep their original ids.
     pytest.param(None, 0.0, 0.2, 6.0, PLANNER, 1e-3,  # falls through the band toward 0
-                 (1,), id="None-0.0-0.2-6.0"),
+                 (1,), False, id="None-0.0-0.2-6.0"),
     pytest.param(ConstantLevelSubsidy(1.0, 1.5), 0.0, 0.0, 4.0, PLANNER, 1e-3,
-                 (1,), id="schedule1-0.0-0.0-4.0"),  # edges on grid times
-    pytest.param(ConstantLevelSubsidy(0.7, 0.77031, start=0.30037), 0.1, 0.05, 3.0,
-                 PLANNER, 1e-3, (1, 1), id="schedule2-0.1-0.05-3.0"),  # edges between them
+                 (1,), False, id="schedule1-0.0-0.0-4.0"),  # edges on grid times
+    pytest.param(ConstantLevelSubsidy(0.7, 0.77031, start=0.30037), 0.1, 0.05, 3.0,  # edges
+                 PLANNER, 1e-3, (1, 1), False, id="schedule2-0.1-0.05-3.0"),  # between them
     # e = 0: the ccdf is constant in x within each phase.
     pytest.param(ConstantLevelSubsidy(0.5, 1.0, start=0.5003), 0.0, 0.2, 3.0, NOEXT, 1e-3,
-                 (), id="no-externality"),
+                 (), False, id="no-externality"),
     # Climbs through the band onto the top clamp.
-    pytest.param(None, 0.0, 0.3, 4.0, PLANNER, 1e-3, (1,), id="climb-to-top-clamp"),
+    pytest.param(None, 0.0, 0.3, 4.0, PLANNER, 1e-3, (1,), False, id="climb-to-top-clamp"),
     # Climbs in the window, then falls onto the bottom clamp after it.
     pytest.param(ConstantLevelSubsidy(0.35, 0.5), 0.0, 0.1, 3.0, PLANNER, 1e-3,
-                 (), id="fall-to-bottom-clamp"),
+                 (), False, id="fall-to-bottom-clamp"),
     # Starts on a clamp: on the top one until the window ends, on the
     # bottom one until it starts (from -0.0 on the second case).  The
     # window start 0.009 lies just below the grid time 9*dt.
     pytest.param(ConstantLevelSubsidy(1.0, 1.0), 0.0, 1.0, 3.0, LOWEXT, 1e-3,
-                 (1,), id="start-on-top-clamp"),
+                 (1,), True, id="start-on-top-clamp"),
     pytest.param(ConstantLevelSubsidy(2.0, 1.0, start=0.5003), 0.0, 0.0, 2.0, PLANNER, 1e-3,
-                 (), id="start-on-bottom-clamp"),
+                 (), True, id="start-on-bottom-clamp"),
     pytest.param(ConstantLevelSubsidy(2.0, 1.0, start=0.009), 0.0, -0.0, 2.0, PLANNER, 1e-3,
-                 (), id="start-on-bottom-clamp-negative-zero"),
+                 (), False, id="start-on-bottom-clamp-negative-zero"),
     # Starts past a clamp's side: above full adoption it leaves the top
     # branch on its way down to 1, below 0 the bottom one on its way up.
-    pytest.param(None, 0.0, 2.0, 2.0, LOWEXT, 1e-3, (1,), id="start-above-one"),
+    pytest.param(None, 0.0, 2.0, 2.0, LOWEXT, 1e-3, (1,), False, id="start-above-one"),
     pytest.param(ConstantLevelSubsidy(1.0, 3.0), 0.0, -1.0, 2.0, LOWEXT, 1e-3,
-                 (1,), id="start-below-zero"),
+                 (1,), False, id="start-below-zero"),
     # dt below the spacing of floats at t0: grid times repeat, but every
     # grid step still has length dt.
     pytest.param(ConstantLevelSubsidy(2.0, 1e-15, start=1.0 + 1e-15), 1.0, -0.0,
-                 1.0 + 3e-15, PLANNER, 1e-17, (), id="zero-length-steps"),
+                 1.0 + 3e-15, PLANNER, 1e-17, (), False, id="zero-length-steps"),
     # Far from 0, the spacing of grid times varies in its last bits.
     pytest.param(ConstantLevelSubsidy(1.0, 1.5, start=1e6 + 0.3), 1e6, 0.05, 1e6 + 4.0,
-                 PLANNER, 1e-3, (1,), id="t0-1e6"),
+                 PLANNER, 1e-3, (1,), False, id="t0-1e6"),
     pytest.param(ConstantLevelSubsidy(0.7, 0.77031, start=0.30037), 0.0, 0.3, 3.0,
-                 PLANNER, 1e-2, (), id="largest-step"),
+                 PLANNER, 1e-2, (), False, id="largest-step"),
     # The window lies between two grid times: its phase has no grid step.
     pytest.param(ConstantLevelSubsidy(2.0, 4e-4, start=0.1003), 0.0, 0.3, 2.0, PLANNER, 1e-3,
-                 (1,), id="window-within-one-step"),
+                 (1,), False, id="window-within-one-step"),
     # Kinks crossed at the largest step: from the band onto the top clamp;
     # from the top clamp into the band and on to the bottom clamp; and,
     # with a band narrower than one step, both clamps within one step.
-    pytest.param(None, 0.0, 0.3, 4.0, PLANNER, 1e-2, (1,), id="band-to-clamp"),
-    pytest.param(None, 0.0, 2.0, 4.0, LOWEXT, 1e-2, (1, 1), id="clamp-to-band"),
-    pytest.param(None, 0.0, 2.0, 3.0, NARROW, 1e-2, (2,), id="two-clamps-in-one-step"),
+    pytest.param(None, 0.0, 0.3, 4.0, PLANNER, 1e-2, (1,), False, id="band-to-clamp"),
+    pytest.param(None, 0.0, 2.0, 4.0, LOWEXT, 1e-2, (1, 1), False, id="clamp-to-band"),
+    pytest.param(None, 0.0, 2.0, 3.0, NARROW, 1e-2, (2,), False, id="two-clamps-in-one-step"),
+    # Runs that reach a fixed point of the step map, whose phase the oracle
+    # fills rather than steps: climbing onto the top clamp over 60/gamma;
+    # on the bottom clamp from -0.0, whose first step returns +0.0; onto a
+    # regime-2 market's stable level inside the band; at e = 0; and in the
+    # band before a window opens, after which the path moves again.
+    pytest.param(None, 0.0, 0.3, 60.0, PLANNER, 1e-2, (1,), True, id="settle-on-top-clamp"),
+    pytest.param(ConstantLevelSubsidy(2.0, 0.5, start=5.0), 0.0, -0.0, 7.0, PLANNER, 1e-2,
+                 (1,), True, id="settle-on-bottom-clamp-from-negative-zero"),
+    pytest.param(ConstantLevelSubsidy(1.0, 1.0), 0.0, 0.0, 100.0, REGIME2, 1e-2,
+                 (), True, id="settle-in-band"),
+    pytest.param(ConstantLevelSubsidy(0.5, 5.0), 0.0, 0.2, 60.0, NOEXT, 1e-2,
+                 (), True, id="settle-no-externality"),
+    pytest.param(ConstantLevelSubsidy(1.0, 2.0, start=90.0), 0.0, 0.3, 95.0, REGIME2, 1e-2,
+                 (), True, id="settle-before-window"),
 ])
 def test_integrate_ode_matches_scalar_steps_bitwise(schedule, t0, x0, t_end, params, dt,
-                                                    kinks):
+                                                    kinks, settles):
     sampled = integrate_ode(params, subsidy_schedule=schedule, t0=t0, x0=x0,
                             t_end=t_end, dt=dt)
     expected, cuts = _reference_levels(params, schedule, t0, x0, t_end, dt)
     assert sampled.levels.tobytes() == expected.tobytes()
     assert tuple(k for k in cuts if k) == kinks
     assert sampled.splits == sum(kinks)
+    # The fill ran exactly where it should, and only over samples whose
+    # reference step returned its input.
+    assert (sampled.settled > 0) == settles
+    assert sampled.settled <= np.count_nonzero(expected[1:] == expected[:-1])
     # The samples take at least two of the uniform ccdf's three branches.
     ceff = np.full(len(sampled.levels), params.cost)
     if schedule is not None:
@@ -215,6 +236,24 @@ def test_integrate_ode_matches_scalar_steps_bitwise(schedule, t0, x0, t_end, par
     branches = [u <= params.u_min, (u > params.u_min) & (u < params.u_max),
                 u >= params.u_max]
     assert sum(b.any() for b in branches) >= 2
+
+
+def test_fill_holds_no_copy_of_the_tail():
+    # From full adoption on the top clamp every step returns its input, so
+    # all but the first chunk of this 2*10**5-step run is filled.  The fill
+    # writes a bounded block at a time: the peak traced memory stays within
+    # the samples plus a fixed 64 KiB margin, set before measuring (one
+    # temporary as long as the tail would double the peak).
+    n = 200_000
+    tracemalloc.start()
+    try:
+        sampled = integrate_ode(PLANNER, x0=1.0, t_end=n * 1e-2, dt=1e-2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sampled.levels) == n + 1 and sampled.settled == n - 256
+    assert set(sampled.levels) == {1.0}
+    assert peak <= sampled.levels.itemsize * len(sampled.levels) + 64 * 1024
 
 
 def test_kink_split_keeps_fourth_order_on_random_windows():

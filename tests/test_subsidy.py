@@ -192,6 +192,14 @@ def test_min_subsidy_degenerate_band():
     assert min_subsidy(ModelParams(1.0, 2.0, 2.0, 1.0, 1.0), 0.3) == 0.0
 
 
+@pytest.mark.parametrize("y0", [5.0, -0.1, math.nan])
+def test_min_subsidy_degenerate_band_refuses_a_start_outside_0_1(y0):
+    # On the degenerate band any positive level works, but the start is
+    # still checked as on every other planner entry; 5.0 used to return 0.
+    with pytest.raises(InvalidParameterError, match="y0 must lie in"):
+        min_subsidy(ModelParams(1, 2, 2, 1, 1), y0)
+
+
 def test_min_subsidy_separates_outcomes():
     s_hat = min_subsidy(PLANNER, 0.0)
     below = unsubsidized_trajectory(PLANNER, 0.0, 0.0, effective_cost=PLANNER.cost - 0.9 * s_hat)
