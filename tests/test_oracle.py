@@ -151,15 +151,17 @@ NARROW = ModelParams(1.0, 1.001, 2.501, 1.0, 1.0)
 REGIME2 = ModelParams(1.0, 2.0, 1.75, 0.5, 1.0)
 
 
-# kinks: the kinks each crossing step is split at, in order.
+# kinks: the kinks each crossing step is split at, in order.  settles:
+# whether the run reaches a fixed point of the step, which the oracle fills.
 @pytest.mark.parametrize("schedule, t0, x0, t_end, params, dt, kinks, settles", [
     # The first three keep their original ids.
     pytest.param(None, 0.0, 0.2, 6.0, PLANNER, 1e-3,  # falls through the band toward 0
                  (1,), False, id="None-0.0-0.2-6.0"),
     pytest.param(ConstantLevelSubsidy(1.0, 1.5), 0.0, 0.0, 4.0, PLANNER, 1e-3,
                  (1,), False, id="schedule1-0.0-0.0-4.0"),  # edges on grid times
-    pytest.param(ConstantLevelSubsidy(0.7, 0.77031, start=0.30037), 0.1, 0.05, 3.0,  # edges
-                 PLANNER, 1e-3, (1, 1), False, id="schedule2-0.1-0.05-3.0"),  # between them
+    pytest.param(ConstantLevelSubsidy(0.7, 0.77031, start=0.30037), 0.1, 0.05, 3.0,
+                 PLANNER, 1e-3, (1, 1), False,
+                 id="schedule2-0.1-0.05-3.0"),  # edges between them
     # e = 0: the ccdf is constant in x within each phase.
     pytest.param(ConstantLevelSubsidy(0.5, 1.0, start=0.5003), 0.0, 0.2, 3.0, NOEXT, 1e-3,
                  (), False, id="no-externality"),
@@ -214,6 +216,10 @@ REGIME2 = ModelParams(1.0, 2.0, 1.75, 0.5, 1.0)
                  (), True, id="settle-no-externality"),
     pytest.param(ConstantLevelSubsidy(1.0, 2.0, start=90.0), 0.0, 0.3, 95.0, REGIME2, 1e-2,
                  (), True, id="settle-before-window"),
+    # Four ulps above full adoption on the top clamp, where a step's
+    # decrement rounds away: off [0, 1] the check follows every step.
+    pytest.param(ConstantLevelSubsidy(1.0, 5.0), 0.0, 1.0 + 2.0**-50, 8.0, LOWEXT, 1e-2,
+                 (1,), True, id="settle-above-one"),
 ])
 def test_integrate_ode_matches_scalar_steps_bitwise(schedule, t0, x0, t_end, params, dt,
                                                     kinks, settles):
