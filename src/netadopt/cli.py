@@ -133,25 +133,36 @@ def _resolve_output(name: str | None, default_name: str) -> Path:
 
 
 def _resolve_scenario(config: ScenarioConfig, params: ModelParams):
-    """The scenario's path, its subsidy window (None without one), and the
-    window's analytic outlay (None where no closed form prices it)."""
-    t0, x0 = config.t0, config.x0
-    if config.kind == "none":
-        return closed_form.unsubsidized_trajectory(params, t0, x0), None, None
-    if config.kind == "min_duration":
+    """The scenario's path, its subsidy window (None without one), the
+    window's analytic outlay (None where no closed form prices it) and
+    its horizon: t_end, by default t0 + 60/gamma, which must exceed t0.
+    A min_duration path is cut at its window's end: past it the state
+    sits on the basin boundary, where any perturbation is amplified."""
+    t0, x0, kind = config.t0, config.x0, config.kind
+    window = outlay = None
+    if kind == "none":
+        traj = closed_form.unsubsidized_trajectory(params, t0, x0)
+    elif kind == "min_duration":
         traj = subsidy.min_duration_trajectory(params, x0, config.s)
         window = subsidy.ConstantLevelSubsidy(config.s, traj.subsidy_end)
-        return traj, window, subsidy.min_duration_cost(params, x0, config.s).value
-    level = params.cost if config.kind == "full" else config.s
-    window = subsidy.ConstantLevelSubsidy(level, config.T, start=t0)
-    if config.kind == "full" and params.externality > 0:
-        # The full-subsidy analysis checks the bistable regime it needs.
-        report = subsidy.full_subsidy_analysis(params, t0, x0, config.T)
-        return report.trajectory, window, report.cost
-    traj = subsidy.subsidized_trajectory(params, window, x0)
-    if params.externality > 0:
-        return traj, window, None
-    return traj, window, subsidy.noext_subsidy_cost(params, window, x0)
+        outlay = subsidy.min_duration_cost(params, x0, config.s).value
+    else:
+        level = params.cost if kind == "full" else config.s
+        window = subsidy.ConstantLevelSubsidy(level, config.T, start=t0)
+        if kind == "full" and params.externality > 0:
+            # The full-subsidy analysis checks the bistable regime it needs.
+            report = subsidy.full_subsidy_analysis(params, t0, x0, config.T)
+            traj, outlay = report.trajectory, report.cost
+        else:
+            traj = subsidy.subsidized_trajectory(params, window, x0)
+            if params.externality == 0:
+                outlay = subsidy.noext_subsidy_cost(params, window, x0)
+    t_end = config.run_t_end()
+    if t_end <= t0:
+        raise InvalidParameterError("t_end must exceed t0")
+    if kind == "min_duration":
+        t_end = min(t_end, traj.subsidy_end)
+    return traj, window, outlay, t_end
 
 
 def _sample_times(traj: PiecewiseTrajectory, t0: float, t_end: float, step: float) -> array:
@@ -198,6 +209,26 @@ def _path_text(
                 yield from _row_blocks(row, (block, traj.values(block)))
 
 
+def _simulate(config: ScenarioConfig, prefix: str = "", phase: bool = True):
+    """The scenario's path, outlay and horizon, its sample times (every
+    dt, by default 1e-3/gamma) and their CSV text."""
+    params = config.params()
+    traj, _, outlay, t_end = _resolve_scenario(config, params)
+    dt = 1e-3 / params.gamma if config.dt is None else config.dt
+    times = _sample_times(traj, config.t0, t_end, dt)
+    return traj, outlay, t_end, times, _path_text(traj, times, prefix, phase)
+
+
+def _sweep_file(config: ScenarioConfig, params: ModelParams, path: Path | None = None):
+    """The planner sweep of the config's market and start, written to
+    ``path`` (by default the verb's output): the path, the rows, the
+    frontier and the cost slope pattern."""
+    rows, frontier = subsidy.sweep(params, config.x0, grid_points=config.sweep_points)
+    path = path or _resolve_output(config.output, "sweep.csv")
+    _write_sweep(path, rows, frontier)
+    return path, rows, frontier, subsidy.cost_sign_pattern(rows, params, config.x0)
+
+
 # ---------------------------------------------------------------------------
 # Verbs
 # ---------------------------------------------------------------------------
@@ -218,17 +249,9 @@ def cmd_equilibria(config: ScenarioConfig) -> int:
 
 
 def cmd_simulate(config: ScenarioConfig) -> int:
-    params = config.params()
-    traj, _, _ = _resolve_scenario(config, params)
-    t_end = config.run_t_end()
-    if t_end <= config.t0:
-        raise InvalidParameterError("t_end must exceed t0")
-    if config.kind == "min_duration" and traj.subsidy_end is not None:
-        t_end = min(t_end, traj.subsidy_end)
-    dt = 1e-3 / params.gamma if config.dt is None else config.dt
-    times = _sample_times(traj, config.t0, t_end, dt)
+    _, _, t_end, times, text = _simulate(config)
     path = _resolve_output(config.output, "trajectory.csv")
-    _write_text(path, ["t", "x", "phase"], _path_text(traj, times))
+    _write_text(path, ["t", "x", "phase"], text)
     print(f"{len(times)} rows on [{_fmt(config.t0)}, {_fmt(t_end)}]")
     print(f"wrote {path}")
     return 0
@@ -238,11 +261,8 @@ def cmd_sweep(config: ScenarioConfig) -> int:
     if config.kind != "min_duration":
         raise InvalidParameterError("sweep requires kind = min_duration")
     params = config.params()
-    rows, frontier = subsidy.sweep(params, config.x0, grid_points=config.sweep_points)
-    path = _resolve_output(config.output, "sweep.csv")
-    _write_sweep(path, rows, frontier)
+    path, rows, frontier, pattern = _sweep_file(config, params)
     s_hat = subsidy.min_subsidy(params, config.x0)
-    pattern = subsidy.cost_sign_pattern(rows, params, config.x0)
     print(f"min feasible level: {_fmt(s_hat)} (normalized {_fmt(s_hat / params.externality)})")
     print(f"frontier rows: {len(frontier)} of {len(rows)}")
     names = ("flat/rising", "rising", "falling", "falling then rising", "rising")
@@ -310,10 +330,7 @@ def cmd_noext(config: ScenarioConfig) -> int:
 
 
 def _check(label: str, value: float, tol: float, failures: list[str]) -> None:
-    ok = value <= tol
-    print(f"{label} = {value:.3e} (tol {tol:g}): {'PASS' if ok else 'FAIL'}")
-    if not ok:
-        failures.append(label)
+    _verdict(f"{label} = {value:.3e} (tol {tol:g})", value <= tol, failures)
 
 
 def _verdict(label: str, ok: bool, failures: list[str]) -> None:
@@ -353,13 +370,13 @@ def _path_gap(traj: PiecewiseTrajectory, sampled: oracle.SampledTrajectory,
     return gap
 
 
-def _whole_steps(span: float, dt: float, at_least: int, max_steps: int) -> float:
+def _whole_steps(span: float, dt: float, at_least: int) -> float:
     """The step that splits span into whole steps no longer than dt, and
     into at least ``at_least`` of them.  A span the oracle would refuse
-    (more than ``max_steps`` steps) keeps dt, so that integrate_ode
-    reports it."""
+    (more than MAX_STEPS steps) keeps dt, so that integrate_ode reports
+    it."""
     count = span / dt
-    if not count <= max_steps:
+    if not count <= oracle.MAX_STEPS:
         return dt
     return span / max(at_least, math.ceil(count))
 
@@ -371,21 +388,14 @@ def cmd_validate(config: ScenarioConfig) -> int:
     # The dynamics are autonomous and the report prints no times, so the
     # checks run in local time, from t = 0: next to a large t0 the float
     # times would be too coarse for the oracle's grid.
-    t_end = config.run_t_end() - config.t0
-    config = replace(config, t0=0.0)
-    traj, schedule, analytic_cost = _resolve_scenario(config, params)
+    config = replace(config, t0=0.0, t_end=config.run_t_end() - config.t0)
+    traj, schedule, analytic_cost, t_end = _resolve_scenario(config, params)
     dt = oracle.STEP_SCALE / gamma if config.dt is None else config.dt
-    if config.kind == "min_duration" and traj.subsidy_end is not None:
-        # Past the window the state sits on the basin boundary, where any
-        # numerical perturbation is amplified; compare inside the window.
-        t_end = traj.subsidy_end
-    if t_end <= 0.0:
-        raise InvalidParameterError("t_end must exceed t0")
     # dt sets only the samples, aligned to the horizon so no step overruns
     # it.  The oracle takes the fewest whole substeps per sample interval
     # that keep h*gamma <= STEP_SCALE, and the check compares every
     # stride-th level.
-    dt = _whole_steps(t_end, dt, 8, oracle.MAX_STEPS)
+    dt = _whole_steps(t_end, dt, 8)
     ratio = dt * gamma / oracle.STEP_SCALE
     if ratio <= oracle.MAX_STEPS:
         stride = max(1, math.ceil(ratio * (1 - 1e-12)))
@@ -393,38 +403,26 @@ def cmd_validate(config: ScenarioConfig) -> int:
     else:  # one sample interval alone (or an infinite count) is refused
         stride, h = 1, oracle.STEP_SCALE / gamma
 
+    def run(end: float, step: float) -> oracle.SampledTrajectory:
+        return oracle.integrate_ode(params, subsidy_schedule=schedule, x0=config.x0,
+                                    t_end=end, dt=step)
+
     # Every run is integrated before any check prints, so that a run too
     # long for the oracle is refused with no partial report.
-    sampled = oracle.integrate_ode(
-        params, subsidy_schedule=schedule, x0=config.x0, t_end=t_end, dt=h
-    )
+    sampled = run(t_end, h)
     runs = [sampled]
-    window = None
-    window_dt = 0.0 if analytic_cost is None else _whole_steps(
-        schedule.duration, h, 1000, oracle.MAX_STEPS)
+    numeric = 0.0
+    window_dt = 0.0 if analytic_cost is None else _whole_steps(schedule.duration, h, 1000)
     if window_dt > 0.0:
         # A window of length 0, or one so short that its step underflows,
-        # pays nothing.
-        window = oracle.integrate_ode(
-            params, subsidy_schedule=schedule, x0=config.x0,
-            t_end=schedule.end, dt=window_dt,
-        )
-        runs.append(window)
+        # pays nothing.  The run covers the window past a shorter horizon.
+        runs.append(run(schedule.end, window_dt))
+        numeric = oracle.integrate_cost(runs[-1], schedule)
 
-    smooth_end = t_end
-    for b in traj.breakpoints:
-        if b > 0.0:
-            smooth_end = min(smooth_end, b)
-            break
+    smooth_end = min(t_end, next((b for b in traj.breakpoints if b > 0.0), t_end))
     m = math.floor(smooth_end / h) if smooth_end >= 8 * h else 0
     if m:
-        half, quarter = (
-            oracle.integrate_ode(
-                params, subsidy_schedule=schedule, x0=config.x0,
-                t_end=m * h, dt=h / k,
-            )
-            for k in (2, 4)
-        )
+        half, quarter = (run(m * h, h / k) for k in (2, 4))
         runs += [half, quarter]
 
     settled = sum(r.settled for r in runs)
@@ -444,7 +442,6 @@ def cmd_validate(config: ScenarioConfig) -> int:
         _verdict(f"rk4 self-convergence (factor {d1 / max(d2, 1e-300):.1f})", ok, failures)
 
     if analytic_cost is not None:
-        numeric = 0.0 if window is None else oracle.integrate_cost(window, schedule)
         _check("cost |analytic - quadrature|", abs(analytic_cost - numeric),
                COST_TOL, failures)
 
@@ -482,19 +479,15 @@ def cmd_reproduce(example_id: int, out: str | None) -> int:
 
 
 def _reproduce_1(out_dir: Path) -> list[Path]:
-    # Flat-affinity service: adoption under a half-cost subsidy for a few
-    # window lengths, then the duration/outlay tradeoff toward a target.
-    params = ModelParams(0.0, 1.0, 0.5, 0.0, 1.0)
-    paths = []
-    for label, duration in (("0", 0.0), ("1", 1.0), ("2", 2.0)):
-        cls = subsidy.ConstantLevelSubsidy(params.cost, duration)
-        paths.append((label, subsidy.subsidized_trajectory(params, cls, 0.0)))
-    always = closed_form.unsubsidized_trajectory(params, 0.0, 0.0, effective_cost=0.0)
-    paths.append(("inf", always))
+    # Flat-affinity service: adoption under a full-cost subsidy for a few
+    # window lengths, one of them the whole horizon, then the
+    # duration/outlay tradeoff toward a target.
+    base = ScenarioConfig(u_min=0.0, u_max=1.0, cost=0.5, externality=0.0, gamma=1.0,
+                          kind="cls", s=0.5, t_end=8.0, dt=0.05)
     p1 = out_dir / "example1_adoption.csv"
     _write_text(p1, ["T", "t", "y"], chain.from_iterable(
-        _path_text(traj, _sample_times(traj, 0.0, 8.0, 0.05), f"{label},", phase=False)
-        for label, traj in paths
+        _simulate(replace(base, T=T), f"{label},", phase=False)[4]
+        for label, T in (("0", 0.0), ("1", 1.0), ("2", 2.0), ("inf", base.t_end))
     ))
 
     wide = ModelParams(1.0, 6.0, 3.0, 0.0, 1.0)
@@ -508,30 +501,21 @@ def _reproduce_1(out_dir: Path) -> list[Path]:
     return [p1, p2]
 
 
-_REGIME_CASES = (
-    (1.0, 2.0, 5.0, 2.0),
-    (1.0, 2.0, 1.75, 0.5),
-    (1.0, 2.0, 2.5, 2.0),
-    (1.0, 2.0, 1.0, 0.5),
-)
-
-
 def _reproduce_2(out_dir: Path) -> list[Path]:
-    # Four parameter rows exercising each equilibrium regime (gamma = 1).
+    # Four (cost, externality) rows exercising each equilibrium regime.
+    base = ScenarioConfig(u_min=1.0, u_max=2.0, gamma=1.0, t_end=10.0, dt=0.05)
     table, eq_rows, path_text = [], [], []
-    for u_min, u_max, cost, externality in _REGIME_CASES:
-        params = ModelParams(u_min, u_max, cost, externality, 1.0)
-        report = classify_equilibria(params)
+    for cost, externality in ((5.0, 2.0), (1.75, 0.5), (2.5, 2.0), (1.0, 0.5)):
+        market = replace(base, cost=cost, externality=externality)
+        report = classify_equilibria(market.params())
         table.append(
-            (report.case_id, u_min, u_max, cost, externality,
+            (report.case_id, base.u_min, base.u_max, cost, externality,
              report.interior, report.band_low, report.band_high)
         )
         eq_rows += [(report.case_id, lvl, st) for lvl, st in report.equilibria]
         for x0 in (0.1, 1.0 / 3.0, 2.0 / 3.0, 0.9):
-            traj = closed_form.unsubsidized_trajectory(params, 0.0, x0)
-            times = _sample_times(traj, 0.0, 10.0, 0.05)
             prefix = "%d,%.17g," % (report.case_id, x0)
-            path_text.append(_path_text(traj, times, prefix, phase=False))
+            path_text.append(_simulate(replace(market, x0=x0), prefix, phase=False)[4])
     p1 = out_dir / "example2_cases.csv"
     _write_csv(
         p1,
@@ -546,15 +530,12 @@ def _reproduce_2(out_dir: Path) -> list[Path]:
     return [p1, p2, p3]
 
 
-_TIPPING_PARAMS = ModelParams(1.0, 2.0, 3.0, 3.0, 1.0 / 3.0)
-_TIPPING_X0 = 0.25
-
-
 def _reproduce_3(out_dir: Path) -> list[Path]:
     # Full-cost subsidy around the tipping thresholds.
-    params, y0 = _TIPPING_PARAMS, _TIPPING_X0
-    base = subsidy.full_subsidy_analysis(params, 0.0, y0, 0.0)
-    lo, mid, hi = base.to_band_low, base.to_interior, base.to_band_high
+    base = ScenarioConfig(u_min=1.0, u_max=2.0, cost=3.0, externality=3.0, gamma=1.0 / 3.0,
+                          x0=0.25, kind="full", t_end=12.0, dt=0.06)
+    report = subsidy.full_subsidy_analysis(base.params(), 0.0, base.x0, 0.0)
+    lo, mid, hi = report.to_band_low, report.to_interior, report.to_band_high
     durations = [
         0.0, lo / 2, (lo + mid) / 2, 0.95 * mid, 1.05 * mid,
         (mid + hi) / 2, (3 * hi - mid) / 2,
@@ -566,12 +547,10 @@ def _reproduce_3(out_dir: Path) -> list[Path]:
     ]
     path_text = []
     for i, duration in enumerate(durations, start=1):
-        report = subsidy.full_subsidy_analysis(params, 0.0, y0, duration)
-        rows.append((f"duration_{i}", duration))
-        rows.append((f"final_equilibrium_{i}", report.final_equilibrium))
-        rows.append((f"cost_{i}", report.cost))
-        times = _sample_times(report.trajectory, 0.0, 12.0, 0.06)
-        path_text.append(_path_text(report.trajectory, times, f"T{i},"))
+        traj, outlay, _, _, text = _simulate(replace(base, T=duration), f"T{i},")
+        rows += [(f"duration_{i}", duration), (f"final_equilibrium_{i}", traj.final_level),
+                 (f"cost_{i}", outlay)]
+        path_text.append(text)
     p1 = out_dir / "example3_thresholds.csv"
     _write_csv(p1, ["quantity", "value"], rows)
     p2 = out_dir / "example3_adoption.csv"
@@ -579,23 +558,20 @@ def _reproduce_3(out_dir: Path) -> list[Path]:
     return [p1, p2]
 
 
-_PLANNER_PARAMS = ModelParams(1.0, 2.0, 2.5, 3.0, 1.0)
-
-
 def _reproduce_4(out_dir: Path) -> list[Path]:
     # Minimum-duration planner sweeps for two starting levels.
-    params = _PLANNER_PARAMS
+    base = ScenarioConfig(u_min=1.0, u_max=2.0, cost=2.5, externality=3.0, gamma=1.0,
+                          kind="min_duration")
+    params = base.params()
+    e = params.externality
     paths = []
     summary = []
     for y0, tag in ((0.0, "0"), (0.125, "0.125")):
-        rows, frontier = subsidy.sweep(params, y0)
-        p = out_dir / f"example4_sweep_y0_{tag}.csv"
-        _write_sweep(p, rows, frontier)
+        p, _, _, pattern = _sweep_file(
+            replace(base, x0=y0), params, out_dir / f"example4_sweep_y0_{tag}.csv")
         paths.append(p)
         s_hat = subsidy.min_subsidy(params, y0)
         b1, b2, b3, b4 = subsidy.subsidy_interval_bounds(params, y0)
-        pattern = subsidy.cost_sign_pattern(rows, params, y0)
-        e = params.externality
         summary += [
             (f"min_subsidy[y0={tag}]", s_hat),
             (f"min_subsidy_normalized[y0={tag}]", s_hat / e),

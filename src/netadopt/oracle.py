@@ -28,7 +28,6 @@ from .errors import InvalidStepError
 from .model import ModelParams
 
 STEP_SCALE = 1e-2  # dt * gamma: the default oracle step, and the largest
-DEFAULT_HORIZON_SCALE = 60.0  # (t_end - t0) * gamma for limit checks
 MAX_STEPS = 10**7  # per run; the samples alone take 80 MB there
 BISECTIONS = 48  # locate a kink to h/2**48, below rounding at h*gamma <= 1e-2
 CHUNK = 256  # steps between checks for a fixed point; samples per block of its fill
@@ -52,10 +51,6 @@ class SampledTrajectory:
     def __post_init__(self) -> None:
         if self.dt <= 0:
             raise InvalidStepError("dt must be > 0")
-
-    @property
-    def end_time(self) -> float:
-        return self.start_time + self.dt * (len(self.levels) - 1)
 
 
 def _factor(h: float, slope: float) -> float:
@@ -115,7 +110,8 @@ def integrate_ode(
     subsidy_schedule=None,
     t0: float = 0.0,
     x0: float = 0.0,
-    t_end: float | None = None,
+    *,
+    t_end: float,
     dt: float | None = None,
 ) -> SampledTrajectory:
     """Fixed-step RK4 samples of xdot = gamma*(ccdf(c - s(t) - e*x) - x).
@@ -185,8 +181,6 @@ def integrate_ode(
     gamma = params.gamma
     if dt is None:
         dt = STEP_SCALE / gamma
-    if t_end is None:
-        t_end = t0 + DEFAULT_HORIZON_SCALE / gamma
     if dt <= 0 or dt * gamma > STEP_SCALE * (1 + 1e-12):
         raise InvalidStepError(f"need 0 < dt*gamma <= {STEP_SCALE}, got {dt * gamma}")
     if t_end <= t0:

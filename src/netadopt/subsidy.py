@@ -43,8 +43,8 @@ class ConstantLevelSubsidy:
     start: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.level) and self.level >= 0):
-            raise InvalidParameterError("subsidy level must be finite and >= 0")
+        if not math.isfinite(self.level):
+            raise InvalidParameterError("subsidy level must be finite")
         if not (math.isfinite(self.duration) and self.duration >= 0):
             raise InvalidParameterError("subsidy duration must be finite and >= 0")
         if self.duration > 0 and self.start + self.duration == self.start:
@@ -138,7 +138,7 @@ def noext_subsidy_cost(params: ModelParams, cls: ConstantLevelSubsidy, y0: float
     t, gamma = cls.duration, params.gamma
     return cls.level * (
         resting * t - (resting - y0) * -math.expm1(-gamma * t) / gamma
-    )
+    ) + 0.0  # an empty window pays +0.0, not a surcharge's -0.0
 
 
 def noext_cost_at_target(
@@ -176,12 +176,15 @@ def subsidized_trajectory(
     the plain dynamics at cost - level over the window, then at the full
     cost from wherever the window left the state.
 
-    With network effects the level may not exceed the cost.  Without them
-    any level is accepted, as in the no-externality planners: the window
-    relaxes the level toward ccdf(cost - level), then toward ccdf(cost).
+    With network effects the level must lie in [0, cost].  Without them
+    any level is accepted, a surcharge included, as in the no-externality
+    planners: the window relaxes the level toward ccdf(cost - level),
+    then toward ccdf(cost).
     """
-    if params.externality > 0 and cls.level > params.cost:
-        raise InvalidParameterError("subsidy level must not exceed the cost")
+    if params.externality > 0 and not 0.0 <= cls.level <= params.cost:
+        raise InvalidParameterError(
+            f"with network effects the subsidy level must lie in [0, cost], got {cls.level}"
+        )
     if cls.level == 0.0 or cls.duration == 0.0:
         return unsubsidized_trajectory(params, cls.start, y0)
 
@@ -235,7 +238,9 @@ def full_subsidy_analysis(
     path, the resulting long-run level, and the provider outlay
     cost * (duration - (1 - y0)(1 - exp(-gamma*duration)) / gamma).
     Everyone adopts from the first instant only when u_min +
-    externality*y0 >= 0, so the analysis requires it.
+    externality*y0 >= 0, so the analysis requires it.  Raises
+    InvalidParameterError if a threshold or the outlay overflows (a tiny
+    gamma or a huge duration).
     """
     x_int = _require_planner_regime(params, y0)
     if duration < 0:
@@ -252,9 +257,11 @@ def full_subsidy_analysis(
     to_band_high = _log_duration(one_minus * e, u_min + e - c, gamma)
     to_band_low = _log_duration(one_minus * e, u_max + e - c, gamma)
 
+    outlay = c * (duration - one_minus * -math.expm1(-gamma * duration) / gamma)
+    _require_finite([to_band_low, to_interior, to_band_high, outlay],
+                    f"thresholds or outlay (duration {duration!r})", params)
     cls = ConstantLevelSubsidy(level=c, duration=duration, start=t0)
     trajectory = subsidized_trajectory(params, cls, y0)
-    outlay = c * (duration - one_minus * -math.expm1(-gamma * duration) / gamma)
     return FullSubsidyReport(
         to_band_low=to_band_low,
         to_interior=to_interior,

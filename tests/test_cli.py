@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import math
 import os
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from netadopt import ModelParams
 from netadopt.cli import main
 
 TIPPING_KEYS = [
@@ -1007,14 +1009,16 @@ def test_validate_refuses_an_overflowing_empty_horizon(tmp_path, capsys, horizon
 
 def test_validate_window_too_long_for_oracle(tmp_path, capsys):
     # The README tipping market with a window of 1e300 (1e302 oracle
-    # steps) or 1e308 (a step count that overflows to inf).
-    for T in ("1e300", "1e308"):
+    # steps).  At 1e308 the full-subsidy outlay itself overflows, and the
+    # analysis refuses the window before the oracle sees it.
+    for T, message in (("1e300", "exceeds the limit of 10000000"),
+                       ("1e308", "outlay (duration 1e+308) overflow")):
         code, stdout, stderr = run(
             capsys, "validate",
             *sets(*TIPPING_KEYS, "x0=0.25", "kind=full", f"T={T}", "t_end=12", "dt=0.01"),
         )
         assert (code, stdout) == (2, "")
-        assert stderr.count("\n") == 1 and "exceeds the limit of 10000000" in stderr
+        assert stderr.count("\n") == 1 and message in stderr
 
 
 def test_oversized_outputs_are_invalid_input(tmp_path, capsys):
@@ -1154,3 +1158,130 @@ def test_fuzzed_main_ends_in_a_documented_exit_code(tmp_path, call):
         assert verb == "validate" and re.search(r"FAILED: \d+ check\(s\)\n\Z", stdout)
     assert stderr == "" or re.fullmatch(r"error: [^\n]+\n", stderr), (verb, pairs, stderr)
     assert (code in (2, 3)) == (stderr != ""), (verb, pairs, code, stderr)
+
+
+_HORIZON_KINDS = {
+    "none": (),
+    "cls": ("kind=cls", "s=1", "T=1"),
+    "full": ("kind=full", "T=1"),
+    "min_duration": ("kind=min_duration", "s=1.0"),
+}
+
+
+@pytest.mark.parametrize("kind", list(_HORIZON_KINDS))
+@pytest.mark.parametrize("t_end", ["-1", "0"])
+def test_simulate_and_validate_share_the_horizon_rule(tmp_path, capsys, kind, t_end):
+    # One rule decides the horizon of both verbs: t_end must exceed t0,
+    # with a min_duration window too (validate used to replace t_end by
+    # the window's end, and so passed on an empty horizon).
+    keys = (*PLANNER_KEYS, "x0=0", *_HORIZON_KINDS[kind], f"t_end={t_end}")
+    for verb in ("simulate", "validate"):
+        code, stdout, stderr = run(capsys, verb, *sets(*keys),
+                                   "--output", str(tmp_path / "out.csv"))
+        assert (code, stdout, stderr) == (2, "", "error: t_end must exceed t0\n"), verb
+
+
+def test_validate_cuts_its_horizon_short_of_a_min_duration_window(capsys, monkeypatch):
+    # The README sweep market at s = 1 opens a window of about 0.36.  A
+    # t_end inside it cuts the compared path there, as in simulate; the
+    # cost check still integrates the whole window.
+    from netadopt import oracle
+    from netadopt.subsidy import min_duration
+
+    window = min_duration(ModelParams(1, 2, 2.5, 3, 1), 0.0, 1.0)
+    runs = []
+    original = oracle.integrate_ode
+
+    def recording(params, **kwargs):
+        runs.append((kwargs["t_end"], original(params, **kwargs)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(oracle, "integrate_ode", recording)
+    code, stdout, _ = run(capsys, "validate", *sets(*PLANNER_KEYS, "x0=0", "kind=min_duration",
+                                                    "s=1.0", "t_end=0.2", "sweep_points=16"))
+    assert code == 0 and stdout.endswith("all checks passed\n")
+    (main_end, main_run), (window_end, _) = runs[:2]
+    assert main_end == 0.2 and window_end == window
+    steps, settled = map(int, re.search(r"RK4 steps (\d+), settled (\d+),", stdout).groups())
+    assert steps + settled == sum(len(r.levels) - 1 for _, r in runs)
+    assert len(main_run.levels) - 1 == round(0.2 / main_run.dt)
+    assert "cost |analytic - quadrature|" in stdout
+
+
+_NOEXT_KEYS = ("u_min=1", "u_max=6", "cost=3", "externality=0", "gamma=1", "x0=0")
+
+
+def test_noext_accepts_the_surcharge_the_library_accepts(tmp_path, capsys):
+    # A negative level is a surcharge: the no-externality planners price
+    # it, so the verb reports it, and validate checks its path.  With
+    # network effects a path refuses any level outside [0, cost].
+    from netadopt.subsidy import noext_cost_at_target, noext_required_duration
+
+    out = tmp_path / "noext.csv"
+    code, stdout, stderr = run(capsys, "noext", *sets(*_NOEXT_KEYS, "s=-0.3", "target=0.3"),
+                               "--output", str(out))
+    assert (code, stderr) == (0, "")
+    market = ModelParams(1, 6, 3, 0, 1)
+    rows = dict(line.split(",") for line in out.read_text().splitlines()[1:])
+    assert rows["cls_cost"] == "0"  # the empty window's outlay, not -0
+    assert float(rows["required_duration"]) == noext_required_duration(market, 0.0, -0.3, 0.3)
+    assert float(rows["cost_at_target"]) == noext_cost_at_target(market, 0.0, -0.3, 0.3)
+    code, stdout, _ = run(capsys, "validate", *sets(*_NOEXT_KEYS, "kind=cls", "s=-0.3", "T=2"))
+    assert code == 0 and stdout.endswith("all checks passed\n")
+    code, stdout, stderr = run(capsys, "simulate", *sets(*PLANNER_KEYS, "x0=0", "kind=cls",
+                                                         "s=-0.3", "T=1"),
+                               "--output", str(tmp_path / "out.csv"))
+    assert (code, stdout) == (2, "")
+    assert stderr == ("error: with network effects the subsidy level must lie in "
+                      "[0, cost], got -0.3\n")
+
+
+def test_full_subsidy_refuses_an_overflowing_outlay(tmp_path, capsys):
+    # cost * T overflows: the analysis refuses it rather than report inf.
+    code, stdout, stderr = run(
+        capsys, "full-subsidy",
+        *sets("u_min=1", "u_max=2", "cost=3", "externality=3", "gamma=1", "x0=0.1", "T=1e308"),
+        "--output", str(tmp_path / "out.csv"),
+    )
+    assert (code, stdout) == (2, "")
+    assert re.fullmatch(r"error: [^\n]*overflow[^\n]*\n", stderr)
+    assert not (tmp_path / "out.csv").exists()
+
+
+# sha256 of each reproduce file, recorded before reproduce ran its
+# examples through the verbs' pipeline.  The paths are evaluated with
+# exp/log/expm1/log1p, so the digests hold for this platform's libm; a
+# different libm may round a last digit differently.
+_REPRODUCE_SHA256 = {
+    "1": {
+        "example1_adoption.csv": "225cefc4f3c8a002713bf26a59e51427586a5fd50fed98df6388cfb02babe93c",
+        "example1_duration_cost.csv":
+            "895b8da662b0536355de8cbe89eadaca52072be1cc62c7b2e5d5f06e0b899cbe",
+    },
+    "2": {
+        "example2_cases.csv": "d9e3fd43acbfe9a68a27d8b9d2243a1681e6882d846a0c1bbe5f0cb2bba918b1",
+        "example2_equilibria.csv":
+            "1e6015d7e8e5f6df19c727f23baec1926404547a43c16b4498e885af8caafeab",
+        "example2_adoption.csv": "918cc126ac73004316488ea635d907075efb2aac2abb103aae610fe3375d455e",
+    },
+    "3": {
+        "example3_thresholds.csv":
+            "f04884d77fa7725d2ee7bd87256afcbe7e3f5bc38a3816dfeee7602c7f1d3d8e",
+        "example3_adoption.csv": "9af2542ff2e18dc72d91013026e980d9199369be8157a66c39f5ab1741613b01",
+    },
+    "4": {
+        "example4_sweep_y0_0.csv": "1e68f94c626a3a5196f007bad2fb3dce656f82cb078b9e9b9e7ee26292230ab2",
+        "example4_sweep_y0_0.125.csv":
+            "1b008f7368ba946797963670e29b85ea3fdec42ff61ba96a4fcf6748be64501e",
+        "example4_summary.csv": "e73436db8e2ed947b75fc4eedf05040fc9738c1b055b5f4ffaccdbc76424c9c7",
+    },
+}
+
+
+@pytest.mark.parametrize("example", list(_REPRODUCE_SHA256))
+def test_reproduce_files_are_byte_pinned(tmp_path, capsys, example):
+    code, stdout, _ = run(capsys, "reproduce", example, "--output", str(tmp_path))
+    expected = _REPRODUCE_SHA256[example]
+    assert code == 0 and stdout == "".join(f"wrote {tmp_path / name}\n" for name in expected)
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert digests == expected

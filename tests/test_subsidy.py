@@ -44,12 +44,23 @@ TO_BAND_HIGH = 2.4327906486489863  # 3*log(9/4)
 
 
 def test_cls_validation():
-    with pytest.raises(InvalidParameterError):
-        ConstantLevelSubsidy(-0.1, 1.0)
+    # A window checks only that its level is finite; the path decides
+    # which levels a market takes.
+    for level in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidParameterError):
+            ConstantLevelSubsidy(level, 1.0)
     with pytest.raises(InvalidParameterError):
         ConstantLevelSubsidy(1.0, -1.0)
     cls = ConstantLevelSubsidy(1.0, 2.0, start=3.0)
     assert cls.end == 5.0
+    surcharge = ConstantLevelSubsidy(-0.1, 1.0)
+    for level in (-0.1, -0.0 - 5e-324, 3.0 + 4e-16):  # outside [0, cost] = [0, 3]
+        with pytest.raises(InvalidParameterError, match=r"must lie in \[0, cost\]"):
+            subsidized_trajectory(TIPPING, ConstantLevelSubsidy(level, 1.0), 0.25)
+    # Without network effects a surcharge slows the climb toward ccdf(cost).
+    noext = ModelParams(1.0, 6.0, 3.0, 0.0, 1.0)
+    slowed = subsidized_trajectory(noext, surcharge, 0.0).value(1.0)
+    assert slowed < unsubsidized_trajectory(noext, 0.0, 0.0).value(1.0)
 
 
 def test_subsidized_trajectory_zero_level_identity():
