@@ -36,7 +36,6 @@ from .subsidy import (
     full_subsidy_analysis,
     min_duration,
     min_duration_cost,
-    min_duration_trajectory,
     min_subsidy,
     noext_cost_at_target,
     noext_cost_decreasing_condition,
@@ -76,7 +75,6 @@ __all__ = [
     "interior_equilibrium",
     "min_duration",
     "min_duration_cost",
-    "min_duration_trajectory",
     "min_subsidy",
     "noext_cost_at_target",
     "noext_cost_decreasing_condition",

@@ -136,19 +136,22 @@ def _resolve_scenario(config: ScenarioConfig, params: ModelParams):
     """The scenario's path, its subsidy window (None without one), the
     window's analytic outlay (None where no closed form prices it) and
     its horizon: t_end, by default t0 + 60/gamma, which must exceed t0.
-    A min_duration path is cut at its window's end: past it the state
-    sits on the basin boundary, where any perturbation is amplified."""
+    A subsidy is a level and a window, the path ``subsidized_trajectory``'s.
+    A min_duration horizon is cut at its window's end, past which the state
+    sits on the basin boundary; a cut to t0 (an empty window) is refused."""
     t0, x0, kind = config.t0, config.x0, config.kind
     window = outlay = None
     if kind == "none":
         traj = closed_form.unsubsidized_trajectory(params, t0, x0)
-    elif kind == "min_duration":
-        traj = subsidy.min_duration_trajectory(params, x0, config.s)
-        window = subsidy.ConstantLevelSubsidy(config.s, traj.subsidy_end)
-        outlay = subsidy.min_duration_cost(params, x0, config.s).value
     else:
-        level = params.cost if kind == "full" else config.s
-        window = subsidy.ConstantLevelSubsidy(level, config.T, start=t0)
+        level, duration = params.cost if kind == "full" else config.s, config.T
+        if kind == "min_duration":
+            duration = subsidy.min_duration(params, x0, level)
+            if duration is None:
+                raise InfeasibleSubsidyError(f"level {level} cannot reach the tipping level "
+                                             f"(min_subsidy {subsidy.min_subsidy(params, x0)})")
+            outlay = subsidy.min_duration_cost(params, x0, level).value
+        window = subsidy.ConstantLevelSubsidy(level, duration, start=t0)
         if kind == "full" and params.externality > 0:
             # The full-subsidy analysis checks the bistable regime it needs.
             report = subsidy.full_subsidy_analysis(params, t0, x0, config.T)
@@ -161,7 +164,10 @@ def _resolve_scenario(config: ScenarioConfig, params: ModelParams):
     if t_end <= t0:
         raise InvalidParameterError("t_end must exceed t0")
     if kind == "min_duration":
-        t_end = min(t_end, traj.subsidy_end)
+        t_end = min(t_end, window.end)
+        if t_end <= t0:
+            raise AssumptionViolationError("y0 < interior equilibrium",
+                                           f"{x0} is within rounding of it: the window is empty")
     return traj, window, outlay, t_end
 
 
@@ -178,10 +184,7 @@ def _sample_times(traj: PiecewiseTrajectory, t0: float, t_end: float, step: floa
     if step <= 4.0 * math.ulp(abs(t0) + n * step):
         # A step within a few ulps of the times: rounding can repeat one.
         times = array("d", dict.fromkeys(times))
-    extra = [t_end, *(b for b in traj.breakpoints if t0 < b <= t_end)]
-    if traj.subsidy_end is not None and t0 < traj.subsidy_end <= t_end:
-        extra.append(traj.subsidy_end)
-    for t in extra:
+    for t in [t_end, *(b for b in traj.breakpoints if t0 < b <= t_end)]:
         k = bisect_left(times, t)
         if k == len(times) or times[k] != t:
             times.insert(k, t)
@@ -189,13 +192,15 @@ def _sample_times(traj: PiecewiseTrajectory, t0: float, t_end: float, step: floa
 
 
 def _path_text(
-    traj: PiecewiseTrajectory, times: array, prefix: str = "", phase: bool = True
+    traj: PiecewiseTrajectory, window: subsidy.ConstantLevelSubsidy | None,
+    times: array, prefix: str = "", phase: bool = True,
 ) -> Iterator[str]:
     """CSV rows ``prefix`` t,x[,phase] of the path at the sample times,
-    BLOCK_ROWS rows per chunk.  The levels are evaluated a block at a
-    time, so no full-length list is held."""
-    sub_end = traj.subsidy_end
-    cut = 0 if sub_end is None else bisect_right(times, sub_end)
+    BLOCK_ROWS rows per chunk, ``subsidized`` up to the end of a window of
+    nonzero level and length.  The levels are evaluated a block at a time,
+    so no full-length list is held."""
+    acts = window is not None and window.level != 0.0 and window.duration != 0.0
+    cut = bisect_right(times, window.end) if acts else 0
     # One row template per phase, so each block is formatted in one step.
     inside, after = (
         prefix + "%.17g,%.17g" + (f",{name}\n" if phase else "\n")
@@ -213,10 +218,10 @@ def _simulate(config: ScenarioConfig, prefix: str = "", phase: bool = True):
     """The scenario's path, outlay and horizon, its sample times (every
     dt, by default 1e-3/gamma) and their CSV text."""
     params = config.params()
-    traj, _, outlay, t_end = _resolve_scenario(config, params)
+    traj, window, outlay, t_end = _resolve_scenario(config, params)
     dt = 1e-3 / params.gamma if config.dt is None else config.dt
     times = _sample_times(traj, config.t0, t_end, dt)
-    return traj, outlay, t_end, times, _path_text(traj, times, prefix, phase)
+    return traj, outlay, t_end, times, _path_text(traj, window, times, prefix, phase)
 
 
 def _sweep_file(config: ScenarioConfig, params: ModelParams, path: Path | None = None):

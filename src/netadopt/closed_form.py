@@ -72,16 +72,15 @@ def hit_time(t0: float, x0: float, rate: float, step: float, x: float) -> float 
 class PiecewiseTrajectory:
     """An exact adoption path: contiguous segments, the last one unbounded.
 
+    A subsidy window is not part of the path; its end is a junction.
+
     Attributes:
         segments: Ordered segments with strictly increasing start times;
             each segment extends to the next one's start time, the final
             segment to +infinity.
-        subsidy_end: Time at which a subsidy window closes, if the path
-            was built under one; used only for reporting.
     """
 
     segments: tuple[Segment, ...]
-    subsidy_end: float | None = None
 
     def __post_init__(self) -> None:
         if not self.segments:

@@ -19,11 +19,7 @@ from operator import sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .closed_form import PiecewiseTrajectory, band_rate_step, hit_time, unsubsidized_trajectory
-from .errors import (
-    AssumptionViolationError,
-    InfeasibleSubsidyError,
-    InvalidParameterError,
-)
+from .errors import AssumptionViolationError, InvalidParameterError
 from .model import ModelParams, interior_equilibrium
 
 # Outlay steps between neighbouring sweep levels this small count as flat.
@@ -174,7 +170,8 @@ def subsidized_trajectory(
 ) -> PiecewiseTrajectory:
     """Exact path from (cls.start, y0) under a constant level subsidy: run
     the plain dynamics at cost - level over the window, then at the full
-    cost from wherever the window left the state.
+    cost from wherever the window left the state, so the window's end is
+    a junction.  A window of zero level or length gives the plain path.
 
     With network effects the level must lie in [0, cost].  Without them
     any level is accepted, a surcharge included, as in the no-externality
@@ -194,7 +191,7 @@ def subsidized_trajectory(
     )
     after = unsubsidized_trajectory(params, switch, subsidized.value(switch))
     kept = tuple(seg for seg in subsidized.segments if seg.start_time < switch)
-    return PiecewiseTrajectory(kept + after.segments, subsidy_end=switch)
+    return PiecewiseTrajectory(kept + after.segments)
 
 
 def _require_start(y0: float) -> None:
@@ -259,7 +256,7 @@ def full_subsidy_analysis(
 
     outlay = c * (duration - one_minus * -math.expm1(-gamma * duration) / gamma)
     _require_finite([to_band_low, to_interior, to_band_high, outlay],
-                    f"thresholds or outlay (duration {duration!r})", params)
+                    "thresholds or outlay", cost=c, duration=duration, gamma=gamma)
     cls = ConstantLevelSubsidy(level=c, duration=duration, start=t0)
     trajectory = subsidized_trajectory(params, cls, y0)
     return FullSubsidyReport(
@@ -295,40 +292,17 @@ def min_duration(params: ModelParams, y0: float, level: float) -> float | None:
     """Shortest window after which the plain dynamics tip to full adoption.
 
     The window ends exactly when the subsidized path reaches the interior
-    equilibrium of the unsubsidized dynamics.  Returns None when the
-    level cannot get there: level <= min_subsidy, or, within rounding of
-    it, a subsidized path that rests on its own fixed point.  Constant in
-    the level once the whole climb happens above the subsidized band.
-    Raises InvalidParameterError if the duration overflows (a tiny gamma).
+    equilibrium of the unsubsidized dynamics: the path is
+    ``subsidized_trajectory`` of ``ConstantLevelSubsidy(level, duration)``.
+    Returns None when the level cannot get there: level <= min_subsidy,
+    or, within rounding of it, a subsidized path that rests on its own
+    fixed point.  Constant in the level once the whole climb happens above
+    the subsidized band.  Raises InvalidParameterError if the duration
+    overflows (a tiny gamma).
     """
     duration = _plan_level(params, y0, level)[1]
-    _require_finite([duration], "duration", params)
+    _require_finite([duration], "duration", gamma=params.gamma)
     return duration
-
-
-def min_duration_trajectory(
-    params: ModelParams, y0: float, level: float
-) -> PiecewiseTrajectory:
-    """Subsidized path driven to the tipping level, starting at t = 0.
-
-    The returned path is the subsidized dynamics run indefinitely; the
-    planner's window is [0, min_duration(params, y0, level)], recorded in
-    ``subsidy_end``.  At the window's end the value equals the interior
-    equilibrium of the unsubsidized dynamics.
-
-    Raises:
-        InfeasibleSubsidyError: when min_duration finds no window.
-    """
-    duration = min_duration(params, y0, level)
-    if duration is None:
-        raise InfeasibleSubsidyError(
-            f"level {level} cannot reach the tipping level "
-            f"(min_subsidy {min_subsidy(params, y0)})"
-        )
-    path = unsubsidized_trajectory(
-        params, 0.0, y0, effective_cost=params.cost - level
-    )
-    return PiecewiseTrajectory(path.segments, subsidy_end=duration)
 
 
 def subsidy_interval_bounds(params: ModelParams, y0: float) -> tuple[float, float, float, float]:
@@ -380,7 +354,7 @@ def min_duration_cost(params: ModelParams, y0: float, level: float) -> CostResul
     tiny gamma).
     """
     row, _, outlay = _plan_level(params, y0, level)
-    _require_finite([outlay], "outlay", params)
+    _require_finite([outlay], "outlay", level=level, gamma=params.gamma)
     return CostResult(outlay, row=row)
 
 
@@ -396,9 +370,12 @@ def _plan_level(
     return regimes[0], durations[0], outlays[0]
 
 
-def _require_finite(values: Iterable[float | None], what: str, params: ModelParams) -> None:
+def _require_finite(values: Iterable[float | None], what: str, **inputs: float) -> None:
+    """Refuse an overflow to inf, naming the result and the inputs it scales with."""
     if not all(map(math.isfinite, filter(None, values))):
-        raise InvalidParameterError(f"planner {what} overflow at gamma = {params.gamma!r}")
+        given = ", ".join(f"{name} = {value!r}" for name, value in inputs.items())
+        raise InvalidParameterError(
+            f"planner {what} overflowed to inf (inputs it scales with: {given})")
 
 
 def _plan_grid(
@@ -517,7 +494,8 @@ def sweep(
     grid = sorted({*linspace(0.0, params.cost, grid_points), *inside})
 
     regimes, durations, outlays = _plan_grid(params, y0, grid, x_int, bounds)
-    _require_finite(chain(durations, outlays), "durations or outlays", params)
+    _require_finite(chain(durations, outlays), "durations or outlays",
+                    cost=params.cost, gamma=params.gamma)
     e = params.externality
     rows = list(map(SubsidySweepRow._make, zip(
         grid, [s / e for s in grid], [d is not None for d in durations],

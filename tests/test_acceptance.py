@@ -23,7 +23,6 @@ from netadopt import (
     interior_equilibrium,
     min_duration,
     min_duration_cost,
-    min_duration_trajectory,
     min_subsidy,
     noext_cost_at_target,
     noext_cost_decreasing_condition,
@@ -218,8 +217,8 @@ def test_criterion_5_oracle_equivalence():
             s_hat = min_subsidy(params, y0)
             level = float(rng.uniform(s_hat + 0.1 * (params.cost - s_hat), params.cost))
             duration = min_duration(params, y0, level)
-            traj = min_duration_trajectory(params, y0, level)
             cls = ConstantLevelSubsidy(level, duration)
+            traj = subsidized_trajectory(params, cls, y0)
             worst_traj = max(
                 worst_traj, _max_gap(params, traj, cls, y0, duration)
             )

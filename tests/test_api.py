@@ -1,6 +1,7 @@
 """The public surface of the package, pinned so that a change shows in review."""
 
 import ast
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -34,7 +35,6 @@ PUBLIC_NAMES = [
     "interior_equilibrium",
     "min_duration",
     "min_duration_cost",
-    "min_duration_trajectory",
     "min_subsidy",
     "noext_cost_at_target",
     "noext_cost_decreasing_condition",
@@ -51,6 +51,29 @@ PUBLIC_NAMES = [
 def test_public_names_are_pinned():
     assert sorted(netadopt.__all__) == PUBLIC_NAMES
     assert all(hasattr(netadopt, name) for name in PUBLIC_NAMES)
+
+
+def test_trajectory_holds_only_its_segments():
+    # A path does not record a subsidy window; the window object does.
+    fields = tuple(f.name for f in dataclasses.fields(netadopt.PiecewiseTrajectory))
+    assert fields == ("segments",)
+
+
+def test_cli_uses_no_private_library_name():
+    # The CLI stays on the public library: it loads no _-prefixed name of a
+    # netadopt module, by attribute or by import.
+    tree = ast.parse((ROOT / "src" / "netadopt" / "cli.py").read_text())
+    modules, private = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            modules |= {a.asname or a.name for a in node.names if node.module is None}
+            private += [a.name for a in node.names if a.name.startswith("_")]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")):
+            private.append(f"{node.value.id}.{node.attr}")
+    assert modules >= {"closed_form", "oracle", "subsidy"}
+    assert private == []
 
 
 def test_every_public_name_has_a_shipped_caller():

@@ -302,6 +302,39 @@ def test_planner_refuses_tipping_level_one(tmp_path, capsys, verb):
     assert stderr.count("\n") == 1 and "requires cost < u_min + externality" in stderr
 
 
+@pytest.mark.parametrize("verb", ["simulate", "validate"])
+@pytest.mark.parametrize("level", ["0", "0.3", "0.5"])
+def test_min_duration_refuses_a_level_at_or_below_min_subsidy(tmp_path, capsys, verb, level):
+    # min_subsidy is 0.5 here: no window from a level at or below it tips
+    # the market, so there is no path to write or check.
+    out = tmp_path / "out.csv"
+    code, stdout, stderr = run(
+        capsys, verb, *sets(*PLANNER_KEYS, "x0=0", "kind=min_duration", f"s={level}"),
+        "--output", str(out),
+    )
+    assert (code, stdout) == (3, "") and not out.exists()
+    assert stderr == (f"error: level {float(level)} cannot reach the tipping level "
+                      "(min_subsidy 0.5)\n")
+
+
+@pytest.mark.parametrize("verb", ["simulate", "validate"])
+def test_min_duration_refuses_an_empty_window(tmp_path, capsys, verb):
+    # The start is one ulp below the tipping level 1/4, and the range-5
+    # window rounds to length 0: the horizon it cuts leaves nothing to
+    # sample.  simulate wrote one row on [0, 0] and validate exited 2 from
+    # the oracle; both now refuse it as a start at the tipping level.
+    out = tmp_path / "out.csv"
+    code, stdout, stderr = run(
+        capsys, verb,
+        *sets(*PLANNER_KEYS, "x0=0.24999999999999997", "kind=min_duration", "s=2.5"),
+        "--output", str(out),
+    )
+    assert (code, stdout) == (3, "") and not out.exists()
+    assert stderr == ("error: scenario outside supported regime: requires "
+                      "y0 < interior equilibrium (0.24999999999999997 is within "
+                      "rounding of it: the window is empty)\n")
+
+
 def test_sweep_deterministic_bytes(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (a, b):
@@ -661,7 +694,7 @@ def _check_simulate_csv(tmp_path, capsys, window, t_end, dt, grid):
     params = ModelParams(1, 2, 3, 3, 0.3333333333333333)
     traj = full_subsidy_analysis(params, 0.0, 0.25, window).trajectory
     junctions = [b for b in traj.breakpoints if 0.0 < b <= t_end]
-    assert junctions and traj.subsidy_end == window
+    assert junctions and window in traj.breakpoints
     times = sorted({*grid, t_end, window, *junctions})
     lines = ["t,x,phase"] + [
         f"{_fmt(t)},{_fmt(traj.value(t))},{'subsidized' if t <= window else 'unsubsidized'}"
@@ -1012,7 +1045,8 @@ def test_validate_window_too_long_for_oracle(tmp_path, capsys):
     # steps).  At 1e308 the full-subsidy outlay itself overflows, and the
     # analysis refuses the window before the oracle sees it.
     for T, message in (("1e300", "exceeds the limit of 10000000"),
-                       ("1e308", "outlay (duration 1e+308) overflow")):
+                       ("1e308", "outlay overflowed to inf (inputs it scales with: cost = 3.0, "
+                                 "duration = 1e+308, gamma = 0.3333333333333333)")):
         code, stdout, stderr = run(
             capsys, "validate",
             *sets(*TIPPING_KEYS, "x0=0.25", "kind=full", f"T={T}", "t_end=12", "dt=0.01"),

@@ -18,6 +18,7 @@ from netadopt import (
     noext_required_duration,
     noext_subsidy_cost,
     subsidized_trajectory,
+    unsubsidized_trajectory,
 )
 
 WIDE = ModelParams(1.0, 6.0, 3.0, 0.0, 1.0)  # ccdf(cost) = 0.6
@@ -32,7 +33,7 @@ def test_cls_trajectory_phases():
     assert traj.value(1.0) == pytest.approx(1 - math.exp(-1), abs=1e-12)
     assert traj.value(0.4) == pytest.approx(1 - math.exp(-0.4), abs=1e-12)
     assert traj.final_level == 0.5
-    assert traj.subsidy_end == 1.0
+    assert cls.end in traj.breakpoints
     y1 = traj.value(1.0)
     assert traj.value(3.0) == pytest.approx(0.5 + (y1 - 0.5) * math.exp(-2.0), abs=1e-12)
 
@@ -43,7 +44,7 @@ def test_cls_trajectory_zero_window():
     assert traj.final_level == 0.5
     # A zero level is no window either, as with network effects.
     free = subsidized_trajectory(UNIT_MARKET, ConstantLevelSubsidy(0.0, 2.0), 0.0)
-    assert len(free.segments) == 1 and free.subsidy_end is None
+    assert free == unsubsidized_trajectory(UNIT_MARKET, 0.0, 0.0)
 
 
 def test_cls_trajectory_level_above_cost():

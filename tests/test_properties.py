@@ -17,7 +17,6 @@ from netadopt import (
     interior_equilibrium,
     min_duration,
     min_duration_cost,
-    min_duration_trajectory,
     min_subsidy,
     noext_cost_at_target,
     noext_required_duration,
@@ -195,8 +194,9 @@ def test_min_duration_window_ends_on_boundary_and_tips():
         x_int = interior_equilibrium(params.cost, params)
         s_hat = min_subsidy(params, y0)
         level = float(rng.uniform(s_hat + 0.05 * (params.cost - s_hat), params.cost))
-        traj = min_duration_trajectory(params, y0, level)
-        end_level = traj.value(traj.subsidy_end)
+        duration = min_duration(params, y0, level)
+        traj = subsidized_trajectory(params, ConstantLevelSubsidy(level, duration), y0)
+        end_level = traj.value(duration)
         assert end_level == pytest.approx(x_int, abs=1e-9)
         # A nudge past the boundary tips the plain dynamics to 1.
         nudged = unsubsidized_trajectory(params, 0.0, min(1.0, end_level + 1e-6))

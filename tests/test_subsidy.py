@@ -12,7 +12,6 @@ from netadopt import (
     AssumptionViolationError,
     ConstantLevelSubsidy,
     CostSignPattern,
-    InfeasibleSubsidyError,
     InvalidParameterError,
     ModelParams,
     SubsidySweepRow,
@@ -23,7 +22,6 @@ from netadopt import (
     interior_equilibrium,
     min_duration,
     min_duration_cost,
-    min_duration_trajectory,
     min_subsidy,
     pareto_frontier,
     subsidized_trajectory,
@@ -81,7 +79,7 @@ def test_subsidized_trajectory_flips_outcome_with_window_length():
 def test_subsidized_trajectory_continuous_at_switch():
     cls = ConstantLevelSubsidy(1.5, 2.0)
     traj = subsidized_trajectory(TIPPING, cls, 0.25)
-    assert traj.subsidy_end == 2.0
+    assert cls.end in traj.breakpoints
     before = traj.value(2.0 - 1e-12)
     after = traj.value(2.0 + 1e-12)
     assert abs(before - after) <= 1e-9
@@ -257,32 +255,56 @@ def test_min_duration_nonincreasing():
     assert all(b <= a + 1e-9 for a, b in zip(durations, durations[1:]))
 
 
+def _min_duration_path(params, y0, level):
+    """The minimum-duration path and its window's length."""
+    duration = min_duration(params, y0, level)
+    return subsidized_trajectory(params, ConstantLevelSubsidy(level, duration), y0), duration
+
+
+def _window_segments(traj, duration):
+    return [seg for seg in traj.segments if seg.start_time < duration]
+
+
 def test_min_duration_trajectory_regimes():
-    # Above the out-of-band bound: single climb segment toward 1.
-    high = min_duration_trajectory(PLANNER, 0.0, 2.0)
-    assert len(high.segments) == 1
-    seg = high.segments[0]
-    assert seg.rate == -PLANNER.gamma and high.final_level == 1.0
+    # Above the out-of-band bound: the window is one climb toward 1.
+    high, duration = _min_duration_path(PLANNER, 0.0, 2.0)
+    [seg] = _window_segments(high, duration)
+    assert seg.rate == -PLANNER.gamma and seg.start_level - seg.step == 1.0
     for t in (0.1, 0.2):
         assert high.value(t) == pytest.approx(1 - math.exp(-t), abs=1e-12)
     # In-band range: the window is covered by one in-band segment.
-    low = min_duration_trajectory(PLANNER, 0.0, 0.6)
-    assert low.segments[0].start_time == 0.0
-    assert low.subsidy_end <= low.breakpoints[0]
+    low, duration = _min_duration_path(PLANNER, 0.0, 0.6)
+    [first] = _window_segments(low, duration)
+    assert first.start_time == 0.0
     sub_int = (2.0 - 1.9) / (2.0 - 4.0)  # interior of the subsidized dynamics
-    first = low.segments[0]
     assert first.start_level - first.step == pytest.approx(sub_int, abs=1e-12)
 
 
 def test_min_duration_trajectory_hits_target():
     for y0, s in ((0.0, 0.55), (0.0, 1.0), (0.0, 2.4), (0.125, 0.3), (0.125, 1.4)):
-        traj = min_duration_trajectory(PLANNER, y0, s)
-        assert traj.value(traj.subsidy_end) == pytest.approx(0.25, abs=1e-9)
+        traj, duration = _min_duration_path(PLANNER, y0, s)
+        assert traj.value(duration) == pytest.approx(0.25, abs=1e-9)
+
+
+def test_min_duration_path_is_plain_past_the_window():
+    # The subsidy stops at D: D is a junction, and from there the path is
+    # the plain dynamics from the tipping level (within rounding).
+    rng = np.random.default_rng(2718)
+    for _ in range(20):
+        params, y0 = random_planner_setup(rng, positive_y0=bool(rng.integers(2)))
+        s_hat = min_subsidy(params, y0)
+        level = float(rng.uniform(s_hat + 0.05 * (params.cost - s_hat), params.cost))
+        traj, duration = _min_duration_path(params, y0, level)
+        assert duration in traj.breakpoints
+        at_end = traj.value(duration)
+        assert at_end == pytest.approx(interior_equilibrium(params.cost, params), abs=1e-9)
+        later = traj.segments[traj.breakpoints.index(duration) + 1:]
+        assert later == unsubsidized_trajectory(params, duration, at_end).segments
 
 
 def test_min_duration_trajectory_infeasible():
-    with pytest.raises(InfeasibleSubsidyError):
-        min_duration_trajectory(PLANNER, 0.0, 0.5)
+    # At min_subsidy no window exists, so there is no path to build.
+    assert min_duration(PLANNER, 0.0, 0.5) is None
 
 
 def test_interval_bounds_values():
@@ -373,7 +395,7 @@ def test_row4_junction_matches_high_precision_reference():
     for params, y0, s, t1, t_mid, x_mid in cases:
         assert Fraction(params.cost) - Fraction(s) == Fraction(params.cost - s)
         assert min_duration_cost(params, y0, s).row == 4
-        traj = min_duration_trajectory(params, y0, s)
+        traj, _ = _min_duration_path(params, y0, s)
         assert abs(traj.breakpoints[0] - t1) <= 1e-13 * t1
         assert abs(traj.value(t_mid) - x_mid) <= 1e-15
 
@@ -407,8 +429,6 @@ def test_min_duration_knife_edge_is_infeasible():
     assert level == 0.46473136673106535
     assert min_duration(params, y0, level) is None
     assert min_duration_cost(params, y0, level).value is None
-    with pytest.raises(InfeasibleSubsidyError):
-        min_duration_trajectory(params, y0, level)
 
 
 def test_interval_bounds_ordered_at_zero_start():
@@ -610,10 +630,10 @@ def test_overflowing_gamma_is_refused(gamma, level):
     assert outlay == math.inf
     with pytest.raises(InvalidParameterError, match="gamma"):
         sweep(params, 0.1, grid_points=8)
-    with pytest.raises(InvalidParameterError, match="outlay overflow at gamma"):
+    with pytest.raises(InvalidParameterError, match=r"outlay overflowed to inf \(inputs it scales with: level = "):
         min_duration_cost(params, 0.1, level)
     if duration == math.inf:
-        with pytest.raises(InvalidParameterError, match="duration overflow at gamma"):
+        with pytest.raises(InvalidParameterError, match=r"duration overflowed to inf \(inputs it scales with: gamma = "):
             min_duration(params, 0.1, level)
     else:
         assert repr(min_duration(params, 0.1, level)) == repr(duration)
@@ -799,7 +819,7 @@ def test_subsidized_trajectory_validation():
         subsidized_trajectory(TIPPING, ConstantLevelSubsidy(1.0, 1.0), 1.5)
     # The path starts where the window opens.
     late = subsidized_trajectory(TIPPING, ConstantLevelSubsidy(1.0, 1.0, start=2.0), 0.25)
-    assert (late.start_time, late.subsidy_end) == (2.0, 3.0)
+    assert late.start_time == 2.0 and 3.0 in late.breakpoints
 
 
 def test_full_subsidy_threshold_already_passed_takes_no_time():
