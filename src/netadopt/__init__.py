@@ -17,14 +17,7 @@ from .errors import (
     InvalidStepError,
     SingularParametersError,
 )
-from .model import (
-    STABLE,
-    UNSTABLE,
-    EquilibriumReport,
-    ModelParams,
-    classify_equilibria,
-    interior_equilibrium,
-)
+from .model import EquilibriumReport, ModelParams, classify_equilibria, interior_equilibrium
 from .oracle import SampledTrajectory, integrate_cost, integrate_ode
 from .subsidy import (
     ConstantLevelSubsidy,
@@ -61,12 +54,10 @@ __all__ = [
     "InvalidStepError",
     "ModelParams",
     "PiecewiseTrajectory",
-    "STABLE",
     "SampledTrajectory",
     "Segment",
     "SingularParametersError",
     "SubsidySweepRow",
-    "UNSTABLE",
     "classify_equilibria",
     "cost_sign_pattern",
     "full_subsidy_analysis",

@@ -133,16 +133,16 @@ def _resolve_output(name: str | None, default_name: str) -> Path:
 
 
 def _resolve_scenario(config: ScenarioConfig, params: ModelParams):
-    """The scenario's path, its subsidy window (None without one), the
-    window's analytic outlay (None where no closed form prices it) and
-    its horizon: t_end, by default t0 + 60/gamma, which must exceed t0.
+    """The scenario's path from t = 0, its subsidy window (None without
+    one), the window's analytic outlay (None where no closed form prices
+    it) and its horizon: t_end, by default 60/gamma, which must be > 0.
     A subsidy is a level and a window, the path ``subsidized_trajectory``'s.
     A min_duration horizon is cut at its window's end, past which the state
-    sits on the basin boundary; a cut to t0 (an empty window) is refused."""
-    t0, x0, kind = config.t0, config.x0, config.kind
+    sits on the basin boundary; a cut to 0 (an empty window) is refused."""
+    x0, kind = config.x0, config.kind
     window = outlay = None
     if kind == "none":
-        traj = closed_form.unsubsidized_trajectory(params, t0, x0)
+        traj = closed_form.unsubsidized_trajectory(params, 0.0, x0)
     else:
         level, duration = params.cost if kind == "full" else config.s, config.T
         if kind == "min_duration":
@@ -151,40 +151,38 @@ def _resolve_scenario(config: ScenarioConfig, params: ModelParams):
                 raise InfeasibleSubsidyError(f"level {level} cannot reach the tipping level "
                                              f"(min_subsidy {subsidy.min_subsidy(params, x0)})")
             outlay = subsidy.min_duration_cost(params, x0, level).value
-        window = subsidy.ConstantLevelSubsidy(level, duration, start=t0)
+        window = subsidy.ConstantLevelSubsidy(level, duration)
         if kind == "full" and params.externality > 0:
             # The full-subsidy analysis checks the bistable regime it needs.
-            report = subsidy.full_subsidy_analysis(params, t0, x0, config.T)
+            report = subsidy.full_subsidy_analysis(params, 0.0, x0, config.T)
             traj, outlay = report.trajectory, report.cost
         else:
             traj = subsidy.subsidized_trajectory(params, window, x0)
             if params.externality == 0:
                 outlay = subsidy.noext_subsidy_cost(params, window, x0)
-    t_end = config.run_t_end()
-    if t_end <= t0:
-        raise InvalidParameterError("t_end must exceed t0")
+    t_end = 60.0 / params.gamma if config.t_end is None else config.t_end
+    if t_end <= 0.0:
+        raise InvalidParameterError("t_end must be > 0")
     if kind == "min_duration":
         t_end = min(t_end, window.end)
-        if t_end <= t0:
+        if t_end <= 0.0:
             raise AssumptionViolationError("y0 < interior equilibrium",
                                            f"{x0} is within rounding of it: the window is empty")
     return traj, window, outlay, t_end
 
 
-def _sample_times(traj: PiecewiseTrajectory, t0: float, t_end: float, step: float) -> array:
-    """The grid times t0 + i*step for i <= (t_end - t0)/step + 1e-9, t_end
-    itself and the path's junctions in (t0, t_end], increasing, without repeats."""
-    count = (t_end - t0) / step
+def _sample_times(traj: PiecewiseTrajectory, t_end: float, step: float) -> array:
+    """The grid times i*step for i <= t_end/step + 1e-9, t_end itself and
+    the path's junctions in (0, t_end], increasing, without repeats (i*step
+    strictly increases with i)."""
+    count = t_end / step
     if not count <= MAX_ROWS:  # also refuses an overflow to inf
         raise InvalidParameterError(
-            f"(t_end - t0)/dt = {count:.3g} rows exceeds the limit of {MAX_ROWS}"
+            f"t_end/dt = {count:.3g} rows exceeds the limit of {MAX_ROWS}"
         )
     n = int(math.floor(count + 1e-9))
-    times = array("d", [t0 + i * step for i in range(n + 1)])
-    if step <= 4.0 * math.ulp(abs(t0) + n * step):
-        # A step within a few ulps of the times: rounding can repeat one.
-        times = array("d", dict.fromkeys(times))
-    for t in [t_end, *(b for b in traj.breakpoints if t0 < b <= t_end)]:
+    times = array("d", [i * step for i in range(n + 1)])
+    for t in [t_end, *(b for b in traj.breakpoints if 0.0 < b <= t_end)]:
         k = bisect_left(times, t)
         if k == len(times) or times[k] != t:
             times.insert(k, t)
@@ -199,7 +197,7 @@ def _path_text(
     BLOCK_ROWS rows per chunk, ``subsidized`` up to the end of a window of
     nonzero level and length.  The levels are evaluated a block at a time,
     so no full-length list is held."""
-    acts = window is not None and window.level != 0.0 and window.duration != 0.0
+    acts = window is not None and not window.inert
     cut = bisect_right(times, window.end) if acts else 0
     # One row template per phase, so each block is formatted in one step.
     inside, after = (
@@ -220,7 +218,7 @@ def _simulate(config: ScenarioConfig, prefix: str = "", phase: bool = True):
     params = config.params()
     traj, window, outlay, t_end = _resolve_scenario(config, params)
     dt = 1e-3 / params.gamma if config.dt is None else config.dt
-    times = _sample_times(traj, config.t0, t_end, dt)
+    times = _sample_times(traj, t_end, dt)
     return traj, outlay, t_end, times, _path_text(traj, window, times, prefix, phase)
 
 
@@ -257,7 +255,7 @@ def cmd_simulate(config: ScenarioConfig) -> int:
     _, _, t_end, times, text = _simulate(config)
     path = _resolve_output(config.output, "trajectory.csv")
     _write_text(path, ["t", "x", "phase"], text)
-    print(f"{len(times)} rows on [{_fmt(config.t0)}, {_fmt(t_end)}]")
+    print(f"{len(times)} rows on [0, {_fmt(t_end)}]")
     print(f"wrote {path}")
     return 0
 
@@ -284,7 +282,7 @@ def cmd_sweep(config: ScenarioConfig) -> int:
 
 def cmd_full_subsidy(config: ScenarioConfig) -> int:
     params = config.params()
-    report = subsidy.full_subsidy_analysis(params, config.t0, config.x0, config.T)
+    report = subsidy.full_subsidy_analysis(params, 0.0, config.x0, config.T)
     path = _resolve_output(config.output, "full_subsidy.csv")
     _write_csv(
         path,
@@ -308,7 +306,7 @@ def cmd_full_subsidy(config: ScenarioConfig) -> int:
 
 def cmd_noext(config: ScenarioConfig) -> int:
     params = config.params()
-    cls = subsidy.ConstantLevelSubsidy(config.s, config.T, start=config.t0)
+    cls = subsidy.ConstantLevelSubsidy(config.s, config.T)
     rows: list[tuple] = [
         ("ccdf_at_cost", params.ccdf(params.cost)),
         ("ccdf_at_subsidized_cost", params.ccdf(params.cost - config.s)),
@@ -363,14 +361,14 @@ def _max_gap(a: array, b: array) -> float:
 def _path_gap(traj: PiecewiseTrajectory, sampled: oracle.SampledTrajectory,
               stride: int) -> float:
     """max |closed form - rk4| over every ``stride``-th oracle level, at
-    the oracle's own times.  The path is evaluated a block at a time, so
-    no full-length list of times or levels is held."""
-    levels, t0, dt = sampled.levels, sampled.start_time, sampled.dt
+    the oracle's own times dt*i from 0.  The path is evaluated a block at
+    a time, so no full-length list of times or levels is held."""
+    levels, dt = sampled.levels, sampled.dt
     gap = 0.0
     span = BLOCK_ROWS * stride
     for lo in range(0, len(levels), span):
         hi = min(lo + span, len(levels))
-        times = [t0 + dt * i for i in range(lo, hi, stride)]
+        times = [dt * i for i in range(lo, hi, stride)]
         gap = _block_gap(gap, levels[lo:hi:stride], traj.values(times))
     return gap
 
@@ -390,10 +388,6 @@ def cmd_validate(config: ScenarioConfig) -> int:
     params = config.params()
     gamma = params.gamma
     failures: list[str] = []
-    # The dynamics are autonomous and the report prints no times, so the
-    # checks run in local time, from t = 0: next to a large t0 the float
-    # times would be too coarse for the oracle's grid.
-    config = replace(config, t0=0.0, t_end=config.run_t_end() - config.t0)
     traj, schedule, analytic_cost, t_end = _resolve_scenario(config, params)
     dt = oracle.STEP_SCALE / gamma if config.dt is None else config.dt
     # dt sets only the samples, aligned to the horizon so no step overruns

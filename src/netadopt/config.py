@@ -27,7 +27,6 @@ class ScenarioConfig:
     cost: float | None = None
     externality: float | None = None
     gamma: float | None = None
-    t0: float = 0.0
     x0: float = 0.0
     kind: str = "none"
     s: float = 0.0
@@ -54,17 +53,10 @@ class ScenarioConfig:
             gamma=self.gamma,
         )
 
-    def run_t_end(self) -> float:
-        return (
-            self.t_end
-            if self.t_end is not None
-            else self.t0 + 60.0 / self.params().gamma
-        )
-
 
 _FLOAT_KEYS = {
     "u_min", "u_max", "cost", "externality", "gamma",
-    "t0", "x0", "s", "T", "target", "t_end", "dt",
+    "x0", "s", "T", "target", "t_end", "dt",
 }
 _INT_KEYS = {"sweep_points"}
 _STR_KEYS = {"kind", "output"}
@@ -138,8 +130,6 @@ def load_config(
         raise InvalidParameterError(
             f"sweep_points must be <= {MAX_SWEEP_POINTS}, got {config.sweep_points}"
         )
-    if config.kind == "min_duration" and config.t0 != 0.0:
-        raise InvalidParameterError("min_duration scenarios start at t0 = 0")
     return config
 
 

@@ -16,7 +16,6 @@ class AssumptionViolationError(ValueError):
     """
 
     def __init__(self, inequality: str, detail: str = ""):
-        self.inequality = inequality
         msg = f"scenario outside supported regime: requires {inequality}"
         if detail:
             msg += f" ({detail})"

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import Iterable, Literal
 
 from .errors import InvalidParameterError, SingularParametersError
 
@@ -110,6 +110,14 @@ class EquilibriumReport:
     band_high: float | None
 
 
+def require_finite(values: Iterable[float | None], what: str, **inputs: float) -> None:
+    """Refuse an overflow to inf, naming the result and the inputs it scales with."""
+    if not all(map(math.isfinite, filter(None, values))):
+        given = ", ".join(f"{name} = {value!r}" for name, value in inputs.items())
+        raise InvalidParameterError(
+            f"{what} overflowed to inf (inputs it scales with: {given})")
+
+
 def interior_equilibrium(effective_cost: float, params: ModelParams) -> float:
     """Fixed point of the unsaturated dynamics at the given effective cost.
 
@@ -154,6 +162,8 @@ def classify_equilibria(params: ModelParams) -> EquilibriumReport:
     Raises:
         SingularParametersError: when u_max == u_min + externality == cost,
             where every level in the band is a fixed point.
+        InvalidParameterError: when the interior level or a band edge
+            overflows to inf.
     """
     u_min, u_max = params.u_min, params.u_max
     c, e = params.cost, params.externality
@@ -165,6 +175,9 @@ def classify_equilibria(params: ModelParams) -> EquilibriumReport:
             "u_max == u_min + externality == cost"
         )
     interior = None if singular else interior_equilibrium(c, params)
+    band_low, band_high = (params.band_low(), params.band_high()) if e > 0 else (None, None)
+    require_finite([interior, band_low, band_high], "equilibrium levels",
+                   u_min=u_min, u_max=u_max, cost=c, externality=e)
 
     if max(u_max, u_min + e) <= c:
         case_id, levels = 1, [0.0]
@@ -184,11 +197,10 @@ def classify_equilibria(params: ModelParams) -> EquilibriumReport:
         for level in unique
     )
 
-    has_band = e > 0
     return EquilibriumReport(
         case_id=case_id,
         equilibria=pairs,
         interior=interior,
-        band_low=params.band_low() if has_band else None,
-        band_high=params.band_high() if has_band else None,
+        band_low=band_low,
+        band_high=band_high,
     )

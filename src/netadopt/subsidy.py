@@ -16,11 +16,11 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress
 from operator import sub
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .closed_form import PiecewiseTrajectory, band_rate_step, hit_time, unsubsidized_trajectory
 from .errors import AssumptionViolationError, InvalidParameterError
-from .model import ModelParams, interior_equilibrium
+from .model import ModelParams, interior_equilibrium, require_finite
 
 # Outlay steps between neighbouring sweep levels this small count as flat.
 FLAT_TOL = 1e-8
@@ -51,6 +51,12 @@ class ConstantLevelSubsidy:
     @property
     def end(self) -> float:
         return self.start + self.duration
+
+    @property
+    def inert(self) -> bool:
+        """True for a window of zero level or zero length: it leaves the
+        plain dynamics as they are."""
+        return self.level == 0.0 or self.duration == 0.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -182,7 +188,7 @@ def subsidized_trajectory(
         raise InvalidParameterError(
             f"with network effects the subsidy level must lie in [0, cost], got {cls.level}"
         )
-    if cls.level == 0.0 or cls.duration == 0.0:
+    if cls.inert:
         return unsubsidized_trajectory(params, cls.start, y0)
 
     switch = cls.end
@@ -255,8 +261,8 @@ def full_subsidy_analysis(
     to_band_low = _log_duration(one_minus * e, u_max + e - c, gamma)
 
     outlay = c * (duration - one_minus * -math.expm1(-gamma * duration) / gamma)
-    _require_finite([to_band_low, to_interior, to_band_high, outlay],
-                    "thresholds or outlay", cost=c, duration=duration, gamma=gamma)
+    require_finite([to_band_low, to_interior, to_band_high, outlay],
+                   "planner thresholds or outlay", cost=c, duration=duration, gamma=gamma)
     cls = ConstantLevelSubsidy(level=c, duration=duration, start=t0)
     trajectory = subsidized_trajectory(params, cls, y0)
     return FullSubsidyReport(
@@ -301,7 +307,7 @@ def min_duration(params: ModelParams, y0: float, level: float) -> float | None:
     overflows (a tiny gamma).
     """
     duration = _plan_level(params, y0, level)[1]
-    _require_finite([duration], "duration", gamma=params.gamma)
+    require_finite([duration], "planner duration", gamma=params.gamma)
     return duration
 
 
@@ -354,7 +360,7 @@ def min_duration_cost(params: ModelParams, y0: float, level: float) -> CostResul
     tiny gamma).
     """
     row, _, outlay = _plan_level(params, y0, level)
-    _require_finite([outlay], "outlay", level=level, gamma=params.gamma)
+    require_finite([outlay], "planner outlay", level=level, gamma=params.gamma)
     return CostResult(outlay, row=row)
 
 
@@ -368,14 +374,6 @@ def _plan_level(
         )
     regimes, durations, outlays = _plan_grid(params, y0, [level], x_int, bounds)
     return regimes[0], durations[0], outlays[0]
-
-
-def _require_finite(values: Iterable[float | None], what: str, **inputs: float) -> None:
-    """Refuse an overflow to inf, naming the result and the inputs it scales with."""
-    if not all(map(math.isfinite, filter(None, values))):
-        given = ", ".join(f"{name} = {value!r}" for name, value in inputs.items())
-        raise InvalidParameterError(
-            f"planner {what} overflowed to inf (inputs it scales with: {given})")
 
 
 def _plan_grid(
@@ -494,8 +492,8 @@ def sweep(
     grid = sorted({*linspace(0.0, params.cost, grid_points), *inside})
 
     regimes, durations, outlays = _plan_grid(params, y0, grid, x_int, bounds)
-    _require_finite(chain(durations, outlays), "durations or outlays",
-                    cost=params.cost, gamma=params.gamma)
+    require_finite(chain(durations, outlays), "planner durations or outlays",
+                   cost=params.cost, gamma=params.gamma)
     e = params.externality
     rows = list(map(SubsidySweepRow._make, zip(
         grid, [s / e for s in grid], [d is not None for d in durations],

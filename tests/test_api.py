@@ -21,12 +21,10 @@ PUBLIC_NAMES = [
     "InvalidStepError",
     "ModelParams",
     "PiecewiseTrajectory",
-    "STABLE",
     "SampledTrajectory",
     "Segment",
     "SingularParametersError",
     "SubsidySweepRow",
-    "UNSTABLE",
     "classify_equilibria",
     "cost_sign_pattern",
     "full_subsidy_analysis",

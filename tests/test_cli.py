@@ -73,6 +73,22 @@ def test_equilibria_single(tmp_path, capsys):
     assert "case 1" in stdout
 
 
+def test_equilibria_refuses_an_overflowed_level(tmp_path, capsys):
+    # cost/externality and the interior level overflow to inf: refused,
+    # not printed as "interior equilibrium: inf".
+    out = tmp_path / "eq.csv"
+    code, stdout, stderr = run(
+        capsys, "equilibria",
+        *sets("u_min=1.2099055496489133", "u_max=1.2099055496489144", "cost=1e308",
+              "externality=1.5330519898213123e-15", "gamma=0.3"),
+        "--output", str(out),
+    )
+    assert (code, stdout) == (2, "")
+    assert stderr.count("\n") == 1
+    assert stderr.startswith("error: equilibrium levels overflowed to inf")
+    assert not out.exists()
+
+
 def test_equilibria_invalid_bounds(tmp_path, capsys):
     code, _, stderr = run(
         capsys, "equilibria",
@@ -101,6 +117,18 @@ def test_config_file_and_overrides(tmp_path, capsys):
 def test_unknown_config_key(tmp_path, capsys):
     code, _, stderr = run(capsys, "equilibria", *sets("nope=1"))
     assert code == 2 and "unknown config key" in stderr
+
+
+def test_config_reference_documents_exactly_the_accepted_keys():
+    # Each "# key = value" line of the reference names a ScenarioConfig
+    # field, every field has one, and the examples load as they stand.
+    from dataclasses import fields
+
+    from netadopt.config import REFERENCE_PATH, ScenarioConfig, load_config
+
+    documented = dict(re.findall(r"^# (\w+)\s*=\s*(\S+)", REFERENCE_PATH.read_text(), re.M))
+    assert sorted(documented) == sorted(f.name for f in fields(ScenarioConfig))
+    assert load_config(None, documented).output == "result.csv"
 
 
 def test_simulate_decay_rows(tmp_path, capsys):
@@ -137,7 +165,7 @@ def test_simulate_includes_breakpoints(tmp_path, capsys):
 
 def test_simulate_bad_horizon(tmp_path, capsys):
     code, _, _ = run(
-        capsys, "simulate", *sets(*TIPPING_KEYS, "t_end=-1", "t0=0"),
+        capsys, "simulate", *sets(*TIPPING_KEYS, "t_end=-1"),
     )
     assert code == 2
 
@@ -678,7 +706,7 @@ def test_sweep_csv_across_row_blocks(tmp_path, capsys):
 
 
 def _check_simulate_csv(tmp_path, capsys, window, t_end, dt, grid):
-    # The grid t0 + i*dt up to t_end, the horizon, the window end and the
+    # The grid i*dt up to t_end, the horizon, the window end and the
     # band-edge junctions, each once and in order, valued by the path.
     from netadopt import ModelParams, full_subsidy_analysis
     from netadopt.cli import _fmt
@@ -801,6 +829,25 @@ def test_simulate_zero_externality_edges(tmp_path, capsys):
     # A level above the cost is accepted without network effects.
     code, _, _ = run(capsys, "simulate", *sets(*base, "s=0.7"), "--output", str(out))
     assert code == 0
+
+
+@pytest.mark.parametrize("window, acts", [(("s=0", "T=1"), False), (("s=1", "T=0"), False),
+                                          (("s=1", "T=1"), True)])
+def test_simulate_window_that_does_nothing_with_network_effects(tmp_path, capsys, window,
+                                                                acts):
+    # The README sweep market: a window of zero level or zero length is no
+    # window, so no row reads subsidized and t = 1 is no junction; a
+    # window that acts ends in a row at t = 1.
+    out = tmp_path / "traj.csv"
+    code, _, stderr = run(
+        capsys, "simulate",
+        *sets(*PLANNER_KEYS, "x0=0", "kind=cls", "t_end=2", "dt=0.3", *window),
+        "--output", str(out),
+    )
+    assert (code, stderr) == (0, "")
+    _, rows = read_csv(out)
+    assert ("1" in [r[0] for r in rows]) == acts
+    assert ({r[2] for r in rows} == {"unsubsidized"}) == (not acts)
 
 
 def test_near_singular_min_duration_simulate(tmp_path, capsys):
@@ -937,21 +984,22 @@ def test_validate_fails_on_a_nan_in_the_half_step_run(capsys, monkeypatch):
     assert stdout.endswith("FAILED: 1 check(s)\n")
 
 
-def test_simulate_drops_repeated_grid_times(tmp_path, capsys):
-    # A step far below the resolution of the times: t0 + i*dt rounds to the
-    # same float for runs of i, and each time is written once.
+def test_simulate_times_from_zero_strictly_increase(tmp_path, capsys):
+    # The smallest subnormal step: from t = 0 every grid time i*dt is the
+    # exact multiple, so no time repeats and each row is one sample.
     out = tmp_path / "traj.csv"
     code, stdout, _ = run(
         capsys, "simulate",
-        *sets(*TIPPING_KEYS, "x0=0.25", "t0=1e10", "t_end=10000000000.00001", "dt=1e-11"),
+        *sets(*TIPPING_KEYS, "x0=0.25", "t_end=1e-321", "dt=5e-324"),
         "--output", str(out),
     )
     assert code == 0
     _, rows = read_csv(out)
     times = [float(r[0]) for r in rows]
-    assert len(times) == 6 and times == sorted(set(times))
-    assert (times[0], times[-1]) == (1e10, 10000000000.00001)
-    assert stdout.startswith("6 rows on [10000000000, 10000000000.00001]\n")
+    assert all(a < b for a, b in zip(times, times[1:]))
+    assert times == [i * 5e-324 for i in range(len(times))]
+    assert (len(times), times[-1]) == (203, 1e-321)
+    assert stdout.startswith("203 rows on [0, 9.9801260459931802e-322]\n")
 
 
 def test_singular_line_paths(tmp_path, capsys):
@@ -1029,15 +1077,15 @@ def test_full_subsidy_outside_pure_climb_is_unsupported(tmp_path, capsys):
         assert "u_min + externality*y0 >= 0" in stderr
 
 
-@pytest.mark.parametrize("horizon", ["t_end=-1e308", "t0=1e308"])
+@pytest.mark.parametrize("horizon", ["t_end=-1e308"])
 def test_validate_refuses_an_overflowing_empty_horizon(tmp_path, capsys, horizon):
-    # (t_end - t0)/dt is -inf here, and math.ceil of it raised OverflowError
+    # t_end/dt is -inf here, and math.ceil of it raised OverflowError
     # with a traceback; validate refuses the horizon as simulate does.
     code, stdout, stderr = run(
         capsys, "validate", *sets(*TIPPING_KEYS, "x0=0.25", horizon),
     )
     assert (code, stdout) == (2, "")
-    assert stderr == "error: t_end must exceed t0\n"
+    assert stderr == "error: t_end must be > 0\n"
 
 
 def test_validate_window_too_long_for_oracle(tmp_path, capsys):
@@ -1065,12 +1113,13 @@ def test_oversized_outputs_are_invalid_input(tmp_path, capsys):
         )
         assert code == 2
         assert stderr == f"error: sweep_points must be <= 1000000, got {points}\n"
-    for extra in (("t_end=2", "dt=1e-300"), ("t0=-1e308", "t_end=1e308", "dt=1")):
+    for extra, count in ((("t_end=2", "dt=1e-300"), "2e+300"),
+                         (("t_end=1e308", "dt=5e-324"), "inf")):
         code, _, stderr = run(
             capsys, "simulate", *sets(*TIPPING_KEYS, "x0=0.25", *extra), "--output", str(out),
         )
         assert code == 2
-        assert "rows exceeds the limit of 1000000" in stderr
+        assert stderr == f"error: t_end/dt = {count} rows exceeds the limit of 1000000\n"
     assert not out.exists()
 
 
@@ -1085,7 +1134,7 @@ CONFIG_VERBS = ("equilibria", "simulate", "sweep", "full-subsidy", "noext", "val
     (("sweep_points=-1",), "sweep_points must be >= 0, got -1"),
     (("sweep_points=1000001",), "sweep_points must be <= 1000000, got 1000001"),
     (("T=-1",), "T must be >= 0"),
-    (("kind=min_duration", "t0=1"), "min_duration scenarios start at t0 = 0"),
+    (("t0=0",), "unknown config key 't0'"),
 ])
 def test_every_verb_refuses_a_bad_key_alike(tmp_path, capsys, verb, bad, message):
     # load_config checks each key whose meaning does not depend on the
@@ -1096,6 +1145,27 @@ def test_every_verb_refuses_a_bad_key_alike(tmp_path, capsys, verb, bad, message
     )
     assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--set", "x0"), "--set needs KEY=VALUE, got 'x0'"),
+    (("--set", "kind=sometimes"),
+     "kind must be one of ('none', 'cls', 'full', 'min_duration'), got 'sometimes'"),
+    (("--set", "x0=nan"), "x0 must be finite, got 'nan'"),
+    (("--set", "gamma=inf"), "gamma must be finite, got 'inf'"),
+    (("--config", "{config}"), "{config}:2: expected 'key = value'"),
+], ids=["set-without-equals", "unknown-kind", "nan", "inf", "config-line-without-equals"])
+def test_input_refusals_write_nothing(tmp_path, capsys, argv, message):
+    # Each refusal exits 2 with one error line, before any output exists.
+    config = tmp_path / "bad.txt"
+    config.write_text("x0 = 0.25\nkind min_duration\n")
+    argv = [a.format(config=config) for a in argv]
+    for verb in CONFIG_VERBS:
+        code, stdout, stderr = run(
+            capsys, verb, *sets(*PLANNER_KEYS), *argv, "--output", str(tmp_path / "out.csv"),
+        )
+        assert (code, stdout, stderr) == (2, "", f"error: {message.format(config=config)}\n")
+        assert not (tmp_path / "out.csv").exists(), verb
 
 
 def test_full_subsidy_threshold_below_the_start(tmp_path, capsys):
@@ -1113,40 +1183,11 @@ def test_full_subsidy_threshold_below_the_start(tmp_path, capsys):
     assert "duration_to_band_low,0\n" in out.read_text()
 
 
-@pytest.mark.parametrize("verb", ["simulate", "full-subsidy"])
-def test_window_that_rounds_away_is_invalid_input(tmp_path, capsys, verb):
-    # At t0 = 1e308 the end t0 + T rounds onto t0: the path was never
-    # subsidized, yet full-subsidy charged it a cost of 1.29.
-    code, stdout, stderr = run(
-        capsys, verb,
-        *sets(*TIPPING_KEYS, "x0=0.1", "kind=full", "T=1", "t0=1e308", "t_end=1e308"),
-        "--output", str(tmp_path / "out.csv"),
-    )
-    assert (code, stdout) == (2, "")
-    assert stderr.count("\n") == 1 and "rounds away at start 1e+308" in stderr
-
-
-@pytest.mark.parametrize("t0", ["1e6", "1e12", "1e15"])
-@pytest.mark.parametrize("kind", [("kind=full",), ("kind=cls", "s=1.2")])
-def test_validate_runs_in_local_time(capsys, t0, kind):
-    # The dynamics are autonomous: a late start checks the same path as a
-    # start at 0.  In absolute time the closed form, evaluated at the
-    # float times t0 + dt*i, missed the oracle by 5e-5 at t0 = 1e12 (and
-    # kind=cls exited 2 from t0 = 1e6 on).
-    keys = ("u_min=1", "u_max=2", "cost=3", "externality=3", "gamma=1", "x0=0.1", "T=1",
-            *kind)
-    code, late, stderr = run(capsys, "validate",
-                             *sets(*keys, f"t0={t0}", f"t_end={float(t0) + 5!r}"))
-    assert (code, stderr) == (0, "")
-    code, early, _ = run(capsys, "validate", *sets(*keys, "t_end=5"))
-    assert code == 0 and late == early
-
-
 _EDGE_VALUES = ("0", "0.0", "-0.0", "-1", "5e-324", "1e308", "-1e308", "1.5")
 _PLAIN_VALUES = ("0.25", "1")
 _MARKETS = (TIPPING_KEYS, PLANNER_KEYS, SINGULAR_KEYS[:5],
             ("u_min=0", "u_max=1", "cost=0.5", "externality=0", "gamma=1"))
-_RUN_KEYS = ("t0", "x0", "s", "T", "target", "t_end", "dt", "sweep_points")
+_RUN_KEYS = ("x0", "s", "T", "target", "t_end", "dt", "sweep_points")
 
 
 @st.composite
@@ -1205,14 +1246,14 @@ _HORIZON_KINDS = {
 @pytest.mark.parametrize("kind", list(_HORIZON_KINDS))
 @pytest.mark.parametrize("t_end", ["-1", "0"])
 def test_simulate_and_validate_share_the_horizon_rule(tmp_path, capsys, kind, t_end):
-    # One rule decides the horizon of both verbs: t_end must exceed t0,
+    # One rule decides the horizon of both verbs: t_end must be > 0,
     # with a min_duration window too (validate used to replace t_end by
     # the window's end, and so passed on an empty horizon).
     keys = (*PLANNER_KEYS, "x0=0", *_HORIZON_KINDS[kind], f"t_end={t_end}")
     for verb in ("simulate", "validate"):
         code, stdout, stderr = run(capsys, verb, *sets(*keys),
                                    "--output", str(tmp_path / "out.csv"))
-        assert (code, stdout, stderr) == (2, "", "error: t_end must exceed t0\n"), verb
+        assert (code, stdout, stderr) == (2, "", "error: t_end must be > 0\n"), verb
 
 
 def test_validate_cuts_its_horizon_short_of_a_min_duration_window(capsys, monkeypatch):

@@ -123,6 +123,21 @@ def test_classify_singular_band():
         classify_equilibria(ModelParams(1.0, 2.0, 2.0, 1.0, 1.0))
 
 
+# cost/externality overflows, and so does the interior level, whose
+# denominator u_max - (u_min + externality) is about -4e-16.
+OVERFLOW = ModelParams(1.2099055496489133, 1.2099055496489144, 1e308,
+                       1.5330519898213123e-15, 0.3)
+
+
+def test_classify_refuses_an_overflowed_level():
+    assert interior_equilibrium(OVERFLOW.cost, OVERFLOW) == math.inf  # left unchecked
+    with pytest.raises(InvalidParameterError, match="equilibrium levels overflowed to inf"):
+        classify_equilibria(OVERFLOW)
+    # A subnormal externality overflows the band edges alone.
+    with pytest.raises(InvalidParameterError, match="equilibrium levels overflowed to inf"):
+        classify_equilibria(ModelParams(1.0, 2.0, 2.5, 5e-324, 1.0))
+
+
 def test_stability_of():
     assert stability_of(0.5, BISTABLE) == "unstable"
     assert stability_of(0.0, BISTABLE) == "stable"

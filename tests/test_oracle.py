@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -397,6 +398,29 @@ def test_integrate_cost_noext_window():
     sampled = integrate_ode(params, subsidy_schedule=cls, t_end=1.0, dt=1e-3)
     expected = 0.18393972058572117  # 0.5 * (1 - (1 - e^{-1}))
     assert integrate_cost(sampled, cls) == pytest.approx(expected, abs=1e-5)
+
+
+SIMPSON_ULPS = 8  # the bound on a short run's outlay, fixed before measuring
+
+
+@pytest.mark.parametrize("steps, coefficients", [
+    (0, (0.3, 0.2, 0.0, 0.0)),
+    (1, (0.3, 0.2, 0.0, 0.0)),  # linear: the trapezoid is exact
+    (3, (0.1, 0.3, -0.12, 0.02)),  # cubic: the 3/8 rule alone is exact
+    (5, (0.1, 0.3, -0.12, 0.02)),  # cubic: Simpson, then the 3/8 rule
+])
+def test_integrate_cost_short_runs(steps, coefficients):
+    # Hand-built samples of a polynomial on the dyadic grid i/4, so that
+    # the only rounding is in the samples and the quadrature's arithmetic.
+    a, b, c, d = coefficients
+    dt, level = 0.25, 0.5
+    levels = array("d", [a + t * (b + t * (c + t * d)) for t in (i * dt for i in range(steps + 1))])
+    window = ConstantLevelSubsidy(level, steps * dt)
+    T = Fraction(steps * dt)
+    exact = level * (Fraction(a) * T + Fraction(b) * T ** 2 / 2 + Fraction(c) * T ** 3 / 3
+                     + Fraction(d) * T ** 4 / 4)
+    outlay = integrate_cost(SampledTrajectory(0.0, dt, levels), window)
+    assert abs(Fraction(outlay) - exact) <= SIMPSON_ULPS * Fraction(math.ulp(float(exact)))
 
 
 def test_integrate_cost_unaligned_window():
