@@ -38,6 +38,7 @@ from .model import ModelParams, classify_equilibria
 OUTPUT_DIR_ENV = "NETADOPT_OUTPUT_DIR"
 
 TRAJECTORY_TOL = 1e-6
+CONVERGENCE_STEPS = 512  # the most main-run steps validate's order check compares
 COST_TOL = 1e-5
 MONOTONE_TOL = 1e-9
 MAX_ROWS = 10**6  # per trajectory CSV, whose sample times are held in memory
@@ -397,6 +398,10 @@ def cmd_validate(config: ScenarioConfig) -> int:
     dt = _whole_steps(t_end, dt, 8)
     ratio = dt * gamma / oracle.STEP_SCALE
     if ratio <= oracle.MAX_STEPS:
+        # _whole_steps may lift a default dt a few ulps above
+        # STEP_SCALE/gamma.  The slack here must match integrate_ode's
+        # dt*gamma <= STEP_SCALE*(1 + 1e-12): a larger one keeps whole a
+        # step the oracle refuses, a smaller one halves a step it accepts.
         stride = max(1, math.ceil(ratio * (1 - 1e-12)))
         h = dt / stride
     else:  # one sample interval alone (or an infinite count) is refused
@@ -418,8 +423,14 @@ def cmd_validate(config: ScenarioConfig) -> int:
         runs.append(run(schedule.end, window_dt))
         numeric = oracle.integrate_cost(runs[-1], schedule)
 
+    # RK4's order is a local property: on one smooth piece the global
+    # error at a fixed time is C(t)*h**4 + O(h**5), so halving h divides
+    # it by about 16 at every time the runs share, whatever the piece's
+    # length.  So the check compares a prefix of the piece before the
+    # first junction, of at most CONVERGENCE_STEPS steps: a longer one
+    # adds steps, not information.
     smooth_end = min(t_end, next((b for b in traj.breakpoints if b > 0.0), t_end))
-    m = math.floor(smooth_end / h) if smooth_end >= 8 * h else 0
+    m = min(CONVERGENCE_STEPS, math.floor(smooth_end / h)) if smooth_end >= 8 * h else 0
     if m:
         half, quarter = (run(m * h, h / k) for k in (2, 4))
         runs += [half, quarter]

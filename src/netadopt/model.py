@@ -55,8 +55,12 @@ class ModelParams:
             raise InvalidParameterError(
                 f"u_min must be < u_max, got [{self.u_min}, {self.u_max}]"
             )
+        require_finite([self.u_max - self.u_min], "u_max - u_min",
+                       u_min=self.u_min, u_max=self.u_max)
         if self.externality < 0:
             raise InvalidParameterError("externality must be >= 0")
+        require_finite([self.u_min + self.externality], "u_min + externality",
+                       u_min=self.u_min, externality=self.externality)
         if self.gamma <= 0:
             raise InvalidParameterError("gamma must be > 0")
         if self.cost < 0:

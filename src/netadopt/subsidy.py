@@ -122,36 +122,49 @@ def noext_required_duration(
 
     Feasible when the target lies strictly between y0 and the subsidized
     resting level ccdf(cost - level); a target equal to y0 needs no time.
-    The subsidy level may be negative (a surcharge).
+    The subsidy level may be negative (a surcharge).  Raises
+    InvalidParameterError if the duration overflows (a tiny gamma).
     """
     _require_no_externality(params)
     if target == y0:
         return 0.0
     resting = params.ccdf(params.cost - level)
     if y0 < target < resting or resting < target < y0:
-        return math.log((resting - y0) / (resting - target)) / params.gamma
+        duration = math.log((resting - y0) / (resting - target)) / params.gamma
+        require_finite([duration], "no-externality duration", gamma=params.gamma)
+        return duration
     return None
 
 
 def noext_subsidy_cost(params: ModelParams, cls: ConstantLevelSubsidy, y0: float) -> float:
-    """Provider outlay of a constant level subsidy without network effects."""
+    """Provider outlay of a constant level subsidy without network effects.
+
+    Raises InvalidParameterError if the outlay overflows.
+    """
     _require_no_externality(params)
     resting = params.ccdf(params.cost - cls.level)
     t, gamma = cls.duration, params.gamma
-    return cls.level * (
+    outlay = cls.level * (
         resting * t - (resting - y0) * -math.expm1(-gamma * t) / gamma
     ) + 0.0  # an empty window pays +0.0, not a surcharge's -0.0
+    require_finite([outlay], "no-externality outlay", level=cls.level, duration=t,
+                   gamma=gamma)
+    return outlay
 
 
 def noext_cost_at_target(
     params: ModelParams, y0: float, level: float, target: float
 ) -> float | None:
-    """Outlay of running the subsidy exactly until the target is reached."""
+    """Outlay of running the subsidy exactly until the target is reached,
+    or None when it cannot be.  Raises InvalidParameterError if the
+    duration or the outlay overflows."""
     duration = noext_required_duration(params, y0, level, target)
     if duration is None:
         return None
     resting = params.ccdf(params.cost - level)
-    return level * (resting * duration - (target - y0) / params.gamma)
+    outlay = level * (resting * duration - (target - y0) / params.gamma)
+    require_finite([outlay], "no-externality outlay", level=level, gamma=params.gamma)
+    return outlay
 
 
 def noext_cost_decreasing_condition(params: ModelParams, level: float) -> bool:

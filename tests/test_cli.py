@@ -958,8 +958,8 @@ def test_validate_fails_on_a_nan_level(capsys, monkeypatch):
 
 
 def test_validate_fails_on_a_nan_in_the_half_step_run(capsys, monkeypatch):
-    # A NaN level inside the second block of the dt/2 run, not at a block's
-    # first sample, fails the self-convergence check (a plain max over the
+    # A NaN level inside a block of the dt/2 run, not at the block's first
+    # sample, fails the self-convergence check (a plain max over the
     # differences would drop it).
     from netadopt import oracle
 
@@ -970,18 +970,96 @@ def test_validate_fails_on_a_nan_in_the_half_step_run(capsys, monkeypatch):
         sampled = original(params, **kwargs)
         steps.append(kwargs["dt"])
         if kwargs["dt"] == steps[0] / 2:
-            assert len(sampled.levels) > 2000
-            sampled.levels[1500] = math.nan
+            assert len(sampled.levels) == 1025
+            sampled.levels[700] = math.nan
         return sampled
 
     monkeypatch.setattr(oracle, "integrate_ode", nan_in_half_run)
-    # Above the band the path never meets a junction: 4001 samples at dt/2.
+    # Above the band the path never meets a junction: the compared prefix
+    # is the cap, 512 steps at dt and 1025 samples at dt/2.
     keys = (*TIPPING_KEYS, "x0=0.9", "kind=none", "t_end=20", "dt=0.01")
     code, stdout, _ = run(capsys, "validate", *sets(*keys))
     assert code == 1
     assert "trajectory max |closed form - rk4|" in stdout and "(tol 1e-06): PASS" in stdout
     assert "rk4 self-convergence (factor nan): FAIL" in stdout
     assert stdout.endswith("FAILED: 1 check(s)\n")
+
+
+def test_validate_fails_on_a_second_order_oracle(capsys, monkeypatch):
+    # Cut to second order, h*(1 + z/2), the oracle still matches the
+    # closed form to 2.8e-10 at h*gamma = 1e-4, so the path check passes.
+    # Only the self-convergence check sees the order: halving h divides
+    # the error by 4, not 16.
+    from netadopt import oracle
+
+    keys = ("u_min=1", "u_max=2", "cost=2.5", "externality=3", "gamma=0.5", "x0=0.2",
+            "kind=none", "t_end=10", "dt=0.0002")
+    code, stdout, _ = run(capsys, "validate", *sets(*keys))
+    assert code == 0 and stdout.endswith("all checks passed\n")
+    monkeypatch.setattr(oracle, "_factor", lambda h, slope: h * (1.0 + h * slope / 2))
+    code, stdout, _ = run(capsys, "validate", *sets(*keys))
+    assert code == 1
+    gap = re.search(r"rk4\| = (\S+) \(tol 1e-06\): PASS\n", stdout).group(1)
+    assert float(gap) < 1e-9
+    assert "rk4 self-convergence (factor 4.0): FAIL\n" in stdout
+    assert stdout.endswith("FAILED: 1 check(s)\n")
+
+
+@pytest.mark.parametrize("lift, stride", [(5e-13, 1), (2e-12, 2)])
+def test_validate_substeps_a_sample_step_just_above_the_oracle_limit(capsys, monkeypatch,
+                                                                      lift, stride):
+    # dt*gamma/1e-2 = 1 + lift, on a horizon of exactly 1024 steps.  Up to
+    # integrate_ode's own slack of 1e-12 validate keeps the step whole and
+    # the oracle accepts it; past that slack the oracle refuses it, and
+    # validate runs two substeps per sample.
+    from netadopt import oracle
+    from netadopt.errors import InvalidStepError
+
+    dt = 0.01 * (1 + lift)
+    steps = []
+    original = oracle.integrate_ode
+
+    def recording(params, **kwargs):
+        steps.append(kwargs["dt"])
+        return original(params, **kwargs)
+
+    monkeypatch.setattr(oracle, "integrate_ode", recording)
+    code, stdout, _ = run(capsys, "validate",
+                          *sets(*PLANNER_KEYS, "x0=0.2", f"t_end={1024 * dt!r}", f"dt={dt!r}"))
+    assert code == 0 and stdout.endswith("all checks passed\n")
+    assert steps[0] == dt / stride
+    if stride == 2:
+        with pytest.raises(InvalidStepError, match="need 0 < dt\\*gamma <= 0.01"):
+            original(ModelParams(1, 2, 2.5, 3, 1), x0=0.2, t_end=1.0, dt=dt)
+
+
+@pytest.mark.parametrize("verb, keys, message", [
+    # ccdf(0) read 0.0, not 0.5, and validate passed, as its oracle read
+    # the same spread.
+    ("validate", ("u_min=-1e308", "u_max=1e308", "cost=0", "externality=0"),
+     "u_max - u_min overflowed to inf (inputs it scales with: u_min = -1e+308, "
+     "u_max = 1e+308)"),
+    # equilibria printed an interior level of 0, not 1/6.
+    ("equilibria", ("u_min=1e308", "u_max=1.7e308", "cost=1.75e308", "externality=1e308"),
+     "u_min + externality overflowed to inf (inputs it scales with: u_min = 1e+308, "
+     "externality = 1e+308)"),
+])
+def test_a_market_with_an_overflowed_sum_is_invalid_input(capsys, verb, keys, message):
+    # Each input is finite, but the sum is inf.
+    code, stdout, stderr = run(capsys, verb, *sets(*keys, "gamma=1", "x0=0.2", "kind=none"))
+    assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
+
+
+def test_noext_refuses_an_overflowed_outlay(tmp_path, capsys):
+    # The outlay overflows to inf: refused, not printed as "cls_cost: inf".
+    out = tmp_path / "noext.csv"
+    code, stdout, stderr = run(capsys, "noext", *sets(
+        "u_min=0", "u_max=1", "cost=1e308", "externality=0", "gamma=1", "x0=0", "s=1e308",
+        "T=1e308"), "--output", str(out))
+    assert (code, stdout) == (2, "")
+    assert stderr == ("error: no-externality outlay overflowed to inf (inputs it scales "
+                      "with: level = 1e+308, duration = 1e+308, gamma = 1.0)\n")
+    assert not out.exists()
 
 
 def test_simulate_times_from_zero_strictly_increase(tmp_path, capsys):

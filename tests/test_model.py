@@ -29,6 +29,20 @@ def test_params_validation():
         ModelParams(1.0, math.inf, 1.0, 1.0, 1.0)
 
 
+def test_params_refuse_an_overflowed_sum():
+    # Each input is finite, but u_max - u_min is inf: ccdf(0) would read
+    # 0.0, not 0.5.  The widest finite spread is accepted.
+    with pytest.raises(InvalidParameterError, match=r"^u_max - u_min overflowed to inf"):
+        ModelParams(-1e308, 1e308, 0.0, 0.0, 1.0)
+    assert ModelParams(-8e307, 8e307, 0.0, 0.0, 1.0).ccdf(0.0) == 0.5
+    # u_min + externality is inf: the interior level would read 0.0, not 1/6.
+    with pytest.raises(InvalidParameterError,
+                       match=r"^u_min \+ externality overflowed to inf"):
+        ModelParams(1e308, 1.7e308, 1.75e308, 1e308, 1.0)
+    market = ModelParams(0.5e308, 1.2e308, 1.25e308, 1e308, 1.0)
+    assert interior_equilibrium(market.cost, market) == pytest.approx(1 / 6)
+
+
 def test_uniform_affinity():
     params = ModelParams(1.0, 6.0, 3.0, 0.0, 1.0)
     assert params.ccdf(0.0) == 1.0

@@ -168,3 +168,20 @@ def test_planners_require_zero_externality():
     for call in calls:
         with pytest.raises(InvalidParameterError, match="externality = 0"):
             call()
+
+
+def test_planners_refuse_an_overflow():
+    # A huge level and window, or a subnormal gamma, overflow the outlay or
+    # the duration to inf: refused, not returned.  None stays for a target
+    # the level cannot reach.
+    huge = ModelParams(0.0, 1.0, 1e308, 0.0, 1.0)
+    with pytest.raises(InvalidParameterError, match="no-externality outlay overflowed"):
+        noext_subsidy_cost(huge, ConstantLevelSubsidy(1e308, 1e308), 0.0)
+    slow = ModelParams(1.0, 6.0, 3.0, 0.0, 1e-320)
+    for planner in (noext_required_duration, noext_cost_at_target):
+        with pytest.raises(InvalidParameterError, match="no-externality duration overflowed"):
+            planner(slow, 0.0, 1.0, 0.5)
+    # A finite duration of about 7e299 times a level of 1e10.
+    with pytest.raises(InvalidParameterError, match="no-externality outlay overflowed"):
+        noext_cost_at_target(ModelParams(1.0, 6.0, 3.0, 0.0, 1e-300), 0.0, 1e10, 0.5)
+    assert noext_cost_at_target(slow, 0.0, 0.0, 0.9) is None
