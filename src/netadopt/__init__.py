@@ -22,10 +22,8 @@ from .oracle import SampledTrajectory, integrate_cost, integrate_ode
 from .subsidy import (
     ConstantLevelSubsidy,
     CostResult,
-    CostSignPattern,
     FullSubsidyReport,
-    SubsidySweepRow,
-    cost_sign_pattern,
+    SubsidySweep,
     full_subsidy_analysis,
     min_duration,
     min_duration_cost,
@@ -34,7 +32,6 @@ from .subsidy import (
     noext_cost_decreasing_condition,
     noext_required_duration,
     noext_subsidy_cost,
-    pareto_frontier,
     subsidized_trajectory,
     subsidy_interval_bounds,
     sweep,
@@ -46,7 +43,6 @@ __all__ = [
     "AssumptionViolationError",
     "ConstantLevelSubsidy",
     "CostResult",
-    "CostSignPattern",
     "EquilibriumReport",
     "FullSubsidyReport",
     "InfeasibleSubsidyError",
@@ -57,9 +53,8 @@ __all__ = [
     "SampledTrajectory",
     "Segment",
     "SingularParametersError",
-    "SubsidySweepRow",
+    "SubsidySweep",
     "classify_equilibria",
-    "cost_sign_pattern",
     "full_subsidy_analysis",
     "integrate_cost",
     "integrate_ode",
@@ -71,7 +66,6 @@ __all__ = [
     "noext_cost_decreasing_condition",
     "noext_required_duration",
     "noext_subsidy_cost",
-    "pareto_frontier",
     "subsidized_trajectory",
     "subsidy_interval_bounds",
     "sweep",

@@ -95,21 +95,19 @@ def _row_blocks(row: str, columns: Sequence[Sequence]) -> Iterator[str]:
         yield row * k % tuple(cells)
 
 
-def _write_sweep(
-    path: Path, rows: Sequence[subsidy.SubsidySweepRow],
-    frontier: Sequence[subsidy.SubsidySweepRow],
-) -> None:
+def _write_sweep(path: Path, result: subsidy.SubsidySweep, externality: float) -> None:
     # Every outlay is a closed form; the method column keeps the layout.
     # An infeasible level has no duration or outlay: those cells read inf.
-    # The grid's levels are distinct, so a level names its row.
-    on_frontier = {r.level for r in frontier}
-    level, normalized, feasible, regime, duration, cost = zip(*rows) if rows else [()] * 6
+    levels, regimes, durations, outlays, frontier = result[:5]
+    on_frontier = ["false"] * len(levels)
+    on_frontier[frontier.start:frontier.stop] = ["true"] * len(frontier)
     inf = math.inf
     columns = (
-        level, normalized, list(map(_flag, feasible)),
-        [inf if d is None else d for d in duration],
-        [inf if v is None else v for v in cost],
-        regime, list(map(_flag, map(on_frontier.__contains__, level))),
+        levels, [s / externality for s in levels],
+        [_flag(d is not None) for d in durations],
+        [inf if d is None else d for d in durations],
+        [inf if v is None else v for v in outlays],
+        regimes, on_frontier,
     )
     _write_text(
         path,
@@ -225,12 +223,11 @@ def _simulate(config: ScenarioConfig, prefix: str = "", phase: bool = True):
 
 def _sweep_file(config: ScenarioConfig, params: ModelParams, path: Path | None = None):
     """The planner sweep of the config's market and start, written to
-    ``path`` (by default the verb's output): the path, the rows, the
-    frontier and the cost slope pattern."""
-    rows, frontier = subsidy.sweep(params, config.x0, grid_points=config.sweep_points)
+    ``path`` (by default the verb's output): the path and the sweep."""
+    result = subsidy.sweep(params, config.x0, grid_points=config.sweep_points)
     path = path or _resolve_output(config.output, "sweep.csv")
-    _write_sweep(path, rows, frontier)
-    return path, rows, frontier, subsidy.cost_sign_pattern(rows, params, config.x0)
+    _write_sweep(path, result, params.externality)
+    return path, result
 
 
 # ---------------------------------------------------------------------------
@@ -265,18 +262,18 @@ def cmd_sweep(config: ScenarioConfig) -> int:
     if config.kind != "min_duration":
         raise InvalidParameterError("sweep requires kind = min_duration")
     params = config.params()
-    path, rows, frontier, pattern = _sweep_file(config, params)
+    path, result = _sweep_file(config, params)
     s_hat = subsidy.min_subsidy(params, config.x0)
     print(f"min feasible level: {_fmt(s_hat)} (normalized {_fmt(s_hat / params.externality)})")
-    print(f"frontier rows: {len(frontier)} of {len(rows)}")
+    print(f"frontier rows: {len(result.frontier)} of {len(result.levels)}")
     names = ("flat/rising", "rising", "falling", "falling then rising", "rising")
     verdicts = ", ".join(
         f"{name}={'ok' if v else 'empty' if v is None else 'VIOLATED'}"
-        for name, v in zip(names, pattern.verdicts)
+        for name, v in zip(names, result.verdicts)
     )
     print(f"cost slope pattern: {verdicts}")
-    if pattern.dip_level is not None:
-        print(f"detected cost minimizer inside the numeric range: {_fmt(pattern.dip_level)}")
+    if result.dip_level is not None:
+        print(f"detected cost minimizer inside the numeric range: {_fmt(result.dip_level)}")
     print(f"wrote {path}")
     return 0
 
@@ -456,15 +453,14 @@ def cmd_validate(config: ScenarioConfig) -> int:
                COST_TOL, failures)
 
     if config.kind == "min_duration":
-        rows, _ = subsidy.sweep(params, config.x0, grid_points=config.sweep_points)
-        durations = [r.duration for r in rows if r.duration is not None]
+        result = subsidy.sweep(params, config.x0, grid_points=config.sweep_points)
+        durations = [d for d in result.durations if d is not None]
         drift = max(
             (b - a for a, b in zip(durations, durations[1:])), default=0.0
         )
         _verdict(f"required-duration monotone (max increase {drift:.2e})",
                  drift <= MONOTONE_TOL, failures)
-        pattern = subsidy.cost_sign_pattern(rows, params, config.x0)
-        _verdict("cost slope sign pattern", pattern.all_ok, failures)
+        _verdict("cost slope sign pattern", False not in result.verdicts, failures)
 
     if failures:
         print(f"FAILED: {len(failures)} check(s)")
@@ -577,7 +573,7 @@ def _reproduce_4(out_dir: Path) -> list[Path]:
     paths = []
     summary = []
     for y0, tag in ((0.0, "0"), (0.125, "0.125")):
-        p, _, _, pattern = _sweep_file(
+        p, result = _sweep_file(
             replace(base, x0=y0), params, out_dir / f"example4_sweep_y0_{tag}.csv")
         paths.append(p)
         s_hat = subsidy.min_subsidy(params, y0)
@@ -591,7 +587,7 @@ def _reproduce_4(out_dir: Path) -> list[Path]:
             (f"max_normalized[y0={tag}]", params.cost / e),
             (f"flat_duration[y0={tag}]",
              subsidy.min_duration(params, y0, params.cost)),
-            (f"cost_dip_level[y0={tag}]", pattern.dip_level),
+            (f"cost_dip_level[y0={tag}]", result.dip_level),
         ]
     p_sum = out_dir / "example4_summary.csv"
     _write_csv(p_sum, ["quantity", "value"], summary)

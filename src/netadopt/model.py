@@ -22,9 +22,6 @@ Stability = Literal["stable", "unstable"]
 STABLE: Stability = "stable"
 UNSTABLE: Stability = "unstable"
 
-# Fixed points built from closed forms are exact up to rounding.
-CONSTRUCTED_EQUILIBRIUM_TOL = 1e-12
-
 
 @dataclass(frozen=True, slots=True)
 class ModelParams:
@@ -192,13 +189,12 @@ def classify_equilibria(params: ModelParams) -> EquilibriumReport:
     else:
         case_id, levels = 4, [1.0]
 
-    unique: list[float] = []
-    for level in sorted(levels):  # type: ignore[arg-type]
-        if not unique or abs(level - unique[-1]) > CONSTRUCTED_EQUILIBRIUM_TOL:
-            unique.append(level)
+    # Only equal levels merge: an interior level one ulp inside [0, 1] is
+    # a fixed point of its own, with its own stability.  At cost == u_max
+    # the interior is -0.0, which merges into the 0.0 before it.
     pairs = tuple(
         (level, STABLE if _local_slope(level, params) < 1.0 else UNSTABLE)
-        for level in unique
+        for level in dict.fromkeys(sorted(levels))  # type: ignore[arg-type]
     )
 
     return EquilibriumReport(

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress
+from itertools import accumulate, chain
 from operator import sub
 from typing import NamedTuple, Sequence
 
@@ -92,15 +92,40 @@ class CostResult:
     row: int
 
 
-class SubsidySweepRow(NamedTuple):
-    """Per-level record of a minimum-duration subsidy sweep."""
+class SubsidySweep(NamedTuple):
+    """The minimum-duration planner over a grid of levels, one column per field.
 
-    level: float
-    normalized: float
-    feasible: bool
-    regime: int
-    duration: float | None
-    cost: float | None
+    ``levels`` is the grid in increasing order; ``regimes``, ``durations``
+    and ``outlays`` give each level's range (1..5), minimum window (None
+    where no window tips the market) and outlay (None on the knife edge),
+    as ``min_duration_cost`` and ``min_duration`` give them.
+
+    ``frontier`` holds the grid indices of the (duration, outlay) Pareto
+    frontier: the rows from the dip, the cheapest row with a window and an
+    outlay (the lowest level on a tie), up to the last row of range 4.
+    The dip dominates every row below it: its outlay is lower and its
+    duration no longer.  On ranges 3-4 the duration falls as the level
+    rises, while past the dip the outlay rises, so each of those rows
+    trades time for money.  On range 5 the duration equals the b4 row's
+    bit for bit (see ``edge`` in ``_plan_grid``) and the outlay rises, so
+    the b4 row dominates every range-5 row.
+
+    ``verdicts`` and ``switch_count`` are the outlay's slope signs, range
+    by range, as ``_slope_verdicts`` decides them.
+    """
+
+    levels: list[float]
+    regimes: list[int]
+    durations: list[float | None]
+    outlays: list[float | None]
+    frontier: range
+    verdicts: tuple[bool | None, ...]
+    switch_count: int | None
+
+    @property
+    def dip_level(self) -> float | None:
+        """The cheapest level with a window, the lowest one on a tie."""
+        return self.levels[self.frontier.start] if self.frontier else None
 
 
 # ---------------------------------------------------------------------------
@@ -490,15 +515,12 @@ def linspace(start: float, stop: float, num: int) -> list[float]:
     return points
 
 
-def sweep(
-    params: ModelParams, y0: float, grid_points: int = 512
-) -> tuple[list[SubsidySweepRow], tuple[SubsidySweepRow, ...]]:
+def sweep(params: ModelParams, y0: float, grid_points: int = 512) -> SubsidySweep:
     """Evaluate the minimum-duration planner over a grid of levels.
 
     The grid spans [0, cost] with the analytic boundary levels inserted
-    exactly.  Returns the rows in grid order and their ``pareto_frontier``,
-    the rows not dominated in (duration, cost).  Raises
-    InvalidParameterError if a duration or outlay overflows (a tiny gamma).
+    exactly.  Raises InvalidParameterError if a duration or outlay
+    overflows (a tiny gamma).
     """
     x_int, bounds = _planner_bounds(params, y0)
     inside = [b for b in bounds if 0.0 <= b <= params.cost]
@@ -507,52 +529,35 @@ def sweep(
     regimes, durations, outlays = _plan_grid(params, y0, grid, x_int, bounds)
     require_finite(chain(durations, outlays), "planner durations or outlays",
                    cost=params.cost, gamma=params.gamma)
-    e = params.externality
-    rows = list(map(SubsidySweepRow._make, zip(
-        grid, [s / e for s in grid], [d is not None for d in durations],
-        regimes, durations, outlays,
-    )))
-    return rows, pareto_frontier(rows)
+    feasible = [i for i, d in enumerate(durations) if d is not None and outlays[i] is not None]
+    dip = min(feasible, key=outlays.__getitem__, default=None)
+    frontier = range(0) if dip is None else range(dip, bisect_right(regimes, 4))
+    return SubsidySweep(grid, regimes, durations, outlays, frontier,
+                        *_slope_verdicts(regimes, outlays, y0))
 
 
-@dataclass(frozen=True, slots=True)
-class CostSignPattern:
-    """How outlay moves with the level across its five analytic ranges.
+def _slope_verdicts(
+    regimes: Sequence[int], outlays: Sequence[float | None], y0: float
+) -> tuple[tuple[bool | None, ...], int | None]:
+    """How the outlay moves with the level across its five ranges.
 
-    ``verdicts`` holds one entry per range (None when the range has
-    fewer than two priced rows): rising on the first two (flat when
-    y0 == 0, where the outlay is identically zero there), falling on the
-    third, falling-then-rising on the fourth, rising on the fifth.
-    ``switch_count`` counts slope sign changes inside the fourth range and
-    ``dip_level`` is the level of the cheapest feasible row, the lowest
-    one on a tie.
+    One verdict per range, None when the range has fewer than two
+    outlays: rising on the first two (flat when y0 == 0, where the outlay
+    is identically zero there), falling on the third, falling-then-rising
+    on the fourth, rising on the fifth.  Also returns the number of slope
+    sign changes inside the fourth range (None when it has no pair).  A
+    range is the run of levels with that regime, as the planner assigned
+    it, so ``regimes`` is nondecreasing; levels without an outlay are
+    skipped.
     """
-
-    verdicts: tuple[bool | None, ...]
-    switch_count: int | None
-    dip_level: float | None
-    all_ok: bool
-
-
-def cost_sign_pattern(
-    rows: Sequence[SubsidySweepRow], params: ModelParams, y0: float
-) -> CostSignPattern:
-    """Check the slope signs of the sweep's outlay against the expected
-    pattern, range by range.  A range is the run of rows with that
-    ``regime``, as the planner assigned it (a level on a bound is in the
-    lower range), so ``params`` is not read.  The rows with an outlay must
-    be in nondecreasing level order, as ``sweep`` returns them; otherwise
-    raises InvalidParameterError."""
-    priced = [r for r in rows if r.cost is not None]
-    levels, _, feasible, regimes, _, costs = zip(*priced) if priced else [()] * 6
-    if list(levels) != sorted(levels):
-        raise InvalidParameterError("cost_sign_pattern needs rows in level order")
+    priced = [(k, v) for k, v in zip(regimes, outlays) if v is not None]
+    ranges, costs = zip(*priced) if priced else ((), ())
 
     verdicts: list[bool | None] = []
     switch_count: int | None = None
     for k in range(1, 6):
         # The neighbouring pairs of the range, in one slice.
-        first, stop = bisect_left(regimes, k), bisect_right(regimes, k)
+        first, stop = bisect_left(ranges, k), bisect_right(ranges, k)
         diffs = list(map(sub, costs[first + 1:stop], costs[first:stop - 1]))
         if not diffs:
             verdicts.append(None)
@@ -569,30 +574,4 @@ def cost_sign_pattern(
             verdicts.append(all(abs(d) <= FLAT_TOL for d in diffs))
         else:
             verdicts.append(all(d > 0 for d in diffs))
-
-    # The cheapest feasible row; on a tie, the lowest level.
-    dip = min(zip(compress(costs, feasible), compress(levels, feasible)), default=None)
-    return CostSignPattern(
-        verdicts=tuple(verdicts),
-        switch_count=switch_count,
-        dip_level=None if dip is None else dip[1],
-        all_ok=all(v is not False for v in verdicts),
-    )
-
-
-def pareto_frontier(rows: Sequence[SubsidySweepRow]) -> tuple[SubsidySweepRow, ...]:
-    """The rows on the (duration, cost) frontier, by increasing duration.
-
-    A row dominates another when it is no worse in both objectives and
-    strictly better in one; exact ties keep the smallest level.  Rows
-    without a finite duration and cost never reach the frontier.
-    """
-    candidates = [r for r in rows if r.duration is not None and r.cost is not None]
-    ranked = sorted(candidates, key=lambda r: (r.duration, r.cost, r.level))
-    frontier: list[SubsidySweepRow] = []
-    best_cost = math.inf
-    for row in ranked:
-        if row.cost < best_cost:
-            frontier.append(row)
-            best_cost = row.cost
-    return tuple(frontier)
+    return tuple(verdicts), switch_count

@@ -2,15 +2,17 @@
 
 Brute-force and finite-difference counterparts of the library's closed
 forms: a fixed-point scan, the adoption map with its stability query,
-central differences and first-passage detection on oracle samples.
-Tests import this module the way they import ``conftest``.
+central differences, first-passage detection on oracle samples and a
+dominance scan for the sweep's Pareto frontier.  Tests import this
+module the way they import ``conftest``.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+import math
+from typing import Callable, NamedTuple, Sequence
 
-from netadopt import InvalidParameterError, ModelParams, SampledTrajectory
+from netadopt import InvalidParameterError, ModelParams, SampledTrajectory, SubsidySweep
 from netadopt.model import STABLE, UNSTABLE, Stability, _local_slope
 
 # Levels supplied by callers arrive through text and get a looser check
@@ -124,3 +126,34 @@ def first_passage(sampled: SampledTrajectory, target: float) -> float | None:
             frac = (target - x_i) / (x_j - x_i)
             return sampled.start_time + sampled.dt * (i + frac)
     return None
+
+
+class SweepRow(NamedTuple):
+    """One level of a sweep, as the frontier reference reads it."""
+
+    level: float
+    duration: float | None
+    cost: float | None
+
+
+def sweep_rows(result: SubsidySweep) -> list[SweepRow]:
+    """The sweep's columns as rows, in grid order."""
+    return list(map(SweepRow._make, zip(result.levels, result.durations, result.outlays)))
+
+
+def pareto_frontier(rows: Sequence[SweepRow]) -> tuple[SweepRow, ...]:
+    """The rows on the (duration, cost) frontier, by increasing duration.
+
+    A row dominates another when it is no worse in both objectives and
+    strictly better in one; exact ties keep the smallest level.  Rows
+    without a finite duration and cost never reach the frontier.
+    """
+    candidates = [r for r in rows if r.duration is not None and r.cost is not None]
+    ranked = sorted(candidates, key=lambda r: (r.duration, r.cost, r.level))
+    frontier: list[SweepRow] = []
+    best_cost = math.inf
+    for row in ranked:
+        if row.cost < best_cost:
+            frontier.append(row)
+            best_cost = row.cost
+    return tuple(frontier)

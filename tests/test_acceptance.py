@@ -16,7 +16,6 @@ from netadopt import (
     ConstantLevelSubsidy,
     ModelParams,
     classify_equilibria,
-    cost_sign_pattern,
     full_subsidy_analysis,
     integrate_cost,
     integrate_ode,
@@ -108,14 +107,14 @@ def test_criterion_3_planner_sweep():
         if b3 / e != 0.25 or b4 / e != b4_norm or PLANNER.cost / e != 5.0 / 6.0:
             failures.append(f"interval bounds y0={y0}")
 
-        rows, _ = sweep(PLANNER, y0)
+        result = sweep(PLANNER, y0)
         if y0 == 0.0:
-            flat = [r for r in rows if r.level > b4]
+            flat = [(s, d) for s, d in zip(result.levels, result.durations) if s > b4]
             if not flat:
                 failures.append("no rows on the flat range")
-            for r in flat:
-                if abs(r.duration - math.log(4.0 / 3.0)) > 1e-9:
-                    failures.append(f"flat duration off at s={r.level}")
+            for s, d in flat:
+                if abs(d - math.log(4.0 / 3.0)) > 1e-9:
+                    failures.append(f"flat duration off at s={s}")
                     break
 
         # Outlay continuity across the finite formula boundaries.
@@ -127,11 +126,10 @@ def test_criterion_3_planner_sweep():
             if abs(a - b) > 1e-6:
                 failures.append(f"cost jump {abs(a - b):.2e} at {boundary} (y0={y0})")
 
-        pattern = cost_sign_pattern(rows, PLANNER, y0)
-        if not pattern.all_ok:
-            failures.append(f"sign pattern y0={y0}: {pattern.verdicts}")
-        if pattern.switch_count != 1:
-            failures.append(f"dip switches y0={y0}: {pattern.switch_count}")
+        if False in result.verdicts:
+            failures.append(f"sign pattern y0={y0}: {result.verdicts}")
+        if result.switch_count != 1:
+            failures.append(f"dip switches y0={y0}: {result.switch_count}")
     _report(3, failures, time.perf_counter() - start, 5.0)
 
 
@@ -308,10 +306,9 @@ def test_criterion_6_derivative_claims():
     # Outlay slope signs across the five level ranges.
     for k in range(50):
         params, y0 = random_planner_setup(rng, positive_y0=(k % 2 == 0))
-        rows, _ = sweep(params, y0, grid_points=160)
-        pattern = cost_sign_pattern(rows, params, y0)
-        if not pattern.all_ok:
-            failures.append(f"sign pattern violated: {pattern.verdicts}")
+        verdicts = sweep(params, y0, grid_points=160).verdicts
+        if False in verdicts:
+            failures.append(f"sign pattern violated: {verdicts}")
     _report(6, failures, time.perf_counter() - start, 30.0)
 
 

@@ -13,7 +13,6 @@ PUBLIC_NAMES = [
     "AssumptionViolationError",
     "ConstantLevelSubsidy",
     "CostResult",
-    "CostSignPattern",
     "EquilibriumReport",
     "FullSubsidyReport",
     "InfeasibleSubsidyError",
@@ -24,9 +23,8 @@ PUBLIC_NAMES = [
     "SampledTrajectory",
     "Segment",
     "SingularParametersError",
-    "SubsidySweepRow",
+    "SubsidySweep",
     "classify_equilibria",
-    "cost_sign_pattern",
     "full_subsidy_analysis",
     "integrate_cost",
     "integrate_ode",
@@ -38,7 +36,6 @@ PUBLIC_NAMES = [
     "noext_cost_decreasing_condition",
     "noext_required_duration",
     "noext_subsidy_cost",
-    "pareto_frontier",
     "subsidized_trajectory",
     "subsidy_interval_bounds",
     "sweep",

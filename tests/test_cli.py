@@ -680,15 +680,15 @@ def _check_sweep_csv(tmp_path, capsys, x0, points):
         "--output", str(out),
     )
     assert code == 0
-    rows, frontier = sweep(ModelParams(1, 2, 2.5, 3, 1), x0, grid_points=points)
+    result = sweep(ModelParams(1, 2, 2.5, 3, 1), x0, grid_points=points)
     lines = ["s,s_over_e,feasible,T_hat,S,regime,method,frontier"]
-    for r in rows:
+    for i, (level, regime, duration, outlay) in enumerate(zip(*result[:4])):
         lines.append(",".join(_fmt(v) for v in (
-            r.level, r.normalized, r.feasible, r.duration, r.cost,
-            r.regime, "closed_form", r in frontier,
+            level, level / 3, duration is not None, duration, outlay,
+            regime, "closed_form", i in result.frontier,
         )))
     _assert_same_text(out.read_text(), "\n".join(lines) + "\n")
-    return rows
+    return result
 
 
 def test_sweep_csv_reproducible_from_library(tmp_path, capsys):
@@ -700,9 +700,9 @@ def test_sweep_csv_across_row_blocks(tmp_path, capsys):
     # infeasible range with inf cells and the constant range-5 duration.
     from netadopt.cli import BLOCK_ROWS
 
-    rows = _check_sweep_csv(tmp_path, capsys, 0.125, 2100)
-    assert len(rows) > 2 * BLOCK_ROWS
-    assert {r.regime for r in rows} == {1, 2, 3, 4, 5}
+    result = _check_sweep_csv(tmp_path, capsys, 0.125, 2100)
+    assert len(result.levels) > 2 * BLOCK_ROWS
+    assert set(result.regimes) == {1, 2, 3, 4, 5}
 
 
 def _check_simulate_csv(tmp_path, capsys, window, t_end, dt, grid):

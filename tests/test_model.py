@@ -114,6 +114,23 @@ def test_classify_equilibrium_sets():
     assert r4.equilibria == ((1.0, "stable"),)
 
 
+@pytest.mark.parametrize("cost, expected", [
+    # At cost == u_max the interior level is -0.0: it merges into 0.0.
+    (2.0, ((0.0, "unstable"), (1.0, "stable"))),
+    # One ulp inside the bistable regime, the interior level is a fixed
+    # point of its own, between two stable ones.
+    (2.0000000000000004,
+     ((0.0, "stable"), (2.220446049250313e-16, "unstable"), (1.0, "stable"))),
+    (3.9999999999999996,
+     ((0.0, "stable"), (0.9999999999999998, "unstable"), (1.0, "stable"))),
+    # At cost == u_min + externality the first regime row wins.
+    (4.0, ((0.0, "stable"),)),
+])
+def test_classify_keeps_every_level_at_the_regime_edges(cost, expected):
+    report = classify_equilibria(ModelParams(1.0, 2.0, cost, 3.0, 1.0))
+    assert repr(report.equilibria) == repr(expected)
+
+
 def test_classify_no_externality():
     report = classify_equilibria(ModelParams(1, 2, 1.75, 0.0, 1))
     assert report.case_id == 2

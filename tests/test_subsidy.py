@@ -6,16 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from conftest import max_gap, random_planner_setup, sample_times
-from reference import first_passage
+from reference import SweepRow, first_passage, pareto_frontier, sweep_rows
 
 from netadopt import (
     AssumptionViolationError,
     ConstantLevelSubsidy,
-    CostSignPattern,
     InvalidParameterError,
     ModelParams,
-    SubsidySweepRow,
-    cost_sign_pattern,
     full_subsidy_analysis,
     integrate_cost,
     integrate_ode,
@@ -23,14 +20,13 @@ from netadopt import (
     min_duration,
     min_duration_cost,
     min_subsidy,
-    pareto_frontier,
     subsidized_trajectory,
     subsidy_interval_bounds,
     sweep,
     unsubsidized_trajectory,
 )
 from netadopt.closed_form import band_rate_step, hit_time
-from netadopt.subsidy import FLAT_TOL, linspace
+from netadopt.subsidy import FLAT_TOL, _slope_verdicts, linspace
 
 TIPPING = ModelParams(1.0, 2.0, 3.0, 3.0, 1.0 / 3.0)  # interior 0.5, y0 below
 PLANNER = ModelParams(1.0, 2.0, 2.5, 3.0, 1.0)  # interior 0.25
@@ -413,8 +409,10 @@ def test_range4_meets_range5_exactly_at_b4():
         assert 0.0 < b4 < params.cost
         assert min_duration_cost(params, y0, b4).row == 4
         assert min_duration(params, y0, b4) == min_duration(params, y0, params.cost)
-        rows, frontier = sweep(params, y0, grid_points=257)
-        assert not [r.level for r in frontier if r.regime == 5]
+        result = sweep(params, y0, grid_points=257)
+        at_b4 = result.levels.index(b4)
+        assert result.frontier.stop == at_b4 + 1
+        assert set(result.durations[at_b4:]) == {result.durations[at_b4]}
 
 
 def test_min_duration_knife_edge_is_infeasible():
@@ -443,12 +441,11 @@ def test_interval_bounds_ordered_at_zero_start():
     b1, s_hat, _, _ = subsidy_interval_bounds(params, 0.0)
     assert raw_b1 > s_hat
     assert b1 == s_hat
-    rows, _ = sweep(params, 0.0)
-    for row in rows:
-        assert row.feasible == (row.duration is not None)
-        if row.level > s_hat:
-            assert row.regime >= 3
-    assert cost_sign_pattern(rows, params, 0.0).all_ok
+    result = sweep(params, 0.0)
+    for level, regime in zip(result.levels, result.regimes):
+        if level > s_hat:
+            assert regime >= 3
+    assert False not in result.verdicts
     assert min_duration_cost(params, 0.0, raw_b1).row >= 3
 
 
@@ -466,8 +463,9 @@ def test_duration_uses_the_range_of_the_outlay_at_a_bound():
     x_int = interior_equilibrium(params.cost, params)
     expected = hit_time(0.0, y0, *band_rate_step(params, params.cost - b3, y0), x_int)
     assert min_duration(params, y0, b3) == expected
-    rows, _ = sweep(params, y0)
-    assert [(r.regime, r.duration) for r in rows if r.level == b3] == [(3, expected)]
+    result = sweep(params, y0)
+    at_b3 = result.levels.index(b3)
+    assert (result.regimes[at_b3], result.durations[at_b3]) == (3, expected)
 
 
 def _reference_plan(params, y0, level, x_int, bounds):
@@ -538,17 +536,16 @@ def test_sweep_matches_reference_cascade_bitwise():
     for params, y0 in _reference_markets():
         bounds = subsidy_interval_bounds(params, y0)
         x_int = interior_equilibrium(params.cost, params)
-        rows, _ = sweep(params, y0, grid_points=129)
-        for r in rows:
-            expected = _reference_plan(params, y0, r.level, x_int, bounds)
-            assert repr((r.regime, r.duration, r.cost)) == repr(expected)
-            assert repr(min_duration(params, y0, r.level)) == repr(r.duration)
-            result = min_duration_cost(params, y0, r.level)
-            assert repr((result.row, result.value)) == repr((r.regime, r.cost))
-            if bounds[0] < r.level <= bounds[3]:
-                sub_int = interior_equilibrium(params.cost - r.level, params)
+        levels, *columns = sweep(params, y0, grid_points=129)[:4]
+        for level, regime, duration, outlay in zip(levels, *columns):
+            expected = _reference_plan(params, y0, level, x_int, bounds)
+            assert repr((regime, duration, outlay)) == repr(expected)
+            assert repr(min_duration(params, y0, level)) == repr(duration)
+            result = min_duration_cost(params, y0, level)
+            assert repr((result.row, result.value)) == repr((regime, outlay))
+            if bounds[0] < level <= bounds[3]:
+                sub_int = interior_equilibrium(params.cost - level, params)
                 seen["sub_int - y0 == 0"] += sub_int - y0 == 0.0
-        levels = {r.level for r in rows}
         for name, bound in zip(("b1", "s_hat", "b3", "b4"), bounds):
             seen[name] += bound in levels
         seen["y0 = 0" if y0 == 0.0 else "y0 > 0"] += 1
@@ -571,15 +568,13 @@ def test_knife_edge_level_matches_reference_cascade():
         assert repr(got) == repr(_reference_plan(params, y0, level, x_int, bounds))
 
 
-def _reference_sign_pattern(rows, params, y0):
-    """cost_sign_pattern with each range's neighbouring pairs filtered out
-    of all pairs by the rows' ``regime``, and the dip taken over a
-    filtered list: the five-pass form of the regime rule."""
-    finite = [r for r in rows if r.cost is not None]
+def _reference_verdicts(regimes, outlays, y0):
+    """_slope_verdicts with each range's neighbouring pairs filtered out of
+    all pairs by their regime: the five-pass form of the regime rule."""
+    finite = [(k, v) for k, v in zip(regimes, outlays) if v is not None]
     verdicts, switch_count = [], None
     for k in range(1, 6):
-        diffs = [b.cost - a.cost for a, b in zip(finite, finite[1:])
-                 if a.regime == b.regime == k]
+        diffs = [b - a for (ka, a), (kb, b) in zip(finite, finite[1:]) if ka == kb == k]
         if not diffs:
             verdicts.append(None)
         elif k in (1, 2):
@@ -593,27 +588,27 @@ def _reference_sign_pattern(rows, params, y0):
             nz = [1 if d > FLAT_TOL else -1 for d in diffs if abs(d) > FLAT_TOL]
             switch_count = sum(1 for a, b in zip(nz, nz[1:]) if a != b)
             verdicts.append(bool(nz) and (1, -1) not in zip(nz, nz[1:]))
-    # The dip is the cheapest feasible level, the lowest one on a tie.
-    feasible = [(r.cost, r.level) for r in finite if r.feasible]
-    dip_level = min(feasible)[1] if feasible else None
-    return CostSignPattern(tuple(verdicts), switch_count, dip_level,
-                           all(v is not False for v in verdicts))
+    return tuple(verdicts), switch_count
 
 
 def test_cost_sign_pattern_matches_reference():
-    # The sweeps of the reference markets, with rows dropped at random,
-    # and with random outlays (some None) so that every verdict is taken.
+    # The sweeps' columns of the reference markets, with levels dropped at
+    # random, and with random outlays (some None) so that every verdict is
+    # taken.
     rng = np.random.default_rng(77)
     verdicts = set()
     for params, y0 in _reference_markets():
-        rows, _ = sweep(params, y0, grid_points=65)
-        kept = [r for r in rows if rng.uniform() < 0.8]
-        noisy = [r._replace(cost=None if u < 0.1 else float(u - 0.5))
-                 for r, u in zip(rows, rng.uniform(size=len(rows)))]
-        for sample in (rows, kept, noisy):
-            got = cost_sign_pattern(sample, params, y0)
-            assert got == _reference_sign_pattern(sample, params, y0)
-            verdicts.update(got.verdicts)
+        result = sweep(params, y0, grid_points=65)
+        assert result[5:] == _slope_verdicts(result.regimes, result.outlays, y0)
+        columns = list(zip(result.regimes, result.outlays))
+        kept = [c for c in columns if rng.uniform() < 0.8]
+        noisy = [(k, None if u < 0.1 else float(u - 0.5))
+                 for k, u in zip(result.regimes, rng.uniform(size=len(columns)))]
+        for sample in (columns, kept, noisy):
+            regimes, outlays = zip(*sample)
+            got = _slope_verdicts(regimes, outlays, y0)
+            assert got == _reference_verdicts(regimes, outlays, y0)
+            verdicts.update(got[0])
     assert verdicts == {True, False, None}
 
 
@@ -637,14 +632,6 @@ def test_overflowing_gamma_is_refused(gamma, level):
             min_duration(params, 0.1, level)
     else:
         assert repr(min_duration(params, 0.1, level)) == repr(duration)
-
-
-def test_cost_sign_pattern_refuses_unsorted_rows():
-    rows, frontier = sweep(PLANNER, 0.125, grid_points=64)
-    with pytest.raises(InvalidParameterError, match="level order"):
-        cost_sign_pattern(rows[::-1], PLANNER, 0.125)
-    with pytest.raises(InvalidParameterError, match="level order"):
-        cost_sign_pattern(frontier, PLANNER, 0.125)
 
 
 def test_cost_matches_oracle_all_rows():
@@ -717,28 +704,28 @@ def test_linspace_refuses_a_negative_count():
 
 
 def test_sweep_grid_and_flags():
-    rows, frontier = sweep(PLANNER, 0.0)
-    levels = [r.level for r in rows]
-    assert levels == sorted(levels)
+    result = sweep(PLANNER, 0.0)
+    levels = result.levels
+    assert levels == sorted(set(levels))  # increasing: an index names a level
     for bound in (0.5, 0.75, 1.5):
         assert bound in levels  # analytic boundaries inserted exactly
-    for r in rows:
-        assert r.feasible == (r.level > 0.5)
-        if not r.feasible:
-            assert r.duration is None
-    assert len(frontier) >= 1
-    assert set(frontier) <= set(rows)
+    for level, duration in zip(levels, result.durations):
+        assert (duration is not None) == (level > 0.5)
+    assert len(result.frontier) >= 1
+    assert result.frontier.stop <= len(levels)
 
 
 def test_sweep_frontier_contains_cheapest():
-    rows, frontier = sweep(PLANNER, 0.0)
-    feasible = [r for r in rows if r.duration is not None and r.cost is not None]
+    result = sweep(PLANNER, 0.0)
+    feasible = [r for r in sweep_rows(result) if r.duration is not None and r.cost is not None]
     cheapest = min(feasible, key=lambda r: r.cost)
-    assert any(r.level == cheapest.level for r in frontier)
+    assert result.dip_level == cheapest.level
+    assert result.levels.index(cheapest.level) in result.frontier
 
 
 def test_frontier_strict_tradeoff():
-    _, rows = sweep(PLANNER, 0.125)
+    result = sweep(PLANNER, 0.125)
+    rows = sweep_rows(result)[result.frontier.start:result.frontier.stop]
     for a in rows:
         for b in rows:
             if a is b:
@@ -749,14 +736,14 @@ def test_frontier_strict_tradeoff():
 def test_frontier_matches_exhaustive_domination():
     # (level, duration, cost): levels 1.2 and 0.9 tie exactly, 1.0 and
     # 2.0 are dominated, 0.2 has no window.
-    tie_rows = [
-        SubsidySweepRow(s, s / 3.0, d is not None, 4, d, c)
-        for s, d, c in ((1.2, 2.0, 1.0), (1.5, 1.0, 3.0), (0.9, 2.0, 1.0),
-                        (1.0, 2.0, 1.5), (2.0, 3.0, 1.0), (0.2, None, 0.1))
-    ]
+    tie_rows = [SweepRow(*row) for row in ((1.2, 2.0, 1.0), (1.5, 1.0, 3.0), (0.9, 2.0, 1.0),
+                                           (1.0, 2.0, 1.5), (2.0, 3.0, 1.0), (0.2, None, 0.1))]
     tie_frontier = pareto_frontier(tie_rows)
     assert [r.level for r in tie_frontier] == [1.5, 0.9]  # the tie keeps 0.9 only
-    for rows, frontier in (sweep(PLANNER, 0.0, grid_points=41), (tie_rows, tie_frontier)):
+    result = sweep(PLANNER, 0.0, grid_points=41)
+    grid_rows = sweep_rows(result)
+    grid_frontier = grid_rows[result.frontier.start:result.frontier.stop]
+    for rows, frontier in ((grid_rows, grid_frontier), (tie_rows, tie_frontier)):
         feasible = [r for r in rows if r.duration is not None and r.cost is not None]
 
         def dominated(r):
@@ -778,12 +765,32 @@ def test_frontier_matches_exhaustive_domination():
 
 def test_cost_sign_pattern_example():
     for y0 in (0.0, 0.125):
-        rows, _ = sweep(PLANNER, y0)
-        pattern = cost_sign_pattern(rows, PLANNER, y0)
-        assert pattern.all_ok
-        assert pattern.switch_count == 1
-        assert pattern.dip_level is not None
-        assert 0.75 <= pattern.dip_level <= (1.5 if y0 == 0.0 else 1.125)
+        result = sweep(PLANNER, y0)
+        assert False not in result.verdicts
+        assert result.switch_count == 1
+        assert result.dip_level is not None
+        assert 0.75 <= result.dip_level <= (1.5 if y0 == 0.0 else 1.125)
+
+
+@pytest.mark.parametrize("points", [0, 1, 2, 8, 41, 512])
+def test_sweep_frontier_matches_dominance_scan(points):
+    # The frontier, a run of grid indices, selects exactly the rows that
+    # the dominance scan keeps, on PLANNER and random markets at both
+    # kinds of start.  It ends at the b4 row, because every range-5 row
+    # has its duration bit for bit and a higher outlay.
+    rng = np.random.default_rng(4096)
+    markets = [(PLANNER, 0.0), (PLANNER, 0.125)]
+    for _ in range(20):
+        params, y0 = random_planner_setup(rng, positive_y0=True)
+        markets += [(params, 0.0), (params, y0)]
+    for params, y0 in markets:
+        result = sweep(params, y0, grid_points=points)
+        rows = sweep_rows(result)
+        assert result.frontier
+        assert tuple(rows[i] for i in reversed(result.frontier)) == pareto_frontier(rows)
+        top = result.frontier.stop
+        assert result.regimes[top - 1] == 4
+        assert set(result.durations[top:]) <= {result.durations[top - 1]}
 
 
 def test_cost_dip_is_a_feasible_level():
@@ -794,12 +801,11 @@ def test_cost_dip_is_a_feasible_level():
     for _ in range(40):
         params, y_pos = random_planner_setup(rng, positive_y0=True)
         for y0 in (0.0, y_pos):
-            rows, _ = sweep(params, y0, grid_points=129)
+            result = sweep(params, y0, grid_points=129)
             _, s_hat, b3, _ = subsidy_interval_bounds(params, y0)
             b3_below_s_hat += b3 < s_hat
-            dip = cost_sign_pattern(rows, params, y0).dip_level
-            assert dip is not None
-            assert [r.feasible for r in rows if r.level == dip] == [True]
+            assert result.dip_level > s_hat
+            assert result.durations[result.frontier.start] is not None
     assert b3_below_s_hat >= 20
 
 
