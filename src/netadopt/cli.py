@@ -40,7 +40,6 @@ OUTPUT_DIR_ENV = "NETADOPT_OUTPUT_DIR"
 TRAJECTORY_TOL = 1e-6
 CONVERGENCE_STEPS = 512  # the most main-run steps validate's order check compares
 COST_TOL = 1e-5
-MONOTONE_TOL = 1e-9
 MAX_ROWS = 10**6  # per trajectory CSV, whose sample times are held in memory
 BLOCK_ROWS = 1024  # CSV rows joined into one write
 
@@ -451,16 +450,6 @@ def cmd_validate(config: ScenarioConfig) -> int:
     if analytic_cost is not None:
         _check("cost |analytic - quadrature|", abs(analytic_cost - numeric),
                COST_TOL, failures)
-
-    if config.kind == "min_duration":
-        result = subsidy.sweep(params, config.x0, grid_points=config.sweep_points)
-        durations = [d for d in result.durations if d is not None]
-        drift = max(
-            (b - a for a, b in zip(durations, durations[1:])), default=0.0
-        )
-        _verdict(f"required-duration monotone (max increase {drift:.2e})",
-                 drift <= MONOTONE_TOL, failures)
-        _verdict("cost slope sign pattern", False not in result.verdicts, failures)
 
     if failures:
         print(f"FAILED: {len(failures)} check(s)")

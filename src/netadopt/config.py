@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import InvalidParameterError
-from .model import ModelParams
+from .model import ModelParams, require_start
 
 SUBSIDY_KINDS = ("none", "cls", "full", "min_duration")
 MAX_SWEEP_POINTS = 10**6  # a sweep holds every row in memory
@@ -115,11 +115,12 @@ def load_config(
         pairs.update(read_config_file(path))
     if overrides:
         pairs.update(overrides)
-    config = ScenarioConfig(**parse_assignments(pairs))
+    values = parse_assignments(pairs)
     # Every key whose meaning does not depend on the verb is checked here,
     # so that every verb refuses a bad value alike.
-    if not 0.0 <= config.x0 <= 1.0:
-        raise InvalidParameterError(f"x0 must lie in [0, 1], got {config.x0}")
+    if "x0" in values:
+        values["x0"] = require_start(values["x0"], "x0")
+    config = ScenarioConfig(**values)
     if config.T < 0:
         raise InvalidParameterError("T must be >= 0")
     if config.dt is not None and config.dt <= 0:

@@ -119,6 +119,14 @@ def require_finite(values: Iterable[float | None], what: str, **inputs: float) -
             f"{what} overflowed to inf (inputs it scales with: {given})")
 
 
+def require_start(level: float, name: str) -> float:
+    """The start level ``name``, refused outside [0, 1] (NaN included) and
+    returned with -0.0 read as 0.0, so that no result carries its sign."""
+    if not 0.0 <= level <= 1.0:
+        raise InvalidParameterError(f"{name} must lie in [0, 1], got {level}")
+    return level + 0.0
+
+
 def interior_equilibrium(effective_cost: float, params: ModelParams) -> float:
     """Fixed point of the unsaturated dynamics at the given effective cost.
 

@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 
 from .closed_form import PiecewiseTrajectory, band_rate_step, hit_time, unsubsidized_trajectory
 from .errors import AssumptionViolationError, InvalidParameterError
-from .model import ModelParams, interior_equilibrium, require_finite
+from .model import ModelParams, interior_equilibrium, require_finite, require_start
 
 # Outlay steps between neighbouring sweep levels this small count as flat.
 FLAT_TOL = 1e-8
@@ -238,15 +238,11 @@ def subsidized_trajectory(
     return PiecewiseTrajectory(kept + after.segments)
 
 
-def _require_start(y0: float) -> None:
-    if not 0.0 <= y0 <= 1.0:
-        raise InvalidParameterError(f"y0 must lie in [0, 1], got {y0}")
-
-
-def _require_planner_regime(params: ModelParams, y0: float) -> float:
+def _require_planner_regime(params: ModelParams, y0: float) -> tuple[float, float]:
     """Validate the starting level, the bistable regime and a start below
-    the tipping level; returns x_interior."""
-    _require_start(y0)
+    the tipping level; returns the start, as ``require_start`` returns it,
+    and x_interior."""
+    y0 = require_start(y0, "y0")
     u_min, u_max = params.u_min, params.u_max
     c, e = params.cost, params.externality
     if not u_max <= c:
@@ -260,7 +256,7 @@ def _require_planner_regime(params: ModelParams, y0: float) -> float:
         raise AssumptionViolationError(
             "y0 < interior equilibrium", f"{y0} >= {x_int}"
         )
-    return x_int
+    return y0, x_int
 
 
 def _log_duration(numerator: float, denominator: float, gamma: float) -> float | None:
@@ -279,13 +275,13 @@ def full_subsidy_analysis(
     path, the resulting long-run level, and the provider outlay
     cost * (duration - (1 - y0)(1 - exp(-gamma*duration)) / gamma).
     Everyone adopts from the first instant only when u_min +
-    externality*y0 >= 0, so the analysis requires it.  Raises
-    InvalidParameterError if a threshold or the outlay overflows (a tiny
-    gamma or a huge duration).
+    externality*y0 >= 0, so the analysis requires it.  The window
+    ``ConstantLevelSubsidy(cost, duration, t0)`` refuses a negative or
+    non-finite duration.  Raises InvalidParameterError if a threshold or
+    the outlay overflows (a tiny gamma or a huge finite duration).
     """
-    x_int = _require_planner_regime(params, y0)
-    if duration < 0:
-        raise InvalidParameterError("duration must be >= 0")
+    cls = ConstantLevelSubsidy(level=params.cost, duration=duration, start=t0)
+    y0, x_int = _require_planner_regime(params, y0)
     u_min, u_max = params.u_min, params.u_max
     c, e, gamma = params.cost, params.externality, params.gamma
     if not u_min + e * y0 >= 0.0:
@@ -301,7 +297,6 @@ def full_subsidy_analysis(
     outlay = c * (duration - one_minus * -math.expm1(-gamma * duration) / gamma)
     require_finite([to_band_low, to_interior, to_band_high, outlay],
                    "planner thresholds or outlay", cost=c, duration=duration, gamma=gamma)
-    cls = ConstantLevelSubsidy(level=c, duration=duration, start=t0)
     trajectory = subsidized_trajectory(params, cls, y0)
     return FullSubsidyReport(
         to_band_low=to_band_low,
@@ -322,7 +317,7 @@ def min_subsidy(params: ModelParams, y0: float) -> float:
     band (externality == u_max - u_min) any positive level works.
     """
     if params.externality + params.u_min - params.u_max == 0.0:
-        _require_start(y0)
+        require_start(y0, "y0")
         u_min, u_max, c = params.u_min, params.u_max, params.cost
         if not (u_max <= c <= u_min + params.externality):
             raise AssumptionViolationError(
@@ -359,14 +354,15 @@ def subsidy_interval_bounds(params: ModelParams, y0: float) -> tuple[float, floa
     is clamped to min_subsidy so that rounding at y0 = 0 cannot order
     them the other way.
     """
-    return _planner_bounds(params, y0)[1]
+    return _planner_bounds(params, y0)[2]
 
 
 def _planner_bounds(
     params: ModelParams, y0: float
-) -> tuple[float, tuple[float, float, float, float]]:
-    """Check the planner regime; returns x_interior and the four bounds."""
-    x_int = _require_planner_regime(params, y0)
+) -> tuple[float, float, tuple[float, float, float, float]]:
+    """Check the planner regime; returns the start, x_interior and the
+    four bounds."""
+    y0, x_int = _require_planner_regime(params, y0)
     if not x_int < 1.0:
         # cost == u_min + externality (up to rounding): no finite window
         # reaches a tipping level of full adoption.
@@ -377,7 +373,7 @@ def _planner_bounds(
     e = params.externality
     # min_subsidy past its degenerate band, which the regime check excludes.
     s_hat = (e + params.u_min - params.u_max) * (x_int - y0)
-    return x_int, (
+    return y0, x_int, (
         min(c - params.u_max - e * y0, s_hat),
         s_hat,
         c - params.u_min - e * x_int,
@@ -405,7 +401,7 @@ def min_duration_cost(params: ModelParams, y0: float, level: float) -> CostResul
 def _plan_level(
     params: ModelParams, y0: float, level: float
 ) -> tuple[int, float | None, float | None]:
-    x_int, bounds = _planner_bounds(params, y0)
+    y0, x_int, bounds = _planner_bounds(params, y0)
     if not 0.0 <= level <= params.cost:
         raise InvalidParameterError(
             f"level must lie in [0, cost], got {level} with cost {params.cost}"
@@ -522,7 +518,7 @@ def sweep(params: ModelParams, y0: float, grid_points: int = 512) -> SubsidySwee
     exactly.  Raises InvalidParameterError if a duration or outlay
     overflows (a tiny gamma).
     """
-    x_int, bounds = _planner_bounds(params, y0)
+    y0, x_int, bounds = _planner_bounds(params, y0)
     inside = [b for b in bounds if 0.0 <= b <= params.cost]
     grid = sorted({*linspace(0.0, params.cost, grid_points), *inside})
 

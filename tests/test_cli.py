@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from netadopt import ModelParams
+from netadopt import ModelParams, min_subsidy
 from netadopt.cli import main
 
 TIPPING_KEYS = [
@@ -560,13 +560,16 @@ def test_validate_extreme_sample_steps(capsys, dt, gamma):
 
 
 def test_validate_min_duration_verdicts(tmp_path, capsys):
-    code, stdout, _ = run(
-        capsys, "validate",
-        *sets(*PLANNER_KEYS, "x0=0", "kind=min_duration", "s=1.0",
-              "sweep_points=96"),
-    )
+    # The planner's slope verdicts are sweep's: validate runs the oracle
+    # checks only, and sweep prints the verdicts on the same market.
+    keys = (*PLANNER_KEYS, "x0=0", "kind=min_duration", "s=1.0", "sweep_points=96")
+    code, stdout, _ = run(capsys, "validate", *sets(*keys))
+    assert code == 0 and stdout.endswith("all checks passed\n")
+    assert "monotone" not in stdout and "pattern" not in stdout
+    code, stdout, _ = run(capsys, "sweep", *sets(*keys), "--output", str(tmp_path / "s.csv"))
     assert code == 0
-    assert "monotone" in stdout and "sign pattern" in stdout
+    assert ("cost slope pattern: flat/rising=ok, rising=empty, falling=ok, "
+            "falling then rising=ok, rising=ok\n") in stdout
 
 
 def test_reproduce_example2(tmp_path, capsys):
@@ -803,18 +806,38 @@ def test_negative_sweep_points_is_invalid_input(tmp_path, capsys):
         assert stderr == "error: sweep_points must be >= 0, got -3\n"
 
 
-def test_validate_zero_start_boundary_market(tmp_path, capsys):
+def test_sweep_zero_start_boundary_market(tmp_path, capsys):
     # At y0 = 0 this market's first outlay bound, cost - u_max, rounds one
-    # ulp above min_subsidy; no sweep row may fall between the two.
-    code, stdout, _ = run(
-        capsys, "validate",
-        *sets("u_min=0.935609791532341", "u_max=1.685870423705207",
-              "cost=1.8797231588513614", "externality=1.346491514237461",
-              "gamma=1.099522908476864", "x0=0.0", "kind=min_duration",
-              "s=0.474293317145366"),
-    )
-    assert code == 0
-    assert "cost slope sign pattern: PASS" in stdout
+    # ulp above min_subsidy; no sweep row may fall between the two.  Such
+    # a row broke the slope verdicts and the falling durations.
+    keys = ("u_min=0.935609791532341", "u_max=1.685870423705207",
+            "cost=1.8797231588513614", "externality=1.346491514237461",
+            "gamma=1.099522908476864")
+    market = ModelParams(*(float(k.split("=")[1]) for k in keys))
+    assert market.cost - market.u_max > min_subsidy(market, 0.0)
+    out = tmp_path / "sweep.csv"
+    code, stdout, _ = run(capsys, "sweep", *sets(*keys, "x0=0.0", "kind=min_duration"),
+                          "--output", str(out))
+    assert code == 0 and "VIOLATED" not in stdout
+    _, rows = read_csv(out)
+    s_hat = min_subsidy(market, 0.0)
+    assert all(r[2] == "true" and int(r[5]) >= 3 for r in rows if float(r[0]) > s_hat)
+    durations = [float(r[3]) for r in rows if r[2] == "true"]
+    assert all(b <= a + 1e-9 for a, b in zip(durations, durations[1:]))
+
+
+def test_sweep_from_negative_zero_writes_the_csv_of_zero(tmp_path, capsys):
+    # load_config reads x0 = -0.0 as 0.0; range 1's outlay s*y0/gamma
+    # used to read -0 from it.
+    texts = []
+    for x0 in ("-0.0", "0"):
+        out = tmp_path / f"sweep_{x0}.csv"
+        code, _, _ = run(capsys, "sweep", *sets(*PLANNER_KEYS, f"x0={x0}", "kind=min_duration",
+                                                "sweep_points=16"), "--output", str(out))
+        assert code == 0
+        texts.append(out.read_text())
+    assert texts[0] == texts[1]
+    assert ",-0," not in texts[0]
 
 
 def test_simulate_zero_externality_edges(tmp_path, capsys):
@@ -1266,6 +1289,7 @@ _PLAIN_VALUES = ("0.25", "1")
 _MARKETS = (TIPPING_KEYS, PLANNER_KEYS, SINGULAR_KEYS[:5],
             ("u_min=0", "u_max=1", "cost=0.5", "externality=0", "gamma=1"))
 _RUN_KEYS = ("x0", "s", "T", "target", "t_end", "dt", "sweep_points")
+_START_VALUES = ("-0.0", "5e-324", "1.0")  # the signed zero and both ends of [0, 1]
 
 
 @st.composite
@@ -1273,7 +1297,8 @@ def _fuzzed_call(draw):
     """A config verb on a bundled market with at most one model key at an
     edge value or dropped, sometimes moved onto the singular line
     externality == u_max - u_min, and up to four run keys at edge or plain
-    values.  The work per call is bounded here: every run value is at most
+    values (an x0 one time in two at an end of [0, 1]).  The work per call
+    is bounded here: every run value is at most
     1.5 or an extreme, so a horizon holds either a few thousand steps or
     too many to run, which a verb refuses before it starts; simulate,
     whose default horizon writes 60k rows, always gets a t_end."""
@@ -1291,7 +1316,8 @@ def _fuzzed_call(draw):
     if verb == "simulate":
         keys.add("t_end")
     values = st.sampled_from(_EDGE_VALUES + _PLAIN_VALUES)
-    pairs.update((k, draw(values)) for k in sorted(keys))
+    starts = st.sampled_from(_START_VALUES) | values
+    pairs.update((k, draw(starts if k == "x0" else values)) for k in sorted(keys))
     kinds = ("min_duration",) if verb == "sweep" else ("none", "cls", "full", "min_duration")
     pairs["kind"] = draw(st.sampled_from(kinds))
     return verb, [f"{k}={v}" for k, v in pairs.items()]
@@ -1301,16 +1327,27 @@ def _fuzzed_call(draw):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(call=_fuzzed_call())
 def test_fuzzed_main_ends_in_a_documented_exit_code(tmp_path, call):
+    # Time budget, fixed before the x0 ends and the CSV check were added:
+    # 1.5 s for the 150 calls on a 2-vCPU machine.
     verb, pairs = call
+    csv = tmp_path / "out.csv"
+    csv.unlink(missing_ok=True)  # tmp_path is shared by every example
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([verb, *sets(*pairs), "--output", str(tmp_path / "out.csv")])
+        code = main([verb, *sets(*pairs), "--output", str(csv)])
     stdout, stderr = out.getvalue(), err.getvalue()
     assert code in (0, 1, 2, 3), (verb, pairs)
     if code == 1:
         assert verb == "validate" and re.search(r"FAILED: \d+ check\(s\)\n\Z", stdout)
     assert stderr == "" or re.fullmatch(r"error: [^\n]+\n", stderr), (verb, pairs, stderr)
     assert (code in (2, 3)) == (stderr != ""), (verb, pairs, code, stderr)
+    if code == 0 and csv.exists():
+        # Every numeric cell is finite, or the token inf for a value that
+        # does not exist; a cell of lower-case letters is a label.
+        for line in csv.read_text().splitlines()[1:]:
+            for cell in line.split(","):
+                if cell != "inf" and not (cell != "nan" and re.fullmatch("[a-z_]+", cell)):
+                    assert math.isfinite(float(cell)), (verb, pairs, line)
 
 
 _HORIZON_KINDS = {

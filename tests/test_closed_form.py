@@ -11,7 +11,7 @@ from netadopt import (
     unsubsidized_trajectory,
 )
 from netadopt.cli import BLOCK_ROWS
-from netadopt.closed_form import band_rate_step, hit_time
+from netadopt.closed_form import CONTINUITY_TOL, band_rate_step, hit_time
 
 TIPPING = ModelParams(1.0, 2.0, 3.0, 3.0, 1.0 / 3.0)  # bistable, interior 0.5
 
@@ -330,6 +330,37 @@ def test_trajectory_continuity_enforced():
     bad = Segment(1.0, 0.9, rate=-1.0, step=0.9 - 1.0)
     with pytest.raises(InvalidParameterError):
         PiecewiseTrajectory((good, bad))
+
+
+def test_continuity_tolerance_boundary():
+    # A segment resting at 0.0, then one starting at the gap: a gap of
+    # exactly CONTINUITY_TOL is a junction, the next float above is not.
+    assert CONTINUITY_TOL == 1e-12
+    rest = Segment(0.0, 0.0, rate=-1.0, step=0.0)
+    for gap, ok in ((1e-12, True), (math.nextafter(1e-12, 1.0), False)):
+        after = Segment(1.0, gap, rate=-1.0, step=gap)
+        if ok:
+            assert PiecewiseTrajectory((rest, after)).breakpoints == (1.0,)
+        else:
+            with pytest.raises(InvalidParameterError, match="discontinuous segments"):
+                PiecewiseTrajectory((rest, after))
+
+
+@pytest.mark.parametrize("x0, shown", [
+    (math.nan, "nan"), (math.nextafter(1.0, 2.0), "1.0000000000000002"), (-5e-324, "-5e-324"),
+])
+def test_trajectory_refuses_a_start_outside_0_1(x0, shown):
+    # No tolerance: a NaN start used to give a path from 0.0, and a start
+    # one ulp outside [0, 1] was clamped onto it.
+    with pytest.raises(InvalidParameterError, match=rf"^x0 must lie in \[0, 1\], got {shown}$"):
+        unsubsidized_trajectory(TIPPING, 0.0, x0)
+
+
+def test_trajectory_reads_a_negative_zero_start_as_zero():
+    for params in (TIPPING, ModelParams(0.0, 1.0, 0.5, 0.0, 1.0)):
+        path = unsubsidized_trajectory(params, 0.0, -0.0)
+        assert math.copysign(1.0, path.segments[0].start_level) == 1.0
+        assert path == unsubsidized_trajectory(params, 0.0, 0.0)
 
 
 def test_final_level_is_exactly_empty_or_full():

@@ -1,6 +1,7 @@
 """Subsidy planners in the bistable regime."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -847,9 +848,39 @@ def test_window_end_rounding_onto_its_start_is_refused():
 
 def test_planner_refuses_a_start_outside_the_unit_interval():
     # An impossible start is invalid input, as in unsubsidized_trajectory,
-    # not an unsupported regime (exit 2, not 3).
-    for y0 in (-0.1, 1.5):
-        with pytest.raises(InvalidParameterError, match="y0 must lie in \\[0, 1\\]"):
-            min_subsidy(PLANNER, y0)
-        with pytest.raises(InvalidParameterError, match="y0 must lie in \\[0, 1\\]"):
+    # not an unsupported regime (exit 2, not 3), with no tolerance: one
+    # rule, model.require_start, and one message.
+    for y0 in (-0.1, 1.5, math.nextafter(1.0, 2.0), -5e-324):
+        message = rf"^y0 must lie in \[0, 1\], got {re.escape(str(y0))}$"
+        for planner in (min_subsidy, sweep):
+            with pytest.raises(InvalidParameterError, match=message):
+                planner(PLANNER, y0)
+        with pytest.raises(InvalidParameterError, match=message):
             full_subsidy_analysis(TIPPING, 0.0, y0, 1.0)
+
+
+def test_subsidized_trajectory_refuses_a_nan_start():
+    # The window's path used to start from 0.0.
+    for level, duration in ((1.0, 0.5), (0.0, 0.0)):
+        with pytest.raises(InvalidParameterError, match=r"^x0 must lie in \[0, 1\], got nan$"):
+            subsidized_trajectory(PLANNER, ConstantLevelSubsidy(level, duration), math.nan)
+
+
+@pytest.mark.parametrize("duration", [math.nan, math.inf])
+def test_full_subsidy_refuses_a_non_finite_duration_as_a_bad_duration(duration):
+    # The window owns its length: a NaN or infinite one is refused as a
+    # bad duration, not as an outlay that overflowed to inf.
+    with pytest.raises(InvalidParameterError,
+                       match=r"^subsidy duration must be finite and >= 0$"):
+        full_subsidy_analysis(TIPPING, 0.0, 0.25, duration)
+
+
+def test_planners_read_a_negative_zero_start_as_zero():
+    # Range 1 pays s*y0/gamma: from -0.0 that outlay read -0.
+    plus, minus = sweep(PLANNER, 0.0), sweep(PLANNER, -0.0)
+    assert minus == plus
+    assert all(math.copysign(1.0, v) == 1.0 for v in minus.outlays if v is not None)
+    level = plus.levels[1]  # a range-1 level
+    assert plus.regimes[1] == 1
+    assert math.copysign(1.0, min_duration_cost(PLANNER, -0.0, level).value) == 1.0
+    assert subsidy_interval_bounds(PLANNER, -0.0) == subsidy_interval_bounds(PLANNER, 0.0)

@@ -11,8 +11,11 @@ two outputs; any line that differs names the call whose bytes changed.
 
 The calls are the README examples, ``reproduce 1``-``4``, seeds 1-2 of
 each ``perfbench/workloads.py`` generator (imported, never modified),
-sweeps of 0, 1, 2 and 8 points, and ``equilibria`` on the markets whose
-interior level lies within rounding of 0 or 1.
+sweeps of 0, 1, 2 and 8 points, ``equilibria`` on the markets whose
+interior level lies within rounding of 0 or 1, ``sweep``, ``simulate``
+and ``validate`` from the start ``x0 = -0.0``, and ``sweep`` and
+``validate`` on the y0 = 0 market whose first outlay bound rounds above
+``min_subsidy``.
 """
 
 from __future__ import annotations
@@ -28,6 +31,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 README_MARKET = ("u_min=1", "u_max=2", "cost=2.5", "externality=3", "gamma=1")
+# At y0 = 0 its cost - u_max rounds one ulp above min_subsidy.
+BOUNDARY_MARKET = ("u_min=0.935609791532341", "u_max=1.685870423705207",
+                   "cost=1.8797231588513614", "externality=1.346491514237461",
+                   "gamma=1.099522908476864", "x0=0.0", "kind=min_duration")
 TIPPING_CONFIG = """\
 u_min = 1
 u_max = 2
@@ -79,6 +86,10 @@ def calls() -> list[list[str]]:
     for cost in ("2", "2.0000000000000004", "3.9999999999999996", "4"):
         out.append(["equilibria", *_sets("u_min=1", "u_max=2", f"cost={cost}",
                                          "externality=3", "gamma=1")])
+    start = (*README_MARKET, "x0=-0.0", "kind=min_duration")
+    out += [["sweep", *_sets(*start)], ["simulate", *_sets(*start, "s=1")],
+            ["validate", *_sets(*start, "s=1")], ["sweep", *_sets(*BOUNDARY_MARKET)],
+            ["validate", *_sets(*BOUNDARY_MARKET, "s=0.474293317145366")]]
     return out
 
 
