@@ -17,7 +17,6 @@ import os
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import replace
 from itertools import chain
 from operator import sub
 from pathlib import Path
@@ -33,7 +32,7 @@ from .errors import (
     InvalidStepError,
     SingularParametersError,
 )
-from .model import ModelParams, classify_equilibria
+from .model import ModelParams, classify_equilibria, require_finite
 
 OUTPUT_DIR_ENV = "NETADOPT_OUTPUT_DIR"
 
@@ -216,6 +215,7 @@ def _simulate(config: ScenarioConfig, prefix: str = "", phase: bool = True):
     params = config.params()
     traj, window, outlay, t_end = _resolve_scenario(config, params)
     dt = 1e-3 / params.gamma if config.dt is None else config.dt
+    require_finite([dt], "default sample step 1e-3/gamma", gamma=params.gamma)
     times = _sample_times(traj, t_end, dt)
     return traj, outlay, t_end, times, _path_text(traj, window, times, prefix, phase)
 
@@ -481,7 +481,7 @@ def _reproduce_1(out_dir: Path) -> list[Path]:
                           kind="cls", s=0.5, t_end=8.0, dt=0.05)
     p1 = out_dir / "example1_adoption.csv"
     _write_text(p1, ["T", "t", "y"], chain.from_iterable(
-        _simulate(replace(base, T=T), f"{label},", phase=False)[4]
+        _simulate(base._replace(T=T), f"{label},", phase=False)[4]
         for label, T in (("0", 0.0), ("1", 1.0), ("2", 2.0), ("inf", base.t_end))
     ))
 
@@ -501,7 +501,7 @@ def _reproduce_2(out_dir: Path) -> list[Path]:
     base = ScenarioConfig(u_min=1.0, u_max=2.0, gamma=1.0, t_end=10.0, dt=0.05)
     table, eq_rows, path_text = [], [], []
     for cost, externality in ((5.0, 2.0), (1.75, 0.5), (2.5, 2.0), (1.0, 0.5)):
-        market = replace(base, cost=cost, externality=externality)
+        market = base._replace(cost=cost, externality=externality)
         report = classify_equilibria(market.params())
         table.append(
             (report.case_id, base.u_min, base.u_max, cost, externality,
@@ -510,7 +510,7 @@ def _reproduce_2(out_dir: Path) -> list[Path]:
         eq_rows += [(report.case_id, lvl, st) for lvl, st in report.equilibria]
         for x0 in (0.1, 1.0 / 3.0, 2.0 / 3.0, 0.9):
             prefix = "%d,%.17g," % (report.case_id, x0)
-            path_text.append(_simulate(replace(market, x0=x0), prefix, phase=False)[4])
+            path_text.append(_simulate(market._replace(x0=x0), prefix, phase=False)[4])
     p1 = out_dir / "example2_cases.csv"
     _write_csv(
         p1,
@@ -542,7 +542,7 @@ def _reproduce_3(out_dir: Path) -> list[Path]:
     ]
     path_text = []
     for i, duration in enumerate(durations, start=1):
-        traj, outlay, _, _, text = _simulate(replace(base, T=duration), f"T{i},")
+        traj, outlay, _, _, text = _simulate(base._replace(T=duration), f"T{i},")
         rows += [(f"duration_{i}", duration), (f"final_equilibrium_{i}", traj.final_level),
                  (f"cost_{i}", outlay)]
         path_text.append(text)
@@ -563,7 +563,7 @@ def _reproduce_4(out_dir: Path) -> list[Path]:
     summary = []
     for y0, tag in ((0.0, "0"), (0.125, "0.125")):
         p, result = _sweep_file(
-            replace(base, x0=y0), params, out_dir / f"example4_sweep_y0_{tag}.csv")
+            base._replace(x0=y0), params, out_dir / f"example4_sweep_y0_{tag}.csv")
         paths.append(p)
         s_hat = subsidy.min_subsidy(params, y0)
         b1, b2, b3, b4 = subsidy.subsidy_interval_bounds(params, y0)

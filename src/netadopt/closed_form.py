@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InvalidParameterError
 from .model import ModelParams, require_start
@@ -25,8 +25,7 @@ from .model import ModelParams, require_start
 CONTINUITY_TOL = 1e-12
 
 
-@dataclass(frozen=True, slots=True)
-class Segment:
+class Segment(namedtuple("Segment", "start_time start_level rate step")):
     """x(t) = start_level + step * expm1(rate * (t - start_time)).
 
     With rate < 0 the level relaxes toward ``start_level - step`` and with
@@ -36,10 +35,7 @@ class Segment:
     huge, as it is in a nearly degenerate band.
     """
 
-    start_time: float
-    start_level: float
-    rate: float
-    step: float
+    __slots__ = ()
 
     def value(self, t: float) -> float:
         tau = t - self.start_time
@@ -68,8 +64,7 @@ def hit_time(t0: float, x0: float, rate: float, step: float, x: float) -> float 
     return t0 + tau if tau >= 0.0 else None
 
 
-@dataclass(frozen=True, slots=True)
-class PiecewiseTrajectory:
+class PiecewiseTrajectory(namedtuple("PiecewiseTrajectory", "segments")):
     """An exact adoption path: contiguous segments, the last one unbounded.
 
     A subsidy window is not part of the path; its end is a junction.
@@ -78,14 +73,18 @@ class PiecewiseTrajectory:
     test suite and ``tools/same_outputs.py``, is 1.9e-15.
 
     Attributes:
-        segments: Ordered segments with strictly increasing start times;
+        segments: A tuple of segments with strictly increasing start times;
             each segment extends to the next one's start time, the final
             segment to +infinity.
     """
 
-    segments: tuple[Segment, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    @classmethod
+    def _make(cls, values):
+        return cls(*values)  # so that _replace checks the segments too
+
+    def __init__(self, *args, **kwargs) -> None:
         if not self.segments:
             raise InvalidParameterError("trajectory needs at least one segment")
         for prev, nxt in zip(self.segments, self.segments[1:]):
@@ -157,12 +156,13 @@ def band_rate_step(
     For a != 0 it relaxes toward (or, with a > 0, away from) the fixed
     point -b/a; on the degenerate band a == 0 it drifts at speed gamma*b.
     """
-    spread = params.u_max - params.u_min
-    a = (params.externality + params.u_min - params.u_max) / spread
-    b = (params.u_max - effective_cost) / spread
+    u_min, u_max, _, e, gamma = params  # one unpacking: the planner calls this per level
+    spread = u_max - u_min
+    a = (e + u_min - u_max) / spread
+    b = (u_max - effective_cost) / spread
     if a == 0.0:
-        return 0.0, params.gamma * b
-    return a * params.gamma, x0 + b / a
+        return 0.0, gamma * b
+    return a * gamma, x0 + b / a
 
 
 def unsubsidized_trajectory(

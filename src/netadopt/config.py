@@ -8,7 +8,7 @@ the file.  The shipped ``config_reference.txt`` documents every key.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
 from .errors import InvalidParameterError
@@ -18,24 +18,20 @@ SUBSIDY_KINDS = ("none", "cls", "full", "min_duration")
 MAX_SWEEP_POINTS = 10**6  # a sweep holds every row in memory
 
 
-@dataclass(frozen=True, slots=True)
-class ScenarioConfig:
-    """One scenario: market parameters, initial state, subsidy, run controls."""
+class ScenarioConfig(namedtuple(
+        "ScenarioConfig",
+        "u_min u_max cost externality gamma x0 kind s T target t_end dt sweep_points output",
+        defaults=(None, None, None, None, None, 0.0, "none", 0.0, 0.0, None, None, None,
+                  512, None))):
+    """One scenario: market parameters, initial state, subsidy, run controls.
 
-    u_min: float | None = None
-    u_max: float | None = None
-    cost: float | None = None
-    externality: float | None = None
-    gamma: float | None = None
-    x0: float = 0.0
-    kind: str = "none"
-    s: float = 0.0
-    T: float = 0.0
-    target: float | None = None
-    t_end: float | None = None
-    dt: float | None = None
-    sweep_points: int = 512
-    output: str | None = None
+    Each key of ``config_reference.txt`` is a field.  The five market
+    fields, ``target``, ``t_end``, ``dt`` and ``output`` are None when not
+    given; ``kind`` and ``output`` are text, ``sweep_points`` an int and
+    the rest floats.
+    """
+
+    __slots__ = ()
 
     def params(self) -> ModelParams:
         missing = [

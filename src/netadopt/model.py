@@ -13,7 +13,7 @@ equilibria of the dynamics, classified into four regimes by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Literal
 
 from .errors import InvalidParameterError, SingularParametersError
@@ -23,8 +23,7 @@ STABLE: Stability = "stable"
 UNSTABLE: Stability = "unstable"
 
 
-@dataclass(frozen=True, slots=True)
-class ModelParams:
+class ModelParams(namedtuple("ModelParams", "u_min u_max cost externality gamma")):
     """Market parameters governing the adoption dynamics.
 
     Attributes:
@@ -38,15 +37,16 @@ class ModelParams:
         gamma: Time-scale of the dynamics (1/time), positive.
     """
 
-    u_min: float
-    u_max: float
-    cost: float
-    externality: float
-    gamma: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("u_min", "u_max", "cost", "externality", "gamma"):
-            if not math.isfinite(getattr(self, name)):
+    @classmethod
+    def _make(cls, values):
+        return cls(*values)  # so that _replace checks the fields too
+
+    def __init__(self, *args, **kwargs) -> None:
+        # The tuple holds the fields already; this checks them.
+        for name, value in zip(self._fields, self):
+            if not math.isfinite(value):
                 raise InvalidParameterError(f"{name} must be finite")
         if not self.u_min < self.u_max:
             raise InvalidParameterError(
@@ -88,8 +88,8 @@ class ModelParams:
         return (c - self.u_min) / self.externality
 
 
-@dataclass(frozen=True, slots=True)
-class EquilibriumReport:
+class EquilibriumReport(namedtuple(
+        "EquilibriumReport", "case_id equilibria interior band_low band_high")):
     """Equilibrium set of the dynamics and the regime it falls in.
 
     Attributes:
@@ -104,11 +104,7 @@ class EquilibriumReport:
             externality is zero).
     """
 
-    case_id: int
-    equilibria: tuple[tuple[float, Stability], ...]
-    interior: float | None
-    band_low: float | None
-    band_high: float | None
+    __slots__ = ()
 
 
 def require_finite(values: Iterable[float | None], what: str, **inputs: float) -> None:
@@ -137,12 +133,13 @@ def interior_equilibrium(effective_cost: float, params: ModelParams) -> float:
         SingularParametersError: when u_max == u_min + externality, where
             no isolated interior fixed point exists.
     """
-    denom = params.u_max - (params.u_min + params.externality)
+    u_min, u_max, _, e, _ = params  # one unpacking: the planner calls this per level
+    denom = u_max - (u_min + e)
     if denom == 0.0:
         raise SingularParametersError(
             "interior equilibrium undefined: u_max == u_min + externality"
         )
-    return (params.u_max - effective_cost) / denom
+    return (u_max - effective_cost) / denom
 
 
 def _local_slope(x_bar: float, params: ModelParams) -> float:

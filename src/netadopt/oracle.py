@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InvalidStepError
 from .model import ModelParams
@@ -33,22 +33,23 @@ BISECTIONS = 48  # locate a kink to h/2**48, below rounding at h*gamma <= 1e-2
 CHUNK = 256  # steps between checks for a fixed point; samples per block of its fill
 
 
-@dataclass(frozen=True, eq=False)
-class SampledTrajectory:
-    """Uniformly sampled adoption path.
+class SampledTrajectory(namedtuple(
+        "SampledTrajectory", "start_time dt levels splits settled", defaults=(0, 0))):
+    """Uniformly sampled adoption path: ``levels`` is an ``array('d')``
+    with one level per sample, ``dt`` apart from ``start_time``.
 
     ``splits`` counts the kinks of the ccdf at which the oracle split a
     step on its way, and ``settled`` the samples it copied from a fixed
     point of its step rather than stepped to.
     """
 
-    start_time: float
-    dt: float
-    levels: array  # array('d'), one level per sample
-    splits: int = 0
-    settled: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    @classmethod
+    def _make(cls, values):
+        return cls(*values)  # so that _replace checks dt too
+
+    def __init__(self, *args, **kwargs) -> None:
         if self.dt <= 0:
             raise InvalidStepError("dt must be > 0")
 

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate, chain
 from operator import sub
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .closed_form import PiecewiseTrajectory, band_rate_step, hit_time, unsubsidized_trajectory
 from .errors import AssumptionViolationError, InvalidParameterError
@@ -26,19 +26,21 @@ from .model import ModelParams, interior_equilibrium, require_finite, require_st
 FLAT_TOL = 1e-8
 
 
-@dataclass(frozen=True, slots=True)
-class ConstantLevelSubsidy:
+class ConstantLevelSubsidy(namedtuple(
+        "ConstantLevelSubsidy", "level duration start", defaults=(0.0,))):
     """A fixed cost reduction over a fixed window.
 
     Adopters pay cost - level on [start, start + duration] and the full
     cost afterwards.
     """
 
-    level: float
-    duration: float
-    start: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    @classmethod
+    def _make(cls, values):
+        return cls(*values)  # so that _replace checks the window too
+
+    def __init__(self, *args, **kwargs) -> None:
         if not math.isfinite(self.level):
             raise InvalidParameterError("subsidy level must be finite")
         if not (math.isfinite(self.duration) and self.duration >= 0):
@@ -59,8 +61,9 @@ class ConstantLevelSubsidy:
         return self.level == 0.0 or self.duration == 0.0
 
 
-@dataclass(frozen=True, slots=True)
-class FullSubsidyReport:
+class FullSubsidyReport(namedtuple(
+        "FullSubsidyReport", "to_band_low to_interior to_band_high duration trajectory "
+        "final_equilibrium cost")):
     """Outcome of a full (level == cost) subsidy of a given duration.
 
     The three thresholds are the durations at which the fully subsidized
@@ -68,31 +71,25 @@ class FullSubsidyReport:
     equilibrium, and the upper band edge.  Each is None when that level
     is never reached, and 0.0 when the start already lies at or above
     it.  Whether ``duration`` exceeds ``to_interior`` decides the
-    long-run outcome.
+    long-run outcome: ``trajectory`` is the whole ``PiecewiseTrajectory``,
+    ``final_equilibrium`` its limit and ``cost`` the provider's outlay.
     """
 
-    to_band_low: float | None
-    to_interior: float | None
-    to_band_high: float | None
-    duration: float
-    trajectory: PiecewiseTrajectory
-    final_equilibrium: float
-    cost: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class CostResult:
+class CostResult(namedtuple("CostResult", "value row")):
     """Subsidy outlay with the level range (1..5) whose closed form gave it.
 
     ``value`` is None only on the knife edge where the subsidized level
     balances forever and the outlay grows without bound.
     """
 
-    value: float | None
-    row: int
+    __slots__ = ()
 
 
-class SubsidySweep(NamedTuple):
+class SubsidySweep(namedtuple(
+        "SubsidySweep", "levels regimes durations outlays frontier verdicts switch_count")):
     """The minimum-duration planner over a grid of levels, one column per field.
 
     ``levels`` is the grid in increasing order; ``regimes``, ``durations``
@@ -114,13 +111,7 @@ class SubsidySweep(NamedTuple):
     by range, as ``_slope_verdicts`` decides them.
     """
 
-    levels: list[float]
-    regimes: list[int]
-    durations: list[float | None]
-    outlays: list[float | None]
-    frontier: range
-    verdicts: tuple[bool | None, ...]
-    switch_count: int | None
+    __slots__ = ()
 
     @property
     def dip_level(self) -> float | None:
@@ -148,9 +139,11 @@ def noext_required_duration(
     Feasible when the target lies strictly between y0 and the subsidized
     resting level ccdf(cost - level); a target equal to y0 needs no time.
     The subsidy level may be negative (a surcharge).  Raises
-    InvalidParameterError if the duration overflows (a tiny gamma).
+    InvalidParameterError for y0 outside [0, 1] or if the duration
+    overflows (a tiny gamma).
     """
     _require_no_externality(params)
+    y0 = require_start(y0, "y0")
     if target == y0:
         return 0.0
     resting = params.ccdf(params.cost - level)
@@ -164,9 +157,11 @@ def noext_required_duration(
 def noext_subsidy_cost(params: ModelParams, cls: ConstantLevelSubsidy, y0: float) -> float:
     """Provider outlay of a constant level subsidy without network effects.
 
-    Raises InvalidParameterError if the outlay overflows.
+    Raises InvalidParameterError for y0 outside [0, 1] or if the outlay
+    overflows.
     """
     _require_no_externality(params)
+    y0 = require_start(y0, "y0")
     resting = params.ccdf(params.cost - cls.level)
     t, gamma = cls.duration, params.gamma
     outlay = cls.level * (
@@ -181,8 +176,9 @@ def noext_cost_at_target(
     params: ModelParams, y0: float, level: float, target: float
 ) -> float | None:
     """Outlay of running the subsidy exactly until the target is reached,
-    or None when it cannot be.  Raises InvalidParameterError if the
-    duration or the outlay overflows."""
+    or None when it cannot be.  Raises InvalidParameterError for y0
+    outside [0, 1] or if the duration or the outlay overflows."""
+    y0 = require_start(y0, "y0")
     duration = noext_required_duration(params, y0, level, target)
     if duration is None:
         return None

@@ -1,11 +1,18 @@
 """The public surface of the package, pinned so that a change shows in review."""
 
 import ast
-import dataclasses
+import math
+import os
+import re
+import subprocess
 import sys
+from array import array
 from pathlib import Path
 
+import pytest
+
 import netadopt
+from netadopt.config import ScenarioConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -50,8 +57,7 @@ def test_public_names_are_pinned():
 
 def test_trajectory_holds_only_its_segments():
     # A path does not record a subsidy window; the window object does.
-    fields = tuple(f.name for f in dataclasses.fields(netadopt.PiecewiseTrajectory))
-    assert fields == ("segments",)
+    assert netadopt.PiecewiseTrajectory._fields == ("segments",)
 
 
 def test_cli_uses_no_private_library_name():
@@ -124,3 +130,86 @@ def test_oracle_reads_only_the_market_fields():
             called.add(node.id)
     assert read and read <= fields, sorted(read - fields)
     assert called == set()
+
+
+# Every record is a named tuple with ``__slots__ = ()``.  The four that
+# check their fields do it in ``__init__``, and route ``_make`` (and so
+# ``_replace``) through it: a plain named tuple's ``_replace`` would skip
+# the check.  Each case: a valid record's fields, a bad override, the error.
+CHECKED_RECORDS = [
+    (netadopt.ModelParams, dict(u_min=1.0, u_max=2.0, cost=2.5, externality=3.0, gamma=1.0),
+     dict(gamma=-1.0), netadopt.InvalidParameterError, "gamma must be > 0"),
+    (netadopt.ModelParams, dict(u_min=1.0, u_max=2.0, cost=2.5, externality=3.0, gamma=1.0),
+     dict(u_max=0.5), netadopt.InvalidParameterError, "u_min must be < u_max"),
+    (netadopt.PiecewiseTrajectory, dict(segments=(netadopt.Segment(0.0, 0.5, -1.0, 0.5),)),
+     dict(segments=()), netadopt.InvalidParameterError, "at least one segment"),
+    (netadopt.PiecewiseTrajectory, dict(segments=(netadopt.Segment(0.0, 0.5, -1.0, 0.5),)),
+     dict(segments=(netadopt.Segment(0.0, 0.5, -1.0, 0.5), netadopt.Segment(1.0, 0.9, -1.0, 0.9))),
+     netadopt.InvalidParameterError, "discontinuous segments"),
+    (netadopt.ConstantLevelSubsidy, dict(level=0.5, duration=2.0, start=0.0),
+     dict(duration=-1.0), netadopt.InvalidParameterError, "duration must be finite and >= 0"),
+    (netadopt.ConstantLevelSubsidy, dict(level=0.5, duration=2.0, start=0.0),
+     dict(level=math.nan), netadopt.InvalidParameterError, "subsidy level must be finite"),
+    (netadopt.SampledTrajectory, dict(start_time=0.0, dt=0.1, levels=array("d", [0.0]),
+                                      splits=0, settled=0),
+     dict(dt=0.0), netadopt.InvalidStepError, "dt must be > 0"),
+]
+
+
+@pytest.mark.parametrize("record, fields, bad, error, message", CHECKED_RECORDS)
+def test_a_record_checks_its_fields_however_it_is_built(record, fields, bad, error, message):
+    good = record(**fields)
+    assert good == record(*fields.values()) == record._make(fields.values())
+    assert good._replace() == good
+    values = {**fields, **bad}
+    builds = (lambda: record(*values.values()), lambda: record(**values),
+              lambda: record._make(values.values()), lambda: good._replace(**bad))
+    for build in builds:
+        with pytest.raises(error, match=re.escape(message)):
+            build()
+
+
+def _one_of_each_record():
+    market = netadopt.ModelParams(1.0, 2.0, 2.5, 3.0, 1.0)
+    window = netadopt.ConstantLevelSubsidy(0.5, 2.0)
+    path = netadopt.unsubsidized_trajectory(market, 0.0, 0.2)
+    return [market, netadopt.classify_equilibria(market), path, path.segments[0],
+            ScenarioConfig(), window,
+            netadopt.integrate_ode(market, window, x0=0.2, t_end=1.0),
+            netadopt.full_subsidy_analysis(market, 0.0, 0.2, 1.0),
+            netadopt.min_duration_cost(market, 0.2, 1.0), netadopt.sweep(market, 0.2, 8)]
+
+
+def test_records_are_slotted_and_frozen():
+    records = _one_of_each_record()
+    assert len({type(r) for r in records}) == 10
+    for record in records:
+        assert not hasattr(record, "__dict__"), type(record)
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+        with pytest.raises(AttributeError):
+            record.extra = None
+
+
+def test_records_print_and_compare_as_before():
+    market = netadopt.ModelParams(1.0, 2.0, 2.5, 3.0, 1.0)
+    assert repr(market) == "ModelParams(u_min=1.0, u_max=2.0, cost=2.5, externality=3.0, gamma=1.0)"
+    assert (repr(netadopt.ConstantLevelSubsidy(0.5, 2.0))
+            == "ConstantLevelSubsidy(level=0.5, duration=2.0, start=0.0)")
+    # A record is a tuple of its fields; a sampled run holds an array, so
+    # it compares by value and cannot be hashed.
+    assert market == (1.0, 2.0, 2.5, 3.0, 1.0) and hash(market) == hash(tuple(market))
+    run = netadopt.integrate_ode(market, x0=0.2, t_end=1.0)
+    assert run == netadopt.integrate_ode(market, x0=0.2, t_end=1.0)
+    with pytest.raises(TypeError):
+        hash(run)
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # Each CLI call is a cold start; dataclasses pulls in inspect, ast, dis
+    # and tokenize.  -S keeps a site .pth file from changing the answer.
+    code = ("import netadopt.cli, sys; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, check=True)
+    assert done.stdout.strip() == "[]"

@@ -122,12 +122,10 @@ def test_unknown_config_key(tmp_path, capsys):
 def test_config_reference_documents_exactly_the_accepted_keys():
     # Each "# key = value" line of the reference names a ScenarioConfig
     # field, every field has one, and the examples load as they stand.
-    from dataclasses import fields
-
     from netadopt.config import REFERENCE_PATH, ScenarioConfig, load_config
 
     documented = dict(re.findall(r"^# (\w+)\s*=\s*(\S+)", REFERENCE_PATH.read_text(), re.M))
-    assert sorted(documented) == sorted(f.name for f in fields(ScenarioConfig))
+    assert sorted(documented) == sorted(ScenarioConfig._fields)
     assert load_config(None, documented).output == "result.csv"
 
 
@@ -1290,6 +1288,10 @@ _MARKETS = (TIPPING_KEYS, PLANNER_KEYS, SINGULAR_KEYS[:5],
             ("u_min=0", "u_max=1", "cost=0.5", "externality=0", "gamma=1"))
 _RUN_KEYS = ("x0", "s", "T", "target", "t_end", "dt", "sweep_points")
 _START_VALUES = ("-0.0", "5e-324", "1.0")  # the signed zero and both ends of [0, 1]
+# A number as the verbs print it (%.17g, %g or %.3e), and any nan or inf
+# word; a digit inside a name, as in rk4 or y0, is not one.
+_PRINTED_NUMBER = re.compile(
+    r"(?<![\w.])[-+]?(?:\d+\.?\d*(?:e[-+]?\d+)?|nan|inf)(?!\w)")
 
 
 @st.composite
@@ -1348,6 +1350,26 @@ def test_fuzzed_main_ends_in_a_documented_exit_code(tmp_path, call):
             for cell in line.split(","):
                 if cell != "inf" and not (cell != "nan" and re.fullmatch("[a-z_]+", cell)):
                     assert math.isfinite(float(cell)), (verb, pairs, line)
+    if code == 0:
+        # So is every number printed, outside the written file's path.
+        for line in stdout.splitlines():
+            if not line.startswith("wrote "):
+                for number in _PRINTED_NUMBER.findall(line):
+                    assert number == "inf" or math.isfinite(float(number)), (verb, pairs, line)
+
+
+def test_simulate_refuses_a_default_step_that_overflows(tmp_path, capsys):
+    # A subnormal gamma overflows the default step 1e-3/gamma to inf.  The
+    # grid time 0*inf is nan, so the file had a nan row and no row at 0.
+    keys = ("u_min=1", "u_max=2", "cost=3", "externality=1", "gamma=5e-324", "t_end=5e-324")
+    out = tmp_path / "out.csv"
+    code, stdout, stderr = run(capsys, "simulate", *sets(*keys), "--output", str(out))
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("error: default sample step 1e-3/gamma overflowed to inf")
+    # A given step is used as it stands.
+    code, _, _ = run(capsys, "simulate", *sets(*keys, "dt=1"), "--output", str(out))
+    assert code == 0
+    assert out.read_text() == "t,x,phase\n0,0,unsubsidized\n4.9406564584124654e-324,0,unsubsidized\n"
 
 
 _HORIZON_KINDS = {

@@ -1,6 +1,7 @@
 """No-externality subsidy analytics."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -185,3 +186,20 @@ def test_planners_refuse_an_overflow():
     with pytest.raises(InvalidParameterError, match="no-externality outlay overflowed"):
         noext_cost_at_target(ModelParams(1.0, 6.0, 3.0, 0.0, 1e-300), 0.0, 1e10, 0.5)
     assert noext_cost_at_target(slow, 0.0, 0.0, 0.9) is None
+
+
+def test_planners_refuse_a_start_outside_the_unit_interval():
+    # The start rule of every other planner.  Unchecked, a NaN start read
+    # as an unreachable target (None) or overflowed the outlay, a start of
+    # -0.2 got a window of 0.81 and one of 1.5 an outlay of 0.603.
+    calls = (
+        lambda y0: noext_required_duration(WIDE, y0, 0.5, 0.3),
+        lambda y0: noext_cost_at_target(WIDE, y0, 0.5, 0.3),
+        lambda y0: noext_subsidy_cost(WIDE, ConstantLevelSubsidy(0.5, 1.0), y0),
+    )
+    for call in calls:
+        for y0 in (math.nan, -0.2, 1.5):
+            with pytest.raises(InvalidParameterError,
+                               match=re.escape(f"y0 must lie in [0, 1], got {y0}")):
+                call(y0)
+        assert repr(call(-0.0)) == repr(call(0.0))
