@@ -156,13 +156,12 @@ def band_rate_step(
     For a != 0 it relaxes toward (or, with a > 0, away from) the fixed
     point -b/a; on the degenerate band a == 0 it drifts at speed gamma*b.
     """
-    u_min, u_max, _, e, gamma = params  # one unpacking: the planner calls this per level
-    spread = u_max - u_min
-    a = (e + u_min - u_max) / spread
-    b = (u_max - effective_cost) / spread
+    spread = params.u_max - params.u_min
+    a = (params.externality + params.u_min - params.u_max) / spread
+    b = (params.u_max - effective_cost) / spread
     if a == 0.0:
-        return 0.0, gamma * b
-    return a * gamma, x0 + b / a
+        return 0.0, params.gamma * b
+    return a * params.gamma, x0 + b / a
 
 
 def unsubsidized_trajectory(

@@ -133,13 +133,12 @@ def interior_equilibrium(effective_cost: float, params: ModelParams) -> float:
         SingularParametersError: when u_max == u_min + externality, where
             no isolated interior fixed point exists.
     """
-    u_min, u_max, _, e, _ = params  # one unpacking: the planner calls this per level
-    denom = u_max - (u_min + e)
+    denom = params.u_max - (params.u_min + params.externality)
     if denom == 0.0:
         raise SingularParametersError(
             "interior equilibrium undefined: u_max == u_min + externality"
         )
-    return (u_max - effective_cost) / denom
+    return (params.u_max - effective_cost) / denom
 
 
 def _local_slope(x_bar: float, params: ModelParams) -> float:

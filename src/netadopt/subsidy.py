@@ -18,7 +18,7 @@ from itertools import accumulate, chain
 from operator import sub
 from typing import Sequence
 
-from .closed_form import PiecewiseTrajectory, band_rate_step, hit_time, unsubsidized_trajectory
+from .closed_form import PiecewiseTrajectory, hit_time, unsubsidized_trajectory
 from .errors import AssumptionViolationError, InvalidParameterError
 from .model import ModelParams, interior_equilibrium, require_finite, require_start
 
@@ -424,6 +424,14 @@ def _plan_grid(
     c, e, gamma = params.cost, params.externality, params.gamma
     spread = u_max - u_min
     inv_a = spread / (e - spread)  # 1/a of the in-band dynamics
+    # Each level repeats the arithmetic of interior_equilibrium, band_low
+    # and band_rate_step on the market terms read once here: a call per
+    # level, each reading the record's fields, made the grid about 1.5
+    # times as slow.  The regime check leaves denom and a nonzero, so
+    # neither raises nor branches.
+    denom = u_max - (u_min + e)
+    a = (e + u_min - u_max) / spread
+    rate = a * gamma
     knife_edge = None if y0 > 0 else 0.0
     log, log1p = math.log, math.log1p
 
@@ -435,19 +443,19 @@ def _plan_grid(
 
     for s in ranges[1]:
         ceff = c - s
-        sub_int = interior_equilibrium(ceff, params)
+        sub_int = (u_max - ceff) / denom
         if sub_int - y0 <= 0.0:
             # Knife edge (up to rounding): the level balances forever.
             outlays.append(knife_edge)
             continue
-        low = params.band_low(ceff)
+        low = (ceff - u_max) / e
         inner = sub_int * log((sub_int - low) / (sub_int - y0)) - (y0 - low)
         outlays.append(s / gamma * (inv_a * inner + low))
 
     for s in ranges[2]:
         ceff = c - s
-        sub_int = interior_equilibrium(ceff, params)
-        durations.append(hit_time(0.0, y0, *band_rate_step(params, ceff, y0), x_int))
+        sub_int = (u_max - ceff) / denom
+        durations.append(hit_time(0.0, y0, rate, y0 + (u_max - ceff) / spread / a, x_int))
         if y0 - sub_int <= 0.0:
             outlays.append(knife_edge)
             continue
@@ -457,12 +465,12 @@ def _plan_grid(
     rest = 1.0 - x_int
     for s in ranges[3]:
         ceff = c - s
-        sub_int = interior_equilibrium(ceff, params)
+        sub_int = (u_max - ceff) / denom
         # The subsidized band edge band_high(ceff), written so that it is
         # exactly y0 at b4: there the climb is all out of band and the
         # duration equals range 5's to the last bit.
         edge = y0 + (bounds[3] - s) / e
-        exit_time = hit_time(0.0, y0, *band_rate_step(params, ceff, y0), edge)
+        exit_time = hit_time(0.0, y0, rate, y0 + (u_max - ceff) / spread / a, edge)
         # None: the subsidized path sits on its own fixed point.
         durations.append(
             None if exit_time is None else exit_time + log((1.0 - edge) / rest) / gamma
