@@ -191,7 +191,7 @@ def test_records_are_slotted_and_frozen():
             record.extra = None
 
 
-def test_records_print_and_compare_as_before():
+def test_records_print_their_fields_and_compare_as_tuples():
     market = netadopt.ModelParams(1.0, 2.0, 2.5, 3.0, 1.0)
     assert repr(market) == "ModelParams(u_min=1.0, u_max=2.0, cost=2.5, externality=3.0, gamma=1.0)"
     assert (repr(netadopt.ConstantLevelSubsidy(0.5, 2.0))
