@@ -17,10 +17,10 @@ import os
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain
 from operator import sub
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
 
 from . import closed_form, oracle, subsidy
 from .closed_form import PiecewiseTrajectory

@@ -214,7 +214,10 @@ def unsubsidized_trajectory(
             segments.append(seg)
             break  # converges to the interior fixed point inside the band
         if t_exit <= t:
-            # Zero-length crossing within rounding: already at the edge.
+            # The crossing time rounds to t: the edge is reached less than
+            # half an ulp of t later.  Starting the next piece at the edge
+            # at t is then exact to rounding, and it avoids a zero-length
+            # segment, which the constructor refuses.
             x = target
             continue
         segments.append(seg)

@@ -34,29 +34,16 @@ class ScenarioConfig(namedtuple(
     __slots__ = ()
 
     def params(self) -> ModelParams:
-        missing = [
-            k
-            for k in ("u_min", "u_max", "cost", "externality", "gamma")
-            if getattr(self, k) is None
-        ]
+        market = [getattr(self, k) for k in ModelParams._fields]
+        missing = [k for k, v in zip(ModelParams._fields, market) if v is None]
         if missing:
             raise InvalidParameterError(f"missing model keys: {', '.join(missing)}")
-        return ModelParams(
-            u_min=self.u_min,
-            u_max=self.u_max,
-            cost=self.cost,
-            externality=self.externality,
-            gamma=self.gamma,
-        )
+        return ModelParams(*market)
 
 
-_FLOAT_KEYS = {
-    "u_min", "u_max", "cost", "externality", "gamma",
-    "x0", "s", "T", "target", "t_end", "dt",
-}
 _INT_KEYS = {"sweep_points"}
 _STR_KEYS = {"kind", "output"}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS
+_ALL_KEYS = set(ScenarioConfig._fields)  # a key in neither set above is a float
 
 
 def _parse_value(key: str, raw: str):

@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import Iterable, Literal
+from collections.abc import Iterable
 
 from .errors import InvalidParameterError, SingularParametersError
 
-Stability = Literal["stable", "unstable"]
-STABLE: Stability = "stable"
-UNSTABLE: Stability = "unstable"
+STABLE = "stable"
+UNSTABLE = "unstable"
 
 
 class ModelParams(namedtuple("ModelParams", "u_min u_max cost externality gamma")):
@@ -70,12 +69,6 @@ class ModelParams(namedtuple("ModelParams", "u_min u_max cost externality gamma"
         if u >= self.u_max:
             return 0.0
         return (self.u_max - u) / (self.u_max - self.u_min)
-
-    @property
-    def band_slope(self) -> float:
-        """Slope of ``ccdf(cost - externality * x)`` in x inside the band
-        where it is not saturated."""
-        return self.externality / (self.u_max - self.u_min)
 
     def band_low(self, effective_cost: float | None = None) -> float:
         """Level below which nobody would adopt.  Requires externality > 0."""
@@ -141,17 +134,6 @@ def interior_equilibrium(effective_cost: float, params: ModelParams) -> float:
     return (params.u_max - effective_cost) / denom
 
 
-def _local_slope(x_bar: float, params: ModelParams) -> float:
-    """Largest one-sided slope of ccdf(cost - externality * x) at x_bar."""
-    if params.externality == 0.0:
-        return 0.0
-    low = params.band_low()
-    high = params.band_high()
-    slope_right = params.band_slope if low <= x_bar < high else 0.0
-    slope_left = params.band_slope if low < x_bar <= high else 0.0
-    return max(slope_left, slope_right)
-
-
 def classify_equilibria(params: ModelParams) -> EquilibriumReport:
     """Classify the equilibrium set into one of four regimes.
 
@@ -193,11 +175,17 @@ def classify_equilibria(params: ModelParams) -> EquilibriumReport:
     else:
         case_id, levels = 4, [1.0]
 
+    # A level is unstable where the larger one-sided slope of
+    # ccdf(c - e*x) is at least 1.  That map has slope e/(u_max - u_min) on
+    # the closed band and is flat outside it, so the slope is e/spread on a
+    # band of positive width and 0 elsewhere.  A correctly rounded e/spread
+    # is below 1 exactly when e < spread, so e is compared with the spread.
+    steep = e > 0 and e >= u_max - u_min and band_low < band_high
     # Only equal levels merge: an interior level one ulp inside [0, 1] is
     # a fixed point of its own, with its own stability.  At cost == u_max
     # the interior is -0.0, which merges into the 0.0 before it.
     pairs = tuple(
-        (level, STABLE if _local_slope(level, params) < 1.0 else UNSTABLE)
+        (level, UNSTABLE if steep and band_low <= level <= band_high else STABLE)
         for level in dict.fromkeys(sorted(levels))  # type: ignore[arg-type]
     )
 

@@ -14,9 +14,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
+from collections.abc import Sequence
 from itertools import accumulate, chain
 from operator import sub
-from typing import Sequence
 
 from .closed_form import PiecewiseTrajectory, hit_time, unsubsidized_trajectory
 from .errors import AssumptionViolationError, InvalidParameterError
@@ -309,17 +309,8 @@ def min_subsidy(params: ModelParams, y0: float) -> float:
     """Smallest level able to flip the long-run outcome from 0 to 1.
 
     Levels at or below it leave the subsidized path in the low basin;
-    anything strictly above sends it to full adoption.  In the degenerate
-    band (externality == u_max - u_min) any positive level works.
+    anything strictly above sends it to full adoption.
     """
-    if params.externality + params.u_min - params.u_max == 0.0:
-        require_start(y0, "y0")
-        u_min, u_max, c = params.u_min, params.u_max, params.cost
-        if not (u_max <= c <= u_min + params.externality):
-            raise AssumptionViolationError(
-                "u_max <= cost <= u_min + externality", f"cost={c}"
-            )
-        return 0.0
     return subsidy_interval_bounds(params, y0)[1]
 
 
@@ -367,7 +358,8 @@ def _planner_bounds(
         )
     c = params.cost
     e = params.externality
-    # min_subsidy past its degenerate band, which the regime check excludes.
+    # min_subsidy: the regime check refuses the singular line
+    # u_max == u_min + e == cost, where every level is an equilibrium.
     s_hat = (e + params.u_min - params.u_max) * (x_int - y0)
     return y0, x_int, (
         min(c - params.u_max - e * y0, s_hat),

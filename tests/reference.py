@@ -13,7 +13,7 @@ import math
 from typing import Callable, NamedTuple, Sequence
 
 from netadopt import InvalidParameterError, ModelParams, SampledTrajectory, SubsidySweep
-from netadopt.model import STABLE, UNSTABLE, Stability, _local_slope
+from netadopt.model import STABLE, UNSTABLE
 
 # Levels supplied by callers arrive through text and get a looser check
 # than the constructed equilibria.
@@ -32,26 +32,39 @@ def would_adopt(x: float, params: ModelParams) -> float:
     return params.ccdf(params.cost - params.externality * x)
 
 
-def stability_of(x_bar: float, params: ModelParams) -> Stability:
+def stability_of(x_bar: float, params: ModelParams) -> str:
     """Stability of an equilibrium level.
 
     Stable iff the local slope of ``would_adopt`` at ``x_bar`` is below 1;
-    at kinks of the map the larger one-sided slope decides.
+    at kinks of the map the larger one-sided slope decides.  The slopes
+    are the difference quotients of ``would_adopt`` over [x_bar - h,
+    x_bar] and [x_bar, x_bar + h], with h = 2**-20 (about 9.5e-7).  The
+    map is flat outside the band [band_low, band_high] and linear on it,
+    so a quotient is its side's exact slope unless a second kink lies
+    within h of x_bar, which needs a band narrower than h.  The bands the
+    tests hand it are (u_max - u_min)/externality = 0.5 wide, or absent
+    (externality 0): over 5e5 steps.  Rounding the levels near [0, 1]
+    moves a quotient by about 1e-16/h, 1e-10, so the verdict holds for
+    every slope farther than that from 1.
 
     Raises:
         NotAnEquilibriumError: when x_bar is not a fixed point within 1e-9.
     """
-    residual = would_adopt(x_bar, params) - x_bar
+    here = would_adopt(x_bar, params)
+    residual = here - x_bar
     if abs(residual) > USER_EQUILIBRIUM_TOL:
         raise NotAnEquilibriumError(
             f"{x_bar} is not an equilibrium (residual {residual:.3e})"
         )
-    return STABLE if _local_slope(x_bar, params) < 1.0 else UNSTABLE
+    h = 2.0**-20
+    left = (here - would_adopt(x_bar - h, params)) / h
+    right = (would_adopt(x_bar + h, params) - here) / h
+    return STABLE if max(left, right) < 1.0 else UNSTABLE
 
 
 def brute_force_equilibria(
     params: ModelParams, grid_n: int = 2000
-) -> list[tuple[float, Stability]]:
+) -> list[tuple[float, str]]:
     """Fixed points of would_adopt on [0, 1] by sign-change scan.
 
     Scans would_adopt(x) - x on a uniform grid, refines each sign change
@@ -96,7 +109,7 @@ def brute_force_equilibria(
         if not merged or r - merged[-1] > 1e-9:
             merged.append(r)
 
-    out: list[tuple[float, Stability]] = []
+    out: list[tuple[float, str]] = []
     delta = 1e-6
     for r in merged:
         left_ok = r < delta or g(r - delta) > 0

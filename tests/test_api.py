@@ -10,6 +10,8 @@ from array import array
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import netadopt
 from netadopt.config import ScenarioConfig
@@ -207,9 +209,89 @@ def test_records_print_their_fields_and_compare_as_tuples():
 
 def test_cli_import_loads_no_dataclasses_or_inspect():
     # Each CLI call is a cold start; dataclasses pulls in inspect, ast, dis
-    # and tokenize.  -S keeps a site .pth file from changing the answer.
-    code = ("import netadopt.cli, sys; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    # and tokenize, and typing pulls in contextlib.  -S keeps a site .pth
+    # file from changing the answer.
+    code = ("import netadopt.cli, sys; print(sorted("
+            "{'dataclasses', 'inspect', 'typing', 'contextlib'} & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, check=True)
     assert done.stdout.strip() == "[]"
+
+
+# The library twin of test_cli's fuzz test: the public planners on markets
+# with fields at edge values.
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, 1e308, -1e308, 1.7976931348623157e308)
+_BASE_MARKETS = (
+    (1.0, 2.0, 3.0, 3.0, 1.0 / 3.0),  # tipping, interior 0.5
+    (1.0, 2.0, 2.5, 3.0, 1.0),  # the README sweep market
+    (1.0, 2.0, 2.0, 1.0, 1.0),  # the singular line u_max == u_min + e == cost
+    (0.0, 1.0, 0.5, 0.0, 1.0),  # no externality
+)
+_PACKAGE_ERRORS = (
+    netadopt.AssumptionViolationError,
+    netadopt.InfeasibleSubsidyError,
+    netadopt.InvalidParameterError,
+    netadopt.InvalidStepError,
+    netadopt.SingularParametersError,
+)
+_NUMBERS = st.sampled_from(_EDGE_FLOATS) | st.floats()
+# Starts, levels and spans mostly inside the planners' domains.
+_STARTS = st.sampled_from((0.0, -0.0, 5e-324, 0.125, 1.0)) | st.floats(0.0, 1.0) | _NUMBERS
+_SPANS = st.floats(0.0, 3.0) | _NUMBERS
+
+
+@st.composite
+def _edge_market(draw):
+    """A bundled market with up to two fields at an edge, a plain value or
+    any float, sometimes moved onto the line externality == u_max - u_min."""
+    fields = list(draw(st.sampled_from(_BASE_MARKETS)))
+    for i in draw(st.sets(st.integers(0, 4), max_size=2)):
+        fields[i] = draw(_NUMBERS | st.sampled_from((0.25, 1.0, 1.5, 2.5, 4.0)))
+    if draw(st.integers(0, 3)) == 0:
+        fields[3] = fields[1] - fields[0]
+    return fields
+
+
+def _floats(value):
+    """Every float in a result, through its records, tuples and lists."""
+    if isinstance(value, float):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _floats(item)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(fields=_edge_market(), y0=_STARTS, level=_SPANS, span=_SPANS,
+       points=st.integers(0, 16))
+def test_planners_return_finite_numbers_or_refuse(fields, y0, level, span, points):
+    # Time budget, fixed before the test was written: 2 s for the 300
+    # examples on a 2-vCPU machine.  Every float a call returns is finite
+    # (a None, where a docstring says no value exists, is no float), or
+    # the call raises a package error.
+    try:
+        params = netadopt.ModelParams(*fields)
+    except netadopt.InvalidParameterError:
+        return
+    calls = {
+        "min_subsidy": lambda: netadopt.min_subsidy(params, y0),
+        "min_duration": lambda: netadopt.min_duration(params, y0, level),
+        "min_duration_cost": lambda: netadopt.min_duration_cost(params, y0, level),
+        "subsidy_interval_bounds": lambda: netadopt.subsidy_interval_bounds(params, y0),
+        "sweep": lambda: netadopt.sweep(params, y0, points),
+        "full_subsidy_analysis": lambda: netadopt.full_subsidy_analysis(params, 0.0, y0, span),
+        "noext_required_duration": lambda: netadopt.noext_required_duration(
+            params, y0, level, span),
+        "noext_subsidy_cost": lambda: netadopt.noext_subsidy_cost(
+            params, netadopt.ConstantLevelSubsidy(level, span), y0),
+        "noext_cost_at_target": lambda: netadopt.noext_cost_at_target(params, y0, level, span),
+        "noext_cost_decreasing_condition": lambda: netadopt.noext_cost_decreasing_condition(
+            params, level),
+        "classify_equilibria": lambda: netadopt.classify_equilibria(params),
+    }
+    for name, call in calls.items():
+        try:
+            result = call()
+        except _PACKAGE_ERRORS:
+            continue
+        assert all(map(math.isfinite, _floats(result))), (name, params, y0, level, span, result)

@@ -346,6 +346,36 @@ def test_continuity_tolerance_boundary():
                 PiecewiseTrajectory((rest, after))
 
 
+def test_trajectory_refuses_segments_out_of_order():
+    first = Segment(1.0, 0.2, rate=-1.0, step=0.2)
+    for start in (1.0, 0.5):
+        with pytest.raises(InvalidParameterError, match="segment start times must increase"):
+            PiecewiseTrajectory((first, Segment(start, first.value(start), rate=-1.0, step=0.1)))
+
+
+def test_final_level_refuses_a_diverging_or_drifting_last_segment():
+    for rate in (1.0, 0.0):
+        path = PiecewiseTrajectory((Segment(0.0, 0.5, rate=rate, step=0.1),))
+        with pytest.raises(InvalidParameterError, match="diverging or drifting final segment"):
+            path.final_level
+        # A last segment that does not move rests at its start.
+        assert PiecewiseTrajectory((Segment(0.0, 0.5, rate=rate, step=0.0),)).final_level == 0.5
+
+
+def test_zero_length_band_crossing():
+    # One ulp below the upper band edge, the climb reaches the edge after
+    # about 1e-15: a junction of its own from t0 = 0, while from t0 = 1e6
+    # the crossing time rounds to t0 and the path starts at the edge.
+    high = TIPPING.band_high()
+    x0 = math.nextafter(high, 0.0)
+    near = unsubsidized_trajectory(TIPPING, 0.0, x0)
+    assert len(near.segments) == 2 and 0.0 < near.breakpoints[0] < 1e-14
+    assert near.segments[1].start_level == high
+    (far,) = unsubsidized_trajectory(TIPPING, 1e6, x0).segments
+    assert far == Segment(1e6, high, rate=-TIPPING.gamma, step=high - 1.0)
+    assert near.final_level == 1.0
+
+
 @pytest.mark.parametrize("x0, shown", [
     (math.nan, "nan"), (math.nextafter(1.0, 2.0), "1.0000000000000002"), (-5e-324, "-5e-324"),
 ])

@@ -14,6 +14,8 @@ from netadopt import (
 )
 
 BISTABLE = ModelParams(1.0, 2.0, 2.5, 2.0, 1.0)
+# would_adopt's slope on BISTABLE's band: externality / (u_max - u_min).
+BAND_SLOPE = BISTABLE.externality / (BISTABLE.u_max - BISTABLE.u_min)
 
 
 def test_params_validation():
@@ -64,7 +66,7 @@ def test_would_adopt_monotone_continuous():
     vals = [would_adopt(float(x), BISTABLE) for x in xs]
     assert all(b - a >= 0 for a, b in zip(vals, vals[1:]))
     gaps = [abs(b - a) for a, b in zip(vals, vals[1:])]
-    assert max(gaps) <= BISTABLE.band_slope * (xs[1] - xs[0]) + 1e-12
+    assert max(gaps) <= BAND_SLOPE * (xs[1] - xs[0]) + 1e-12
 
 
 def test_band_slope_lipschitz():
@@ -73,7 +75,7 @@ def test_band_slope_lipschitz():
     xs = np.linspace(lo + 1e-9, hi - 1e-9, 100)
     for a, b in zip(xs, xs[1:]):
         df = would_adopt(float(b), BISTABLE) - would_adopt(float(a), BISTABLE)
-        assert df == pytest.approx(BISTABLE.band_slope * (b - a), abs=1e-12)
+        assert df == pytest.approx(BAND_SLOPE * (b - a), abs=1e-12)
 
 
 def test_interior_equilibrium_values():
@@ -175,6 +177,19 @@ def test_stability_of():
     assert stability_of(0.25, ModelParams(1, 2, 1.75, 0.0, 1)) == "stable"
     with pytest.raises(NotAnEquilibriumError):
         stability_of(0.3, BISTABLE)
+
+
+@pytest.mark.parametrize("params", [
+    BISTABLE,
+    ModelParams(1, 2, 2, 3, 1),  # the interior -0.0 merges into an unstable 0
+    ModelParams(1, 2, 2.9, 4, 0.5),  # bistable, slope 4, interior 0.3
+    ModelParams(1, 2, 1.75, 0.5, 1),  # one interior level, slope 1/2
+    ModelParams(1, 2, 1.5, 3, 1),  # full adoption only
+    ModelParams(1, 2, 1.75, 0.0, 1),  # no externality
+])
+def test_classify_stability_matches_the_reference(params):
+    for level, stability in classify_equilibria(params).equilibria:
+        assert stability_of(level, params) == stability, level
 
 
 def test_report_levels_properties():

@@ -14,6 +14,7 @@ from netadopt import (
     ConstantLevelSubsidy,
     InvalidParameterError,
     ModelParams,
+    SingularParametersError,
     full_subsidy_analysis,
     integrate_cost,
     integrate_ode,
@@ -195,13 +196,23 @@ def test_min_subsidy_values():
 
 
 def test_min_subsidy_degenerate_band():
-    assert min_subsidy(ModelParams(1.0, 2.0, 2.0, 1.0, 1.0), 0.3) == 0.0
+    # On the singular line u_max == u_min + e == cost every level in [0, 1]
+    # is an equilibrium: a window leaves the state where it ends, so no
+    # level tips the market, and min_subsidy refuses it as min_duration does.
+    singular = ModelParams(1.0, 2.0, 2.0, 1.0, 1.0)
+    with pytest.raises(SingularParametersError, match="u_max == u_min"):
+        min_subsidy(singular, 0.3)
+    with pytest.raises(SingularParametersError, match="u_max == u_min"):
+        min_duration(singular, 0.3, 1.0)
+    # The degenerate band's other costs are outside the bistable regime.
+    for cost in (1.5, 2.5):
+        with pytest.raises(AssumptionViolationError):
+            min_subsidy(singular._replace(cost=cost), 0.3)
 
 
 @pytest.mark.parametrize("y0", [5.0, -0.1, math.nan])
 def test_min_subsidy_degenerate_band_refuses_a_start_outside_0_1(y0):
-    # On the degenerate band any positive level works, but the start is
-    # still checked as on every other planner entry; 5.0 used to return 0.
+    # The start is checked first, as on every other planner entry.
     with pytest.raises(InvalidParameterError, match="y0 must lie in"):
         min_subsidy(ModelParams(1, 2, 2, 1, 1), y0)
 

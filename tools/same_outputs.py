@@ -12,7 +12,10 @@ two outputs; any line that differs names the call whose bytes changed.
 The calls are the README examples, ``reproduce 1``-``4``, seeds 1-2 of
 each ``perfbench/workloads.py`` generator (imported, never modified),
 sweeps of 0, 1, 2 and 8 points, ``equilibria`` on the markets whose
-interior level lies within rounding of 0 or 1, ``sweep``, ``simulate``
+interior level lies within rounding of 0 or 1 (at cost 2 the interior
+-0.0 merges into an unstable 0), ``equilibria`` on [0, 1] at costs 0.5,
+1 and 1.5 with an externality of 0 and one ulp below, at and above the
+spread (the singular market, exit 2, among them), ``sweep``, ``simulate``
 and ``validate`` from the start ``x0 = -0.0``, and ``sweep`` and
 ``validate`` on the y0 = 0 market whose first outlay bound rounds above
 ``min_subsidy``.
@@ -86,6 +89,13 @@ def calls() -> list[list[str]]:
     for cost in ("2", "2.0000000000000004", "3.9999999999999996", "4"):
         out.append(["equilibria", *_sets("u_min=1", "u_max=2", f"cost={cost}",
                                          "externality=3", "gamma=1")])
+    # The stability rule's edges: no externality, and an externality one
+    # ulp below, at and above the spread 1, where u_min + e stays exact
+    # (cost 1 = u_max on the spread itself is the singular market).
+    for e in ("0", "0.99999999999999989", "1", "1.0000000000000002"):
+        for cost in ("0.5", "1", "1.5"):
+            out.append(["equilibria", *_sets("u_min=0", "u_max=1", f"cost={cost}",
+                                             f"externality={e}", "gamma=1")])
     start = (*README_MARKET, "x0=-0.0", "kind=min_duration")
     out += [["sweep", *_sets(*start)], ["simulate", *_sets(*start, "s=1")],
             ["validate", *_sets(*start, "s=1")], ["sweep", *_sets(*BOUNDARY_MARKET)],
