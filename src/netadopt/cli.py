@@ -63,9 +63,6 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-SWEEP_ROW = "%.17g,%.17g,%s,%.17g,%.17g,%d,closed_form,%s\n"
-
-
 def _write_text(path: Path, header: Sequence[str], chunks: Iterable[str]) -> None:
     """Write the header line, then the CSV text chunk by chunk."""
     with open(path, "w", newline="") as fh:
@@ -95,22 +92,42 @@ def _row_blocks(row: str, columns: Sequence[Sequence]) -> Iterator[str]:
 
 def _write_sweep(path: Path, result: subsidy.SubsidySweep, externality: float) -> None:
     # Every outlay is a closed form; the method column keeps the layout.
-    # An infeasible level has no duration or outlay: those cells read inf.
+    # No level of ranges 1-2 has a window, yet each has a finite outlay
+    # (s*y0/gamma, or the outlay while the state settles) but at a knife
+    # edge.  A missing duration (ranges 3-4) or outlay (ranges 2-4) reads
+    # inf.  The rows go out in runs that share their feasible, regime and
+    # frontier cells and their missing values, which the run's template
+    # holds as text, as it does range 5's one duration; the runs end at
+    # the range ends, at the frontier's ends and around a missing value.
     levels, regimes, durations, outlays, frontier = result[:5]
-    on_frontier = ["false"] * len(levels)
-    on_frontier[frontier.start:frontier.stop] = ["true"] * len(frontier)
-    inf = math.inf
-    columns = (
-        levels, [s / externality for s in levels],
-        [_flag(d is not None) for d in durations],
-        [inf if d is None else d for d in durations],
-        [inf if v is None else v for v in outlays],
-        regimes, on_frontier,
-    )
+    ends = [bisect_right(regimes, k) for k in range(1, 5)]
+    cuts = {0, len(levels), *ends, frontier.start, frontier.stop}
+    for column, lo in ((durations, ends[1]), (outlays, ends[0])):
+        holes = [i for i in range(lo, ends[3]) if column[i] is None]
+        cuts.update(holes, [i + 1 for i in holes])
+    cuts = sorted(cuts)
+    runs = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        k, duration, outlay = regimes[lo], durations[lo], outlays[lo]
+        columns = [part := levels[lo:hi], [s / externality for s in part]]
+        row = "%.17g,%.17g,"
+        if duration is None:
+            row += "false,inf,"
+        elif k == 5:
+            row += "true,%.17g," % duration
+        else:
+            row += "true,%.17g,"
+            columns.append(durations[lo:hi])
+        if outlay is None:
+            row += "inf,"
+        else:
+            row += "%.17g,"
+            columns.append(outlays[lo:hi])
+        runs.append(_row_blocks(f"{row}{k},closed_form,{_flag(lo in frontier)}\n", columns))
     _write_text(
         path,
         ["s", "s_over_e", "feasible", "T_hat", "S", "regime", "method", "frontier"],
-        _row_blocks(SWEEP_ROW, columns),
+        chain.from_iterable(runs),
     )
 
 

@@ -16,7 +16,7 @@ from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from collections.abc import Sequence
 from itertools import accumulate, chain
-from operator import sub
+from operator import gt, lt, sub
 
 from .closed_form import PiecewiseTrajectory, hit_time, unsubsidized_trajectory
 from .errors import AssumptionViolationError, InvalidParameterError
@@ -516,7 +516,7 @@ def sweep(params: ModelParams, y0: float, grid_points: int = 512) -> SubsidySwee
     """
     y0, x_int, bounds = _planner_bounds(params, y0)
     inside = [b for b in bounds if 0.0 <= b <= params.cost]
-    grid = sorted({*linspace(0.0, params.cost, grid_points), *inside})
+    grid = list(dict.fromkeys(sorted([*linspace(0.0, params.cost, grid_points), *inside])))
 
     regimes, durations, outlays = _plan_grid(params, y0, grid, x_int, bounds)
     require_finite(chain(durations, outlays), "planner durations or outlays",
@@ -542,28 +542,28 @@ def _slope_verdicts(
     it, so ``regimes`` is nondecreasing; levels without an outlay are
     skipped.
     """
-    priced = [(k, v) for k, v in zip(regimes, outlays) if v is not None]
-    ranges, costs = zip(*priced) if priced else ((), ())
-
     verdicts: list[bool | None] = []
     switch_count: int | None = None
     for k in range(1, 6):
-        # The neighbouring pairs of the range, in one slice.
-        first, stop = bisect_left(ranges, k), bisect_right(ranges, k)
-        diffs = list(map(sub, costs[first + 1:stop], costs[first:stop - 1]))
-        if not diffs:
+        part = outlays[bisect_left(regimes, k):bisect_right(regimes, k)]
+        costs = [v for v in part if v is not None]
+        # The neighbouring pairs of the range, as two slices.  For finite
+        # floats b - a < 0 exactly when b < a: with subnormals, b - a
+        # rounds to 0 only when a == b.
+        before, after = costs[:-1], costs[1:]
+        if not before:
             verdicts.append(None)
-            continue
-        if k == 3:
-            verdicts.append(all(d < 0 for d in diffs))
+        elif k == 3:
+            verdicts.append(all(map(lt, after, before)))
         elif k == 4:
             # The slope signs past FLAT_TOL may fall and then rise, never
             # the other way round.
+            diffs = map(sub, after, before)
             nz = [1 if d > FLAT_TOL else -1 for d in diffs if abs(d) > FLAT_TOL]
             switch_count = sum(a != b for a, b in zip(nz, nz[1:]))
             verdicts.append(bool(nz) and (1, -1) not in zip(nz, nz[1:]))
         elif k < 3 and y0 == 0.0:
-            verdicts.append(all(abs(d) <= FLAT_TOL for d in diffs))
+            verdicts.append(all(abs(d) <= FLAT_TOL for d in map(sub, after, before)))
         else:
-            verdicts.append(all(d > 0 for d in diffs))
+            verdicts.append(all(map(gt, after, before)))
     return tuple(verdicts), switch_count

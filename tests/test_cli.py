@@ -668,11 +668,23 @@ def _assert_same_text(got: str, expected: str) -> None:
     assert same, f"line {first}: {got_lines[first:first + 1]} != {want[first:first + 1]}"
 
 
+def _sweep_text(result, externality):
+    # The sweep CSV by the per-cell formatting rule.
+    from netadopt.cli import _fmt
+
+    lines = ["s,s_over_e,feasible,T_hat,S,regime,method,frontier"]
+    for i, (level, regime, duration, outlay) in enumerate(zip(*result[:4])):
+        lines.append(",".join(_fmt(v) for v in (
+            level, level / externality, duration is not None, duration, outlay,
+            regime, "closed_form", i in result.frontier,
+        )))
+    return "\n".join(lines) + "\n"
+
+
 def _check_sweep_csv(tmp_path, capsys, x0, points):
     # The verb is a thin adapter: the same bytes fall out of direct
     # library calls plus the per-cell CSV formatting rules.
     from netadopt import ModelParams, sweep
-    from netadopt.cli import _fmt
 
     out = tmp_path / "sweep.csv"
     code, _, _ = run(
@@ -682,13 +694,7 @@ def _check_sweep_csv(tmp_path, capsys, x0, points):
     )
     assert code == 0
     result = sweep(ModelParams(1, 2, 2.5, 3, 1), x0, grid_points=points)
-    lines = ["s,s_over_e,feasible,T_hat,S,regime,method,frontier"]
-    for i, (level, regime, duration, outlay) in enumerate(zip(*result[:4])):
-        lines.append(",".join(_fmt(v) for v in (
-            level, level / 3, duration is not None, duration, outlay,
-            regime, "closed_form", i in result.frontier,
-        )))
-    _assert_same_text(out.read_text(), "\n".join(lines) + "\n")
+    _assert_same_text(out.read_text(), _sweep_text(result, 3))
     return result
 
 
@@ -704,6 +710,56 @@ def test_sweep_csv_across_row_blocks(tmp_path, capsys):
     result = _check_sweep_csv(tmp_path, capsys, 0.125, 2100)
     assert len(result.levels) > 2 * BLOCK_ROWS
     assert set(result.regimes) == {1, 2, 3, 4, 5}
+
+
+@pytest.mark.parametrize("fields, y0, regime, ulps, no_duration, no_outlay", [
+    ((0.7379646270918914, 1.8821938523878432, 2.541517685725256, 2.3387429768097756, 1.0),
+     0.3208353320176235, 3, 5, True, True),
+    ((1.8479656876329207, 3.041422448649132, 3.6174996328414126, 2.2983899959262533,
+      0.4324187008007035), 0.17543586876589293, 3, 4, True, False),
+    ((0.876260074663481, 2.5484536427165425, 3.2618786107526896, 4.530980654666914,
+      1.1894935274289673), 0.16510511280779555, 3, 8, False, True),
+    # b3 < min_subsidy: range 3 is empty.
+    ((0.7385259317568442, 2.471873200933192, 5.180445523256255, 4.578246826232357,
+      1.0193048543077892), 0.8800790360980812, 4, 5, True, True),
+])
+def test_sweep_csv_with_missing_values_and_a_frontier_inside_runs(
+        tmp_path, fields, y0, regime, ulps, no_duration, no_outlay):
+    # The rows go out in runs of equal feasible, regime and frontier
+    # cells.  On these markets the levels 1 to ``ulps`` ulps above
+    # min_subsidy are in ``regime`` with a duration, an outlay or both
+    # missing; the frontier starts inside that range and stops inside
+    # range 5, whose first part is longer than a block.
+    from bisect import bisect_right
+
+    from netadopt.cli import BLOCK_ROWS, _write_sweep
+    from netadopt.subsidy import (
+        SubsidySweep, _plan_grid, _planner_bounds, _slope_verdicts, linspace,
+    )
+
+    params = ModelParams(*fields)
+    y0, x_int, bounds = _planner_bounds(params, y0)
+    near = [bounds[1]]
+    for _ in range(8):
+        near.append(math.nextafter(near[-1], math.inf))
+    grid = sorted({*linspace(0.0, params.cost, 2500), *near})
+    regimes, durations, outlays = _plan_grid(params, y0, grid, x_int, bounds)
+    at = grid.index(bounds[1])
+    assert regimes[at] == 2
+    assert regimes[at + 1:at + 11] == [regime] * 10
+    missing = [(d is None, v is None) for d, v in zip(durations, outlays)]
+    holes = [(no_duration, no_outlay)] * ulps + [(False, False)] * (8 - ulps)
+    assert missing[at + 1:at + 9] == holes
+    assert all(d for d, _ in missing[:at + 1])  # no window at or below min_subsidy
+    assert (True, True) not in missing[:at]
+    assert {*missing[at + 9:]} == {(False, False)}
+    frontier = range(at + 10, len(grid) - 5)
+    assert frontier.stop - bisect_right(regimes, 4) > BLOCK_ROWS
+    result = SubsidySweep(grid, regimes, durations, outlays, frontier,
+                          *_slope_verdicts(regimes, outlays, y0))
+    out = tmp_path / "sweep.csv"
+    _write_sweep(out, result, params.externality)
+    _assert_same_text(out.read_text(), _sweep_text(result, params.externality))
 
 
 def _check_simulate_csv(tmp_path, capsys, window, t_end, dt, grid):

@@ -150,6 +150,14 @@ def test_cost_decreasing_condition_uniform_rule():
     assert noext_cost_decreasing_condition(NARROW, 0.5) is True
 
 
+def test_cost_decreasing_condition_at_full_subscription():
+    # At level 2.0, cost - level == u_min: everyone subscribes, and the
+    # outlay grows with the level from there.
+    assert noext_cost_decreasing_condition(NARROW, 2.0) is False
+    assert noext_cost_decreasing_condition(NARROW, math.nextafter(2.0, 0.0)) is True
+    assert noext_cost_decreasing_condition(NARROW, math.nextafter(2.0, math.inf)) is False
+
+
 def test_condition_implies_decreasing_cost():
     # Narrow affinities below the cost: condition holds, outlay falls.
     assert noext_cost_decreasing_condition(NARROW, 1.6)

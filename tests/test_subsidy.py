@@ -624,6 +624,38 @@ def test_cost_sign_pattern_matches_reference():
     assert verdicts == {True, False, None}
 
 
+# FLAT_TOL and half as much again, written out so that a changed FLAT_TOL
+# shows: both steps are exact differences from 0.0.
+TOL, PAST_TOL = 1e-8, 1.5e-8
+
+
+@pytest.mark.parametrize("k, outlays, y0, verdict, switch_count", [
+    # Equal neighbours neither rise nor fall.
+    (3, [1.0, 1.0], 0.1, False, None),
+    (3, [1.0, 0.5], 0.1, True, None),
+    (5, [1.0, 1.0], 0.1, False, None),
+    (5, [0.5, 1.0], 0.1, True, None),
+    (1, [1.0, 1.0], 0.1, False, None),
+    (2, [1.0, 1.0], 0.1, False, None),
+    (2, [0.5, 1.0], 0.1, True, None),
+    # A step of FLAT_TOL is flat, one past it is not.
+    (1, [0.0, TOL], 0.0, True, None),
+    (1, [0.0, PAST_TOL], 0.0, False, None),
+    (2, [TOL, 0.0], 0.0, True, None),
+    (2, [PAST_TOL, 0.0], 0.0, False, None),
+    (4, [0.0, TOL], 0.1, False, 0),
+    (4, [TOL, 0.0, TOL], 0.1, False, 0),
+    (4, [0.0, PAST_TOL], 0.1, True, 0),
+    (4, [PAST_TOL, 0.0, PAST_TOL], 0.1, True, 1),
+    (4, [0.0, PAST_TOL, 0.0], 0.1, False, 1),
+])
+def test_slope_verdicts_at_their_comparison_boundaries(k, outlays, y0, verdict, switch_count):
+    regimes = [k] * len(outlays)
+    expected = tuple(verdict if j == k else None for j in range(1, 6)), switch_count
+    assert _slope_verdicts(regimes, outlays, y0) == expected
+    assert _reference_verdicts(regimes, outlays, y0) == expected
+
+
 @pytest.mark.parametrize("gamma, level", [(5e-324, 2.0), (1e-308, 2.0), (5e-324, 0.05)])
 def test_overflowing_gamma_is_refused(gamma, level):
     # Dividing by a tiny gamma overflows each of these outlays to inf.  The

@@ -11,7 +11,9 @@ two outputs; any line that differs names the call whose bytes changed.
 
 The calls are the README examples, ``reproduce 1``-``4``, seeds 1-2 of
 each ``perfbench/workloads.py`` generator (imported, never modified),
-sweeps of 0, 1, 2 and 8 points, ``equilibria`` on the markets whose
+sweeps of 0, 1, 2 and 8 points, a README-market sweep of 3 points at
+x0 = 0 and one of 2,100 points at x0 = 0.125 (all five ranges, two
+CSV row blocks), ``equilibria`` on the markets whose
 interior level lies within rounding of 0 or 1 (at cost 2 the interior
 -0.0 merges into an unstable 0), ``equilibria`` on [0, 1] at costs 0.5,
 1 and 1.5 with an externality of 0 and one ulp below, at and above the
@@ -85,6 +87,9 @@ def calls() -> list[list[str]]:
         for points in (0, 1, 2, 8):
             out.append(["sweep", *_sets(*README_MARKET, f"x0={x0}", "kind=min_duration",
                                         f"sweep_points={points}")])
+    out += [["sweep", *_sets(*README_MARKET, f"x0={x0}", "kind=min_duration",
+                             f"sweep_points={points}")]
+            for x0, points in (("0", 3), ("0.125", 2100))]
     # The interior level at, and one ulp inside, each end of [0, 1].
     for cost in ("2", "2.0000000000000004", "3.9999999999999996", "4"):
         out.append(["equilibria", *_sets("u_min=1", "u_max=2", f"cost={cost}",
