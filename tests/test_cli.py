@@ -750,8 +750,7 @@ def test_sweep_csv_with_missing_values_and_a_frontier_inside_runs(
     missing = [(d is None, v is None) for d, v in zip(durations, outlays)]
     holes = [(no_duration, no_outlay)] * ulps + [(False, False)] * (8 - ulps)
     assert missing[at + 1:at + 9] == holes
-    assert all(d for d, _ in missing[:at + 1])  # no window at or below min_subsidy
-    assert (True, True) not in missing[:at]
+    assert {*missing[:at]} == {(True, False)} and missing[at][0]  # no window up to min_subsidy
     assert {*missing[at + 9:]} == {(False, False)}
     frontier = range(at + 10, len(grid) - 5)
     assert frontier.stop - bisect_right(regimes, 4) > BLOCK_ROWS
