@@ -94,8 +94,10 @@ def _write_sweep(path: Path, result: subsidy.SubsidySweep, externality: float) -
     # Every outlay is a closed form; the method column keeps the layout.
     # No level of ranges 1-2 has a window, yet each has a finite outlay
     # (s*y0/gamma, or the outlay while the state settles) but at a knife
-    # edge.  A missing duration (ranges 3-4) or outlay (ranges 2-4) reads
-    # inf.  The rows go out in runs that share their feasible, regime and
+    # edge.  Ranges 3-4 share one closed form, which decides once whether
+    # a level has a window; a level without one lacks its duration and,
+    # from y0 > 0, its outlay.  A missing duration or outlay reads inf.
+    # The rows go out in runs that share their feasible, regime and
     # frontier cells and their missing values, which the run's template
     # holds as text, as it does range 5's one duration; the runs end at
     # the range ends, at the frontier's ends and around a missing value.
@@ -364,14 +366,6 @@ def _block_gap(gap: float, a: Iterable[float], b: Iterable[float]) -> float:
     return total if total != total else max(gap, max(diffs))
 
 
-def _max_gap(a: array, b: array) -> float:
-    """max |a - b| over the samples two oracle runs share."""
-    gap = 0.0
-    for lo in range(0, min(len(a), len(b)), BLOCK_ROWS):
-        gap = _block_gap(gap, a[lo:lo + BLOCK_ROWS], b[lo:lo + BLOCK_ROWS])
-    return gap
-
-
 def _path_gap(traj: PiecewiseTrajectory, sampled: oracle.SampledTrajectory,
               stride: int) -> float:
     """max |closed form - rk4| over every ``stride``-th oracle level, at
@@ -457,9 +451,10 @@ def cmd_validate(config: ScenarioConfig) -> int:
     if m:
         # The run at h up to the last grid time before the first junction
         # is the main run's prefix, bit for bit: both take the same steps
-        # and split them at the same window end.
-        d1 = _max_gap(sampled.levels[:m + 1], half.levels[::2])
-        d2 = _max_gap(half.levels, quarter.levels[::2])
+        # and split them at the same window end.  Each pair shares at most
+        # 2*CONVERGENCE_STEPS + 1 samples, so one block holds it.
+        d1 = _block_gap(0.0, sampled.levels[:m + 1], half.levels[::2])
+        d2 = _block_gap(0.0, half.levels, quarter.levels[::2])
         # Deviations at the rounding floor carry no order information.
         ok = d1 < 1e-12 or d2 < 1e-15 or d1 / d2 >= 8.0
         _verdict(f"rk4 self-convergence (factor {d1 / max(d2, 1e-300):.1f})", ok, failures)

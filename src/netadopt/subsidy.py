@@ -89,17 +89,20 @@ class CostResult(namedtuple("CostResult", "value row")):
 
 
 class SubsidySweep(namedtuple(
-        "SubsidySweep", "levels regimes durations outlays frontier verdicts switch_count")):
+        "SubsidySweep", "levels regimes durations outlays frontier verdicts")):
     """The minimum-duration planner over a grid of levels, one column per field.
 
     ``levels`` is the grid in increasing order; ``regimes``, ``durations``
     and ``outlays`` give each level's range (1..5), minimum window (None
     where no window tips the market) and outlay (None on the knife edge),
-    as ``min_duration_cost`` and ``min_duration`` give them.
+    as ``min_duration_cost`` and ``min_duration`` give them.  Ranges 3-4
+    share one closed form, so a level there lacks its window exactly
+    where its outlay is the knife edge's; a level with a window always
+    has an outlay.
 
     ``frontier`` holds the grid indices of the (duration, outlay) Pareto
-    frontier: the rows from the dip, the cheapest row with a window and an
-    outlay (the lowest level on a tie), up to the last row of range 4.
+    frontier: the rows from the dip, the cheapest row with a window (the
+    lowest level on a tie), up to the last row of range 4.
     The dip dominates every row below it: its outlay is lower and its
     duration no longer.  On ranges 3-4 the duration falls as the level
     rises, while past the dip the outlay rises, so each of those rows
@@ -107,8 +110,8 @@ class SubsidySweep(namedtuple(
     bit for bit (see ``edge`` in ``_plan_grid``) and the outlay rises, so
     the b4 row dominates every range-5 row.
 
-    ``verdicts`` and ``switch_count`` are the outlay's slope signs, range
-    by range, as ``_slope_verdicts`` decides them.
+    ``verdicts`` are the outlay's slope signs, range by range, as
+    ``_slope_verdicts`` decides them.
     """
 
     __slots__ = ()
@@ -322,9 +325,10 @@ def min_duration(params: ModelParams, y0: float, level: float) -> float | None:
     ``subsidized_trajectory`` of ``ConstantLevelSubsidy(level, duration)``.
     Returns None when the level cannot get there: level <= min_subsidy,
     or, within rounding of it, a subsidized path that rests on its own
-    fixed point.  Constant in the level once the whole climb happens above
-    the subsidized band.  Raises InvalidParameterError if the duration
-    overflows (a tiny gamma).
+    fixed point, where ``min_duration_cost``, whose ranges 3-4 share this
+    closed form, gives the knife edge's outlay.  Constant in the level
+    once the whole climb happens above the subsidized band.  Raises
+    InvalidParameterError if the duration overflows (a tiny gamma).
     """
     duration = _plan_level(params, y0, level)[1]
     require_finite([duration], "planner duration", gamma=params.gamma)
@@ -372,14 +376,15 @@ def _planner_bounds(
 def min_duration_cost(params: ModelParams, y0: float, level: float) -> CostResult:
     """Provider outlay of the minimum-duration subsidy at the given level.
 
-    Each of the five level ranges has a closed form.  On the fourth the
-    climb exits the subsidized band partway, so its outlay joins the
-    in-band climb of the third range to the out-of-band climb of the
-    fifth at the band edge.  Levels at or below min_subsidy pay for an
-    unbounded window while the state settles back down; their outlay is
-    still finite except exactly at min_subsidy with y0 > 0, reported as
-    value None.  Raises InvalidParameterError if the outlay overflows (a
-    tiny gamma).
+    Each level range has a closed form, and ranges 3 and 4 share one: the
+    in-band climb up to the subsidized band edge or x_int, whichever is
+    lower, then the out-of-band climb of the fifth range up to x_int,
+    which is empty on the third.  Levels at or below min_subsidy pay for
+    an unbounded window while the state settles back down; their outlay
+    is still finite except exactly at min_subsidy with y0 > 0, reported
+    as value None.  Above it, a level whose path rests on its own fixed
+    point (up to rounding) has no window and that knife edge's outlay.
+    Raises InvalidParameterError if the outlay overflows (a tiny gamma).
     """
     row, _, outlay = _plan_level(params, y0, level)
     require_finite([outlay], "planner outlay", level=level, gamma=params.gamma)
@@ -407,10 +412,12 @@ def _plan_grid(
 ) -> tuple[list[int], list[float | None], list[float | None]]:
     """(range, minimum duration, outlay) of the planner at nondecreasing
     levels.  The levels are split once against ``bounds`` into the five
-    ranges (a level on a bound is in the lower one), and each range is
-    evaluated with its own closed forms.  On ranges 1-2 (at or below
-    min_subsidy) no window tips the market.  A duration or outlay can
-    overflow to inf when gamma is tiny; the callers refuse those.
+    ranges (a level on a bound is in the lower one).  On ranges 1-2 (at
+    or below min_subsidy) no window tips the market.  Ranges 3 and 4
+    share one closed form and one loop, which decides once per level
+    whether a window exists: without one a level has neither a duration
+    nor, from y0 > 0, an outlay.  A duration or outlay can overflow to
+    inf when gamma is tiny; the callers refuse those.
     """
     u_min, u_max = params.u_min, params.u_max
     c, e, gamma = params.cost, params.externality, params.gamma
@@ -444,36 +451,29 @@ def _plan_grid(
         inner = sub_int * log((sub_int - low) / (sub_int - y0)) - (y0 - low)
         outlays.append(s / gamma * (inv_a * inner + low))
 
-    for s in ranges[2]:
+    rest = 1.0 - x_int
+    for s in levels[ends[1]:ends[3]]:
         ceff = c - s
         sub_int = (u_max - ceff) / denom
-        durations.append(hit_time(0.0, y0, rate, y0 + (u_max - ceff) / spread / a, x_int))
-        if y0 - sub_int <= 0.0:
+        step = y0 + (u_max - ceff) / spread / a
+        if not (step > 0.0 and y0 - sub_int > 0.0):
+            # Knife edge (up to rounding): the subsidized path rests on its
+            # own fixed point, so no window exists and the level balances
+            # forever.  One test decides both the duration and the outlay.
+            durations.append(None)
             outlays.append(knife_edge)
             continue
-        inner = sub_int * log((x_int - sub_int) / (y0 - sub_int)) + x_int - y0
-        outlays.append(s / gamma * inv_a * inner)
-
-    rest = 1.0 - x_int
-    for s in ranges[3]:
-        ceff = c - s
-        sub_int = (u_max - ceff) / denom
         # The subsidized band edge band_high(ceff), written so that it is
         # exactly y0 at b4: there the climb is all out of band and the
         # duration equals range 5's to the last bit.
         edge = y0 + (bounds[3] - s) / e
-        exit_time = hit_time(0.0, y0, rate, y0 + (u_max - ceff) / spread / a, edge)
-        # None: the subsidized path sits on its own fixed point.
-        durations.append(
-            None if exit_time is None else exit_time + log((1.0 - edge) / rest) / gamma
-        )
-        if y0 - sub_int <= 0.0:
-            outlays.append(knife_edge)
-            continue
-        # In-band climb from y0 to the subsidized band edge, then the
-        # climb toward 1 up to x_int.  log1p keeps the in-band term
-        # accurate when externality is close to u_max - u_min.
+        # In-band climb from y0 to top, then the climb toward 1 up to
+        # x_int, empty on range 3 (top == x_int: log(1.0) adds +0.0).  The
+        # path rises and y0 <= top (a level here is at most b4), so
+        # hit_time finds top.  log1p keeps the in-band term accurate when
+        # externality is close to u_max - u_min.
         top = min(edge, x_int)
+        durations.append(hit_time(0.0, y0, rate, step, top) + log((1.0 - top) / rest) / gamma)
         in_band = sub_int * log1p((top - y0) / (y0 - sub_int)) + top - y0
         above = log1p((x_int - top) / rest) - (x_int - top)
         outlays.append(s / gamma * (inv_a * in_band + above))
@@ -521,29 +521,28 @@ def sweep(params: ModelParams, y0: float, grid_points: int = 512) -> SubsidySwee
     regimes, durations, outlays = _plan_grid(params, y0, grid, x_int, bounds)
     require_finite(chain(durations, outlays), "planner durations or outlays",
                    cost=params.cost, gamma=params.gamma)
-    feasible = [i for i, d in enumerate(durations) if d is not None and outlays[i] is not None]
-    dip = min(feasible, key=outlays.__getitem__, default=None)
+    # Only ranges 3-5 have windows, and a level with a window has an outlay.
+    lo = bisect_right(regimes, 2)
+    dip = min((i for i in range(lo, len(grid)) if durations[i] is not None),
+              key=outlays.__getitem__, default=None)
     frontier = range(0) if dip is None else range(dip, bisect_right(regimes, 4))
     return SubsidySweep(grid, regimes, durations, outlays, frontier,
-                        *_slope_verdicts(regimes, outlays, y0))
+                        _slope_verdicts(regimes, outlays, y0))
 
 
 def _slope_verdicts(
     regimes: Sequence[int], outlays: Sequence[float | None], y0: float
-) -> tuple[tuple[bool | None, ...], int | None]:
+) -> tuple[bool | None, ...]:
     """How the outlay moves with the level across its five ranges.
 
     One verdict per range, None when the range has fewer than two
     outlays: rising on the first two (flat when y0 == 0, where the outlay
     is identically zero there), falling on the third, falling-then-rising
-    on the fourth, rising on the fifth.  Also returns the number of slope
-    sign changes inside the fourth range (None when it has no pair).  A
-    range is the run of levels with that regime, as the planner assigned
-    it, so ``regimes`` is nondecreasing; levels without an outlay are
-    skipped.
+    on the fourth, rising on the fifth.  A range is the run of levels
+    with that regime, as the planner assigned it, so ``regimes`` is
+    nondecreasing; levels without an outlay are skipped.
     """
     verdicts: list[bool | None] = []
-    switch_count: int | None = None
     for k in range(1, 6):
         part = outlays[bisect_left(regimes, k):bisect_right(regimes, k)]
         costs = [v for v in part if v is not None]
@@ -560,10 +559,9 @@ def _slope_verdicts(
             # the other way round.
             diffs = map(sub, after, before)
             nz = [1 if d > FLAT_TOL else -1 for d in diffs if abs(d) > FLAT_TOL]
-            switch_count = sum(a != b for a, b in zip(nz, nz[1:]))
             verdicts.append(bool(nz) and (1, -1) not in zip(nz, nz[1:]))
         elif k < 3 and y0 == 0.0:
             verdicts.append(all(abs(d) <= FLAT_TOL for d in map(sub, after, before)))
         else:
             verdicts.append(all(map(gt, after, before)))
-    return tuple(verdicts), switch_count
+    return tuple(verdicts)

@@ -2,8 +2,9 @@
 
 Brute-force and finite-difference counterparts of the library's closed
 forms: a fixed-point scan, the adoption map with its stability query,
-central differences, first-passage detection on oracle samples and a
-dominance scan for the sweep's Pareto frontier.  Tests import this
+central differences, first-passage detection on oracle samples, a
+dominance scan for the sweep's Pareto frontier and a count of the
+outlay's slope sign switches on range 4.  Tests import this
 module the way they import ``conftest``.
 """
 
@@ -14,6 +15,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from netadopt import InvalidParameterError, ModelParams, SampledTrajectory, SubsidySweep
 from netadopt.model import STABLE, UNSTABLE
+from netadopt.subsidy import FLAT_TOL
 
 # Levels supplied by callers arrive through text and get a looser check
 # than the constructed equilibria.
@@ -170,3 +172,16 @@ def pareto_frontier(rows: Sequence[SweepRow]) -> tuple[SweepRow, ...]:
             frontier.append(row)
             best_cost = row.cost
     return tuple(frontier)
+
+
+def range4_switch_count(regimes: Sequence[int], outlays: Sequence[float | None]) -> int | None:
+    """How often the outlay's slope changes sign between neighbouring
+    range-4 levels, counting only steps larger than FLAT_TOL and skipping
+    levels without an outlay; None when range 4 has no neighbouring pair.
+    A dip inside range 4 switches once."""
+    finite = [(k, v) for k, v in zip(regimes, outlays) if v is not None]
+    diffs = [b - a for (ka, a), (kb, b) in zip(finite, finite[1:]) if ka == kb == 4]
+    if not diffs:
+        return None
+    signs = [1 if d > FLAT_TOL else -1 for d in diffs if abs(d) > FLAT_TOL]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 from conftest import max_gap, random_params, random_planner_setup, random_start
-from reference import brute_force_equilibria, finite_diff
+from reference import brute_force_equilibria, finite_diff, range4_switch_count
 
 from netadopt import (
     ConstantLevelSubsidy,
@@ -128,8 +128,9 @@ def test_criterion_3_planner_sweep():
 
         if False in result.verdicts:
             failures.append(f"sign pattern y0={y0}: {result.verdicts}")
-        if result.switch_count != 1:
-            failures.append(f"dip switches y0={y0}: {result.switch_count}")
+        switches = range4_switch_count(result.regimes, result.outlays)
+        if switches != 1:
+            failures.append(f"dip switches y0={y0}: {switches}")
     _report(3, failures, time.perf_counter() - start, 5.0)
 
 

@@ -570,6 +570,21 @@ def test_validate_min_duration_verdicts(tmp_path, capsys):
             "falling then rising=ok, rising=ok\n") in stdout
 
 
+def test_near_degenerate_band_prices_range3_within_the_oracle_tolerance(tmp_path, capsys):
+    # externality/(u_max - u_min) = 1 + 2.6e-5: a range-3 outlay that took
+    # the log of a ratio within 1e-4 of 1 missed the quadrature by
+    # 1.4e-5, and its neighbours' outlays rose where they must fall.
+    keys = ("u_min=1.6165677859957093", "u_max=4.010609752473528",
+            "cost=4.010612921097231", "externality=2.3941041011887663",
+            "gamma=0.010406982256359559", "x0=0.0242966977646893", "kind=min_duration")
+    code, stdout, _ = run(capsys, "validate", *sets(*keys, "s=1.601097666769085"))
+    assert code == 0 and stdout.endswith("all checks passed\n")
+    code, stdout, _ = run(capsys, "sweep", *sets(*keys), "--output", str(tmp_path / "s.csv"))
+    assert code == 0
+    assert ("cost slope pattern: flat/rising=empty, rising=empty, falling=ok, "
+            "falling then rising=ok, rising=ok\n") in stdout
+
+
 def test_reproduce_example2(tmp_path, capsys):
     code, _, _ = run(capsys, "reproduce", "2", "--output", str(tmp_path))
     assert code == 0
@@ -716,9 +731,9 @@ def test_sweep_csv_across_row_blocks(tmp_path, capsys):
     ((0.7379646270918914, 1.8821938523878432, 2.541517685725256, 2.3387429768097756, 1.0),
      0.3208353320176235, 3, 5, True, True),
     ((1.8479656876329207, 3.041422448649132, 3.6174996328414126, 2.2983899959262533,
-      0.4324187008007035), 0.17543586876589293, 3, 4, True, False),
+      0.4324187008007035), 0.17543586876589293, 3, 4, True, True),
     ((0.876260074663481, 2.5484536427165425, 3.2618786107526896, 4.530980654666914,
-      1.1894935274289673), 0.16510511280779555, 3, 8, False, True),
+      1.1894935274289673), 0.16510511280779555, 3, 8, True, True),
     # b3 < min_subsidy: range 3 is empty.
     ((0.7385259317568442, 2.471873200933192, 5.180445523256255, 4.578246826232357,
       1.0193048543077892), 0.8800790360980812, 4, 5, True, True),
@@ -727,9 +742,11 @@ def test_sweep_csv_with_missing_values_and_a_frontier_inside_runs(
         tmp_path, fields, y0, regime, ulps, no_duration, no_outlay):
     # The rows go out in runs of equal feasible, regime and frontier
     # cells.  On these markets the levels 1 to ``ulps`` ulps above
-    # min_subsidy are in ``regime`` with a duration, an outlay or both
-    # missing; the frontier starts inside that range and stops inside
-    # range 5, whose first part is longer than a block.
+    # min_subsidy are in ``regime`` with both the duration and the outlay
+    # missing (ranges 3-4 decide a level's window once; the second and
+    # third markets once lost only one of them); the frontier starts
+    # inside that range and stops inside range 5, whose first part is
+    # longer than a block.
     from bisect import bisect_right
 
     from netadopt.cli import BLOCK_ROWS, _write_sweep
@@ -755,7 +772,7 @@ def test_sweep_csv_with_missing_values_and_a_frontier_inside_runs(
     frontier = range(at + 10, len(grid) - 5)
     assert frontier.stop - bisect_right(regimes, 4) > BLOCK_ROWS
     result = SubsidySweep(grid, regimes, durations, outlays, frontier,
-                          *_slope_verdicts(regimes, outlays, y0))
+                          _slope_verdicts(regimes, outlays, y0))
     out = tmp_path / "sweep.csv"
     _write_sweep(out, result, params.externality)
     _assert_same_text(out.read_text(), _sweep_text(result, params.externality))
@@ -1537,9 +1554,9 @@ _REPRODUCE_SHA256 = {
         "example3_adoption.csv": "9af2542ff2e18dc72d91013026e980d9199369be8157a66c39f5ab1741613b01",
     },
     "4": {
-        "example4_sweep_y0_0.csv": "1e68f94c626a3a5196f007bad2fb3dce656f82cb078b9e9b9e7ee26292230ab2",
+        "example4_sweep_y0_0.csv": "1def579c189e07484e9527bd00eeae4848119ac2abb35b4dcb1360a1cf05bfb4",
         "example4_sweep_y0_0.125.csv":
-            "1b008f7368ba946797963670e29b85ea3fdec42ff61ba96a4fcf6748be64501e",
+            "69eee4280b74bc38c95dcd3b00d62d6a1ac6b934f3778bb58a8d512922720685",
         "example4_summary.csv": "e73436db8e2ed947b75fc4eedf05040fc9738c1b055b5f4ffaccdbc76424c9c7",
     },
 }

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from conftest import max_gap, random_planner_setup, sample_times
-from reference import SweepRow, first_passage, pareto_frontier, sweep_rows
+from reference import SweepRow, first_passage, pareto_frontier, range4_switch_count, sweep_rows
 
 from netadopt import (
     AssumptionViolationError,
@@ -373,6 +373,71 @@ def test_cost_row4_matches_high_precision_reference():
         assert res.value == pytest.approx(expected, abs=1e-12)
 
 
+# A market whose externality exceeds u_max - u_min by a factor of only
+# 1 + 2.6e-5; at the level it was found at, the range-3 outlay once missed
+# the oracle's quadrature by 1.4e-5.
+NEAR_DEGENERATE = ModelParams(1.6165677859957093, 4.010609752473528, 4.010612921097231,
+                              2.3941041011887663, 0.010406982256359559)
+
+
+def test_cost_row3_matches_high_precision_reference():
+    # Frozen range-3 outlays, computed once with mpmath at 50 digits from
+    # the exact binary values of the inputs, and checked against
+    # mpmath.quad of the same path.  With spread = u_max - u_min,
+    # a = (e - spread)/spread, ceff = cost - s, the subsidized interior
+    # sub = (u_max - ceff)/(spread - e) and the tipping level
+    # x_int = (u_max - cost)/(spread - e), the path climbs in band
+    # x = sub + (y0 - sub) exp(a gamma t) until it meets x_int at
+    # T = log((x_int - sub)/(y0 - sub))/(a gamma).  The outlay is s times
+    # the integral of x:  s * (sub T + (x_int - y0)/(a gamma)).
+    # e/spread - 1 is about 2.6e-5, 1e-3 and 1 on the three markets.  Each
+    # input enters through the rounded differences u_max - (u_min + e) and
+    # e - spread, so the relative budget is 100 eps times the condition
+    # number kappa = cost/(e - spread), fixed before the values were taken.
+    near = ModelParams(1.0, 2.0, 2.0005, 1.001, 1.0)
+    wide = ModelParams(1.0, 2.0, 2.25, 2.0, 0.5)
+    cases = [
+        (NEAR_DEGENERATE, 0.0242966977646893, 1.601097666769085, 0.231222781574782894538),
+        (NEAR_DEGENERATE, 0.0, 0.5, 0.299123570140390610893),
+        (NEAR_DEGENERATE, 0.0242966977646893, 2.0, 0.231222760506781669574),
+        (near, 0.0, 0.1, 0.125208855734504948933),
+        (near, 0.125, 0.4, 0.117231469360664250954),
+        (wide, 0.0, 0.5, 0.0767132048600136726457),
+        (wide, 0.1, 0.6, 0.0591735295702520092897),
+    ]
+    for params, y0, s, expected in cases:
+        kappa = params.cost / (params.externality - (params.u_max - params.u_min))
+        res = min_duration_cost(params, y0, s)
+        assert res.row == 3
+        assert abs(res.value - expected) <= 100 * 2.0**-52 * kappa * expected
+
+
+def test_window_decision_is_shared_by_duration_and_outlay():
+    # Levels of ranges 3-4 just above min_subsidy and b3, where the
+    # subsidized fixed point can round onto y0: min_duration is None
+    # exactly where min_duration_cost gives the knife edge's outlay, None
+    # from y0 > 0 and 0.0 from y0 = 0.
+    rng = np.random.default_rng(54)
+    seen = {"y0 = 0": 0, "y0 > 0": 0, "window": 0}
+    for i in range(200):
+        params, y0 = random_planner_setup(rng, positive_y0=True)
+        if i % 4 == 0:
+            y0 = 0.0
+        knife = None if y0 > 0 else 0.0
+        _, s_hat, b3, _ = subsidy_interval_bounds(params, y0)
+        for level in (s_hat, b3):
+            for _ in range(12):
+                level = math.nextafter(level, math.inf)
+                result = min_duration_cost(params, y0, level)
+                if result.row < 3:
+                    continue  # b3 < min_subsidy: the level is in range 2
+                duration = min_duration(params, y0, level)
+                assert (duration is None) == (repr(result.value) == repr(knife))
+                kind = "y0 = 0" if y0 == 0.0 else "y0 > 0"
+                seen["window" if duration is not None else kind] += 1
+    assert all(seen.values()), seen
+
+
 def test_row4_junction_matches_high_precision_reference():
     # Frozen with mpmath at 50 digits from the exact binary values of the
     # inputs; ceff = cost - s is exact in binary for each.  With spread =
@@ -503,25 +568,19 @@ def _reference_plan(params, y0, level, x_int, bounds):
         inner = sub_int * math.log((sub_int - low) / (sub_int - y0)) - (y0 - low)
         return 2, None, level / gamma * (inv_a * inner + low)
 
-    if level <= b3:
-        duration = hit_time(0.0, y0, *band_rate_step(params, ceff, y0), x_int)
-        if y0 - sub_int <= 0.0:
-            return 3, duration, knife_edge
-        inner = sub_int * math.log((x_int - sub_int) / (y0 - sub_int)) + x_int - y0
-        return 3, duration, level / gamma * inv_a * inner
-
     if level <= b4:
-        edge = y0 + (b4 - level) / e
-        exit_time = hit_time(0.0, y0, *band_rate_step(params, ceff, y0), edge)
-        duration = None  # the subsidized path sits on its own fixed point
-        if exit_time is not None:
-            duration = exit_time + math.log((1.0 - edge) / (1.0 - x_int)) / gamma
-        if y0 - sub_int <= 0.0:
-            return 4, duration, knife_edge
-        top = min(edge, x_int)
+        # Ranges 3 and 4 share one closed form: on range 3 the climb ends
+        # in band (top == x_int).  One test decides whether a window exists.
+        row = 3 if level <= b3 else 4
+        rate, step = band_rate_step(params, ceff, y0)
+        if not (step > 0.0 and y0 - sub_int > 0.0):
+            return row, None, knife_edge  # the path rests on its own fixed point
+        top = min(y0 + (b4 - level) / e, x_int)
+        duration = hit_time(0.0, y0, rate, step, top)
+        duration += math.log((1.0 - top) / (1.0 - x_int)) / gamma
         in_band = sub_int * math.log1p((top - y0) / (y0 - sub_int)) + top - y0
         above = math.log1p((x_int - top) / (1.0 - x_int)) - (x_int - top)
-        return 4, duration, level / gamma * (inv_a * in_band + above)
+        return row, duration, level / gamma * (inv_a * in_band + above)
 
     climb = math.log((1.0 - y0) / (1.0 - x_int))
     return 5, climb / gamma, level / gamma * (climb - (x_int - y0))
@@ -582,9 +641,11 @@ def test_knife_edge_level_matches_reference_cascade():
 
 def _reference_verdicts(regimes, outlays, y0):
     """_slope_verdicts with each range's neighbouring pairs filtered out of
-    all pairs by their regime: the five-pass form of the regime rule."""
+    all pairs by their regime: the five-pass form of the regime rule.
+    Also returns range4_switch_count, which reads range 4's pairs the
+    same way."""
     finite = [(k, v) for k, v in zip(regimes, outlays) if v is not None]
-    verdicts, switch_count = [], None
+    verdicts = []
     for k in range(1, 6):
         diffs = [b - a for (ka, a), (kb, b) in zip(finite, finite[1:]) if ka == kb == k]
         if not diffs:
@@ -598,9 +659,8 @@ def _reference_verdicts(regimes, outlays, y0):
             verdicts.append(all(d > 0 for d in diffs))
         else:
             nz = [1 if d > FLAT_TOL else -1 for d in diffs if abs(d) > FLAT_TOL]
-            switch_count = sum(1 for a, b in zip(nz, nz[1:]) if a != b)
             verdicts.append(bool(nz) and (1, -1) not in zip(nz, nz[1:]))
-    return tuple(verdicts), switch_count
+    return tuple(verdicts), range4_switch_count(regimes, outlays)
 
 
 def test_cost_sign_pattern_matches_reference():
@@ -611,7 +671,7 @@ def test_cost_sign_pattern_matches_reference():
     verdicts = set()
     for params, y0 in _reference_markets():
         result = sweep(params, y0, grid_points=65)
-        assert result[5:] == _slope_verdicts(result.regimes, result.outlays, y0)
+        assert result.verdicts == _slope_verdicts(result.regimes, result.outlays, y0)
         columns = list(zip(result.regimes, result.outlays))
         kept = [c for c in columns if rng.uniform() < 0.8]
         noisy = [(k, None if u < 0.1 else float(u - 0.5))
@@ -619,8 +679,8 @@ def test_cost_sign_pattern_matches_reference():
         for sample in (columns, kept, noisy):
             regimes, outlays = zip(*sample)
             got = _slope_verdicts(regimes, outlays, y0)
-            assert got == _reference_verdicts(regimes, outlays, y0)
-            verdicts.update(got[0])
+            assert got == _reference_verdicts(regimes, outlays, y0)[0]
+            verdicts.update(got)
     assert verdicts == {True, False, None}
 
 
@@ -651,9 +711,9 @@ TOL, PAST_TOL = 1e-8, 1.5e-8
 ])
 def test_slope_verdicts_at_their_comparison_boundaries(k, outlays, y0, verdict, switch_count):
     regimes = [k] * len(outlays)
-    expected = tuple(verdict if j == k else None for j in range(1, 6)), switch_count
+    expected = tuple(verdict if j == k else None for j in range(1, 6))
     assert _slope_verdicts(regimes, outlays, y0) == expected
-    assert _reference_verdicts(regimes, outlays, y0) == expected
+    assert _reference_verdicts(regimes, outlays, y0) == (expected, switch_count)
 
 
 @pytest.mark.parametrize("gamma, level", [(5e-324, 2.0), (1e-308, 2.0), (5e-324, 0.05)])
@@ -811,7 +871,7 @@ def test_cost_sign_pattern_example():
     for y0 in (0.0, 0.125):
         result = sweep(PLANNER, y0)
         assert False not in result.verdicts
-        assert result.switch_count == 1
+        assert range4_switch_count(result.regimes, result.outlays) == 1
         assert result.dip_level is not None
         assert 0.75 <= result.dip_level <= (1.5 if y0 == 0.0 else 1.125)
 
@@ -835,6 +895,27 @@ def test_sweep_frontier_matches_dominance_scan(points):
         top = result.frontier.stop
         assert result.regimes[top - 1] == 4
         assert set(result.durations[top:]) <= {result.durations[top - 1]}
+
+
+def test_dip_skips_knife_edge_rows_that_pay_nothing(monkeypatch):
+    # From y0 = 0 the levels 1-4 ulps above min_subsidy rest on their own
+    # fixed point: no window, and an outlay of 0.0, below every outlay
+    # with a window.  The dip is still the cheapest row with a window.
+    from netadopt import subsidy
+
+    params = ModelParams(0.6004127804094113, 1.933856727998728, 2.149689414822603,
+                         3.0706220812845157, 0.4690484228526266)
+    near = [min_subsidy(params, 0.0)]
+    for _ in range(4):
+        near.append(math.nextafter(near[-1], math.inf))
+    grid = subsidy.linspace
+    monkeypatch.setattr(subsidy, "linspace", lambda *args: grid(*args) + near[1:])
+    result = sweep(params, 0.0, grid_points=65)
+    knife = [i for i, s in enumerate(result.levels) if s in near[1:]]
+    assert [(result.regimes[i], result.durations[i], result.outlays[i]) for i in knife] == [
+        (3, None, 0.0)] * 4
+    windows = [i for i, d in enumerate(result.durations) if d is not None]
+    assert result.frontier.start == min(windows, key=result.outlays.__getitem__)
 
 
 def test_cost_dip_is_a_feasible_level():

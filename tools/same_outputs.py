@@ -20,7 +20,9 @@ interior level lies within rounding of 0 or 1 (at cost 2 the interior
 spread (the singular market, exit 2, among them), ``sweep``, ``simulate``
 and ``validate`` from the start ``x0 = -0.0``, and ``sweep`` and
 ``validate`` on the y0 = 0 market whose first outlay bound rounds above
-``min_subsidy``.
+``min_subsidy``, and ``sweep`` and ``validate`` on the market whose
+externality exceeds its spread by a factor of only 1 + 2.6e-5, where the
+range-3 outlay is badly conditioned.
 """
 
 from __future__ import annotations
@@ -40,6 +42,11 @@ README_MARKET = ("u_min=1", "u_max=2", "cost=2.5", "externality=3", "gamma=1")
 BOUNDARY_MARKET = ("u_min=0.935609791532341", "u_max=1.685870423705207",
                    "cost=1.8797231588513614", "externality=1.346491514237461",
                    "gamma=1.099522908476864", "x0=0.0", "kind=min_duration")
+# externality/(u_max - u_min) = 1 + 2.6e-5.
+NEAR_DEGENERATE_MARKET = ("u_min=1.6165677859957093", "u_max=4.010609752473528",
+                          "cost=4.010612921097231", "externality=2.3941041011887663",
+                          "gamma=0.010406982256359559", "x0=0.0242966977646893",
+                          "kind=min_duration")
 TIPPING_CONFIG = """\
 u_min = 1
 u_max = 2
@@ -104,7 +111,9 @@ def calls() -> list[list[str]]:
     start = (*README_MARKET, "x0=-0.0", "kind=min_duration")
     out += [["sweep", *_sets(*start)], ["simulate", *_sets(*start, "s=1")],
             ["validate", *_sets(*start, "s=1")], ["sweep", *_sets(*BOUNDARY_MARKET)],
-            ["validate", *_sets(*BOUNDARY_MARKET, "s=0.474293317145366")]]
+            ["validate", *_sets(*BOUNDARY_MARKET, "s=0.474293317145366")],
+            ["sweep", *_sets(*NEAR_DEGENERATE_MARKET)],
+            ["validate", *_sets(*NEAR_DEGENERATE_MARKET, "s=1.601097666769085")]]
     return out
 
 
